@@ -123,14 +123,9 @@ def _simulate(scen):
 
 
 def _spectrum(scen):
-    cfg = scen.config.get("spectrum", {})
+    # the schema admits only the dense_cap / n_partial keyword arguments here
     gen = assemble_generator(scen.bundle, scen.params, form="u")
-    kwargs = {}
-    if "dense_cap" in cfg:
-        kwargs["dense_cap"] = cfg["dense_cap"]
-    if "n_partial" in cfg:
-        kwargs["n_partial"] = cfg["n_partial"]
-    return gen, spectrum(gen, **kwargs)
+    return spectrum(gen, **scen.config.get("spectrum", {}))
 
 
 def _adjoint_spot_check(scen, seed, n_pairs=20):
@@ -239,7 +234,7 @@ def run(config, subcommand, out_dir=None, seed=0):
         return payload
 
     if subcommand == "spectrum":
-        _gen, rep = _spectrum(scen)
+        rep = _spectrum(scen)
         payload = {**base, "spectrum": rep.to_dict()}
         emit("spectrum.json", payload)
         return payload
@@ -257,10 +252,10 @@ def run(config, subcommand, out_dir=None, seed=0):
         traj, sim = _simulate(scen)
         if out_dir is not None:
             write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
-        _gen, rep = _spectrum(scen)
+        rep = _spectrum(scen)
         emit("spectrum.json", {**base, "spectrum": rep.to_dict()})
         adj = _adjoint_spot_check(scen, seed)
-        versus = abscissa_vs_decay(_gen, traj.times, traj.E1)
+        versus = abscissa_vs_decay(rep, traj.times, traj.E1)
         payload = {
             **base,
             **sim,

@@ -124,6 +124,10 @@ SCHEMA = {
     },
 }
 
+# Built once: ``jsonschema.validate`` would re-check SCHEMA against the
+# meta-schema on every call (the tests check it once).
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
 
 def _merge(base, override):
     out = copy.deepcopy(base)
@@ -146,9 +150,8 @@ def load_config(obj):
     else:
         merged = copy.deepcopy(obj)
     merged.setdefault("schema_version", SCHEMA_VERSION)
-    try:
-        jsonschema.validate(merged, SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(merged))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError("invalid configuration at %s: %s" % (path, exc.message))
     for section in ("geometry", "mesh", "params", "time"):

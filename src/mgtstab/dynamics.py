@@ -197,13 +197,6 @@ class Generator:
             self._dense = lu.solve(self.L.toarray())
         return self._dense
 
-    def transform_matrix(self):
-        """Nodal matrix of the z change of variables (block bidiagonal)."""
-        n = self.E.shape[0] // 3
-        q = self.params.q
-        I = sp.identity(n, format="csr")
-        return sp.bmat([[I, None, None], [q * I, I, None], [None, q * I, I]], format="csr")
-
     def source_block(self, f_nodal):
         """Right-hand side vector from a nodal forcing value."""
         n = self.E.shape[0] // 3

@@ -576,7 +576,7 @@ def build_vector_field_h(geometry, mesh, collar_width, trace_tol=1e-10):
     The field equals ``x - x0`` outside a collar of width
     ``collar_width`` around gamma0; inside, the component along the
     (interpolated) gamma0 normal at the foot point is blended out with a
-    ``(1 - t)^2`` cutoff in the distance to gamma0, so the trace on
+    ``(1 - t)^3`` cutoff in the distance to gamma0, so the trace on
     gamma0 is tangential.  Gamma0 facet quadrature values additionally
     have the exact facet-normal component removed.
 

@@ -89,7 +89,7 @@ def test_c03_critical_decay_and_rate_crosscheck():
         output_stride=10, store_states=False,
     )
     gen1d = M.assemble_generator(scen1d.bundle, scen1d.params, form="u")
-    versus = M.abscissa_vs_decay(gen1d, traj1d.times, traj1d.E1)
+    versus = M.abscissa_vs_decay(M.spectrum(gen1d), traj1d.times, traj1d.E1)
 
     ok = (
         fit["omega"] > 0

@@ -3,12 +3,13 @@
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
 import mgtstab as M
-from mgtstab import cli
-from mgtstab.config import canonical_json
+from mgtstab import cli, spectral
+from mgtstab.config import SCHEMA, canonical_json
 from mgtstab.reporting import sanitize, write_csv, write_json
 
 from conftest import interval_config
@@ -65,9 +66,16 @@ def test_unknown_preset_rejected():
         M.load_config({"preset": "no-such-scenario"})
 
 
+def test_schema_is_valid_under_its_meta_schema():
+    # load_config validates with a validator built once, without this check
+    jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+
+
 def test_schema_violations_rejected():
-    with pytest.raises(M.ConfigError):
+    msg = "invalid configuration at params/tau: 'one' is not of type 'number'"
+    with pytest.raises(M.ConfigError) as info:
         M.load_config(tiny_config(params={"tau": "one"}))
+    assert str(info.value) == msg
     with pytest.raises(M.ConfigError):
         M.load_config({"geometry": {"kind": "interval"}, "mesh": {"resolution": 4}})
     cfg = tiny_config()
@@ -251,6 +259,34 @@ def test_cli_numerical_error_exit(tmp_path):
     assert code == cli.EXIT_NUMERICAL
     err = json.load(open(os.path.join(out, "error.json")))
     assert err["exit_code"] == cli.EXIT_NUMERICAL
+
+
+def test_cli_full_partial_spectrum_is_not_applicable(tmp_path):
+    # a partial spectrum's abscissa is not the global one, so the
+    # decay cross-check must not produce a ratio from it
+    cfg_path = write_config(tmp_path, tiny_config(spectrum={"dense_cap": 1, "n_partial": 6}))
+    out = str(tmp_path / "out")
+    assert cli.main(["full", "--config", cfg_path, "--out", out]) == cli.EXIT_OK
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    assert summary["spectral"]["partial"] is True
+    assert summary["abscissa_vs_decay"]["applicable"] is False
+    assert summary["abscissa_vs_decay"]["ratio"] is None
+
+
+def test_cli_full_solves_the_spectrum_once(monkeypatch):
+    calls = []
+    solve = spectral.spectrum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    # patch every module-level name the full run could reach it through
+    monkeypatch.setattr(cli, "spectrum", counting)
+    monkeypatch.setattr(spectral, "spectrum", counting)
+    payload = cli.run(tiny_config(), "full")
+    assert len(calls) == 1
+    assert payload["abscissa_vs_decay"]["applicable"] is True
 
 
 def test_cli_rejects_curved_geometry_for_identities(tmp_path):
