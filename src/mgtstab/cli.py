@@ -105,6 +105,11 @@ def _simulate(scen):
     e1_0 = float(traj.E1[0])
     drift = float(np.max(np.abs(traj.E1 - e1_0)) / max(abs(e1_0), 1e-300))
     growth = float(traj.E[-1] / traj.E[0]) if traj.E[0] != 0 else None
+    try:
+        fit = {**fit_decay_rate(traj.times, traj.E1), "applicable": True}
+    except ValueError:  # too few positive energy samples above the roundoff floor
+        fit = dict.fromkeys(("omega", "M", "fit_residual", "n_points"), None)
+        fit["applicable"] = False
     payload = {
         "energy": {
             "E1_initial": e1_0,
@@ -115,7 +120,7 @@ def _simulate(scen):
             "identity_residual": energy_identity_residual(traj),
             "growth_factor": growth,
         },
-        "decay_fit": fit_decay_rate(traj.times, traj.E1),
+        "decay_fit": fit,
         "compat": traj.compat,
         "meta": traj.meta,
     }

@@ -157,6 +157,8 @@ def load_config(obj):
     for section in ("geometry", "mesh", "params", "time"):
         if section not in merged:
             raise ConfigError("configuration is missing the %r section" % section)
+    if merged["time"]["T"] < merged["time"]["dt"]:
+        raise ConfigError("time.T must be at least time.dt (one step)")
     return merged
 
 

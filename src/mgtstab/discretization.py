@@ -354,88 +354,30 @@ class MaterialParams:
 # -- assembly --------------------------------------------------------------
 
 
-def _assemble_weighted_mass(mesh, weights):
-    """Mass matrix with a piecewise-linear nodal weight, exact quadrature."""
-    rows, cols, vals = [], [], []
-    conn = mesh.elements
-    w = weights[conn]
-    if mesh.dim == 1:
-        h = mesh.element_volumes
-        w1, w2 = w[:, 0], w[:, 1]
-        loc = np.empty((len(conn), 2, 2))
-        loc[:, 0, 0] = h / 12 * (3 * w1 + w2)
-        loc[:, 0, 1] = loc[:, 1, 0] = h / 12 * (w1 + w2)
-        loc[:, 1, 1] = h / 12 * (w1 + 3 * w2)
-    else:
-        A = mesh.element_volumes
-        loc = np.empty((len(conn), 3, 3))
-        for a in range(3):
-            for bb in range(3):
-                if a == bb:
-                    others = [k for k in range(3) if k != a]
-                    loc[:, a, bb] = A / 10 * w[:, a] + A / 30 * (
-                        w[:, others[0]] + w[:, others[1]]
-                    )
-                else:
-                    cc = 3 - a - bb
-                    loc[:, a, bb] = A / 30 * (w[:, a] + w[:, bb]) + A / 60 * w[:, cc]
-    nloc = mesh.dim + 1
-    for a in range(nloc):
-        for bb in range(nloc):
-            rows.append(conn[:, a])
-            cols.append(conn[:, bb])
-            vals.append(loc[:, a, bb])
-    n = mesh.n_nodes
-    M = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return M.tocsr()
+def _scatter(cells, loc, n):
+    """Sum the local matrices ``loc[e]`` of ``cells[e]`` into an n x n CSR matrix."""
+    k = cells.shape[1]
+    rows = np.repeat(cells.T, k, axis=0)
+    cols = np.tile(cells.T, (k, 1))
+    vals = loc.transpose(1, 2, 0)
+    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
 
 
-def _assemble_boundary_mass(mesh, tag, weights):
-    """Facet mass matrix on the tagged boundary part with nodal weight."""
-    n = mesh.n_nodes
-    idx = np.flatnonzero(mesh.facet_tags == tag)
-    if len(idx) == 0:
-        return sp.csr_matrix((n, n))
-    rows, cols, vals = [], [], []
-    if mesh.dim == 1:
-        for f in idx:
-            i = mesh.facets[f, 0]
-            rows.append(i)
-            cols.append(i)
-            vals.append(weights[i])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    for f in idx:
-        i, j = mesh.facets[f]
-        L = mesh.facet_measures[f]
-        w1, w2 = weights[i], weights[j]
-        loc = L / 12.0 * np.array([[3 * w1 + w2, w1 + w2], [w1 + w2, w1 + 3 * w2]])
-        for a, ga in enumerate((i, j)):
-            for bb, gb in enumerate((i, j)):
-                rows.append(ga)
-                cols.append(gb)
-                vals.append(loc[a, bb])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+def _mass(cells, measures, weights, n):
+    """Mass matrix with a P1 nodal weight over simplices of any dimension d.
 
-
-def _assemble_stiffness(mesh):
-    conn = mesh.elements
-    g = mesh.element_gradients
-    vol = mesh.element_volumes
-    loc = np.einsum("eai,ebi,e->eab", g, g, vol)
-    nloc = mesh.dim + 1
-    rows, cols, vals = [], [], []
-    for a in range(nloc):
-        for bb in range(nloc):
-            rows.append(conn[:, a])
-            cols.append(conn[:, bb])
-            vals.append(loc[:, a, bb])
-    n = mesh.n_nodes
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return K.tocsr()
+    Exact: ``int_S la lb lc = |S| d! m_a! m_b! m_c! / (d + 3)!`` for the
+    barycentric coordinates, where ``m`` counts how often each index
+    occurs in ``(a, b, c)``; the factorial product is 6 when all three
+    coincide, 2 when two do and 1 otherwise.  For d = 0 (a boundary point
+    in 1D) this is the point mass ``w``.
+    """
+    d = cells.shape[1] - 1
+    a, b, c = np.indices((d + 1,) * 3)
+    table = np.where((a == b) & (b == c), 6.0, np.where((a == b) | (b == c) | (a == c), 2.0, 1.0))
+    loc = np.einsum("abc,ec->eab", table, weights[cells])
+    loc *= (measures / ((d + 1) * (d + 2) * (d + 3)))[:, None, None]
+    return _scatter(cells, loc, n)
 
 
 @dataclass
@@ -458,7 +400,6 @@ class OperatorBundle:
     T1: sp.csr_matrix
     Ktilde: sp.csr_matrix
     _ktilde_lu: object = field(default=None, repr=False)
-    _mass_lu: object = field(default=None, repr=False)
 
     def ktilde_solve(self, rhs):
         if self._ktilde_lu is None:
@@ -473,23 +414,29 @@ class OperatorBundle:
                 raise IllPosedMapError("Ktilde factorization failed: %s" % exc)
         return self._ktilde_lu.solve(rhs)
 
-    def mass_solve(self, rhs):
-        if self._mass_lu is None:
-            self._mass_lu = splu(self.Mmat.tocsc())
-        return self._mass_lu.solve(rhs)
-
 
 def assemble_operators(mesh, params):
     """Assemble the full operator bundle (exact local quadrature)."""
     n = mesh.n_nodes
     ones = np.ones(n)
-    Mmat = _assemble_weighted_mass(mesh, ones)
-    Kmat = _assemble_stiffness(mesh)
-    B0 = _assemble_boundary_mass(mesh, GAMMA0, params.kappa0_field)
-    B1 = _assemble_boundary_mass(mesh, GAMMA1, params.kappa1_field)
-    T1 = _assemble_boundary_mass(mesh, GAMMA1, ones)
-    Malpha = _assemble_weighted_mass(mesh, params.alpha_field)
-    Mgamma = _assemble_weighted_mass(mesh, params.gamma_field)
+
+    def element_mass(weights):
+        return _mass(mesh.elements, mesh.element_volumes, weights, n)
+
+    def boundary_mass(tag, weights):
+        on = mesh.facet_tags == tag
+        return _mass(mesh.facets[on], mesh.facet_measures[on], weights, n)
+
+    stiffness = np.einsum(
+        "eai,ebi,e->eab", mesh.element_gradients, mesh.element_gradients, mesh.element_volumes
+    )
+    Mmat = element_mass(ones)
+    Kmat = _scatter(mesh.elements, stiffness, n)
+    B0 = boundary_mass(GAMMA0, params.kappa0_field)
+    B1 = boundary_mass(GAMMA1, params.kappa1_field)
+    T1 = boundary_mass(GAMMA1, ones)
+    Malpha = element_mass(params.alpha_field)
+    Mgamma = element_mass(params.gamma_field)
     Ktilde = (Kmat + B0).tocsr()
     return OperatorBundle(mesh, params, Mmat, Kmat, B0, B1, Malpha, Mgamma, T1, Ktilde)
 
@@ -520,37 +467,3 @@ def check_adjoint_identity(bundle, xi, phi):
     lhs = float(xi @ (bundle.Ktilde @ psi))
     rhs = float(xi @ (bundle.T1 @ phi))
     return abs(lhs - rhs)
-
-
-# -- exports -----------------------------------------------------------------
-
-
-def export_triplets(matrix, path):
-    """Write a sparse matrix as ``row col value`` lines (sorted, 17 sig digits)."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write("# row col value\n")
-        for k in order:
-            fh.write("%d %d %.17g\n" % (coo.row[k], coo.col[k], coo.data[k]))
-
-
-def export_mesh_tables(mesh, directory):
-    """Write nodes/elements/facets CSV tables into ``directory``."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    cols = ",".join("x%d" % k for k in range(mesh.dim))
-    with open(os.path.join(directory, "nodes.csv"), "w") as fh:
-        fh.write("node,%s\n" % cols)
-        for i, p in enumerate(mesh.nodes):
-            fh.write("%d,%s\n" % (i, ",".join("%.17g" % v for v in p)))
-    with open(os.path.join(directory, "elements.csv"), "w") as fh:
-        fh.write("element,%s\n" % ",".join("n%d" % k for k in range(mesh.dim + 1)))
-        for i, e in enumerate(mesh.elements):
-            fh.write("%d,%s\n" % (i, ",".join(str(v) for v in e)))
-    with open(os.path.join(directory, "facets.csv"), "w") as fh:
-        names = {GAMMA0: "gamma0", GAMMA1: "gamma1"}
-        fh.write("facet,%s,tag\n" % ",".join("n%d" % k for k in range(mesh.dim)))
-        for i, (f, t) in enumerate(zip(mesh.facets, mesh.facet_tags)):
-            fh.write("%d,%s,%s\n" % (i, ",".join(str(v) for v in f), names[int(t)]))

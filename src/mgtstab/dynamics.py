@@ -14,6 +14,7 @@ normalizing the equation by ``tau``, which rescales ``alpha, b, c^2,
 gamma`` by ``1/tau`` and leaves the ratio ``q = c^2/b`` unchanged.
 """
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -22,7 +23,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import energy as _energy
+from .discretization import _mass
 from .errors import NumericalError
+from .geometry import GAMMA0, GAMMA1
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -110,19 +113,6 @@ class SourceTerm:
 # -- compatibility of initial data ------------------------------------------
 
 
-def _facet_to_element(mesh):
-    table = {}
-    for e, conn in enumerate(mesh.elements):
-        if mesh.dim == 1:
-            for a in conn:
-                table.setdefault((int(a),), e)
-        else:
-            for a in range(3):
-                key = tuple(sorted((int(conn[a]), int(conn[(a + 1) % 3]))))
-                table.setdefault(key, e)
-    return table
-
-
 def check_compatibility(state, bundle, params):
     """Weak boundary residuals of the initial data.
 
@@ -133,34 +123,32 @@ def check_compatibility(state, bundle, params):
     with the z-form then holds only up to this residual.
     """
     mesh = bundle.mesh
-    table = _facet_to_element(mesh)
-    grads = np.einsum(
-        "eai,ea->ei", mesh.element_gradients, state.u[mesh.elements]
-    )  # per-element gradient of u0
+    n, dim = mesh.n_nodes, mesh.dim
+    # the element owning each boundary facet: match the sorted vertex keys
+    # of the facets against those of every element face
+    faces = mesh.elements[:, list(itertools.combinations(range(dim + 1), dim))]
+    face_keys = np.ravel_multi_index(np.sort(faces, axis=2).reshape(-1, dim).T, (n,) * dim)
+    facet_keys = np.ravel_multi_index(np.sort(mesh.facets, axis=1).T, (n,) * dim)
+    order = np.argsort(face_keys)
+    owner = order[np.searchsorted(face_keys[order], facet_keys)] // (dim + 1)
+    grads = np.einsum("eai,ea->ei", mesh.element_gradients, state.u[mesh.elements])
+    dnu = np.einsum("fi,fi->f", grads[owner], mesh.facet_normals)
 
     out = {}
-    for name, tag, bmat, vel in (
-        ("r0", 0, bundle.B0, None),
-        ("r1", 1, bundle.B1, state.ut),
+    for name, tag, bmat, value in (
+        ("r0", GAMMA0, bundle.B0, state.u),
+        ("r1", GAMMA1, bundle.B1, state.ut),
     ):
-        idx = np.flatnonzero(mesh.facet_tags == tag)
-        if len(idx) == 0:
+        on = mesh.facet_tags == tag
+        if not on.any():
             out[name] = 0.0
             continue
-        rho = np.zeros(mesh.n_nodes)
-        for f in idx:
-            key = tuple(sorted(int(v) for v in mesh.facets[f]))
-            dnu = float(grads[table[key]] @ mesh.facet_normals[f])
-            if mesh.dim == 1:
-                rho[mesh.facets[f, 0]] += dnu
-            else:
-                L = mesh.facet_measures[f]
-                rho[mesh.facets[f]] += dnu * L / 2.0
-        rho += bmat @ (state.u if vel is None else vel)
+        cells, measures = mesh.facets[on], mesh.facet_measures[on]
+        rho = np.zeros(n)
+        np.add.at(rho, cells, (dnu[on] * measures / dim)[:, None])
+        rho += bmat @ value
         # Riesz-represent the functional in L2 of the boundary part
-        from .discretization import _assemble_boundary_mass
-
-        MG = _assemble_boundary_mass(mesh, tag, np.ones(mesh.n_nodes))
+        MG = bundle.T1 if tag == GAMMA1 else _mass(cells, measures, np.ones(n), n)
         nodes = mesh.nodes_on(tag)
         MGr = MG[np.ix_(nodes, nodes)].toarray()
         w = np.linalg.solve(MGr, rho[nodes])

@@ -259,7 +259,6 @@ def check_convex_gamma0(geometry, tol=1e-12):
     if len(chain) < 3:
         return {"convex": True, "min_turn": np.inf}
     closed = np.allclose(chain[0], chain[-1])
-    pts = chain[:-1] if closed else chain
     edges = np.diff(chain, axis=0)
     if closed:
         edges = np.vstack([edges, chain[1] - chain[0]])
@@ -268,7 +267,6 @@ def check_convex_gamma0(geometry, tol=1e-12):
         e0, e1 = edges[k], edges[k + 1]
         cr = (e0[0] * e1[1] - e0[1] * e1[0]) / (np.linalg.norm(e0) * np.linalg.norm(e1))
         min_turn = min(min_turn, float(cr))
-    del pts
     return {"convex": min_turn >= -tol, "min_turn": min_turn}
 
 
@@ -421,27 +419,6 @@ class FlatCollarField:
             hn = (self.nu - nu_u[fan, None] * u[fan]) / d[fan, None]
             out[fan] += -(self.beta0 / self.delta) * dp[fan, None] * hn
         return out
-
-
-class ShiftedField:
-    """``h + v`` for a constant vector ``v`` (derivatives unchanged)."""
-
-    def __init__(self, base, shift):
-        self.base = base
-        self.shift = np.asarray(shift, float)
-        self.dim = base.dim
-
-    def __call__(self, x):
-        return self.base(x) + self.shift
-
-    def jacobian(self, x):
-        return self.base.jacobian(x)
-
-    def divergence(self, x):
-        return self.base.divergence(x)
-
-    def grad_divergence(self, x):
-        return self.base.grad_divergence(x)
 
 
 class _CurvedCollarField:

@@ -60,7 +60,10 @@ def initial_state(spec, mesh, params):
         if mesh.dim != 1:
             raise ConfigError("the robin-mode profile is one-dimensional")
         k0 = float(np.max(params.kappa0_field))
-        u0 = robin_mode_profile(mesh.nodes[:, 0], k0, amp)
+        try:
+            u0 = robin_mode_profile(mesh.nodes[:, 0], k0, amp)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     elif kind == "gaussian-bump":
         if "center" not in spec or "width" not in spec:
             raise ConfigError("gaussian-bump initial data need 'center' and 'width'")

@@ -106,6 +106,24 @@ def test_weighted_masses():
     np.testing.assert_allclose(Mg, gamma * Mm, rtol=1e-13)
 
 
+def test_nonconstant_weight_masses_exact():
+    # a P1 weight w = 1 + x + 2y is its own interpolant, so 1^T M_w 1 and
+    # x^T M_w 1 integrate w and w x exactly, inside and on both boundary parts
+    mesh = M.build_mesh(M.named_geometry("unit-square"), 6)
+    x, y = mesh.nodes.T
+    w = 1.0 + x + 2.0 * y
+    bundle = M.assemble_operators(mesh, MaterialParams(1.0, 1.0, 1.0, w, w, w))
+    ones = np.ones(mesh.n_nodes)
+    # interior; gamma0 = bottom side; gamma1 = right, top and left sides
+    for mat, int_w, int_wx in (
+        (bundle.Malpha, 2.5, 4.0 / 3.0),
+        (bundle.B0, 1.5, 5.0 / 6.0),
+        (bundle.B1, 3.0 + 3.5 + 2.0, 3.0 + 11.0 / 6.0),
+    ):
+        np.testing.assert_allclose(ones @ mat @ ones, int_w, rtol=1e-14)
+        np.testing.assert_allclose(x @ mat @ ones, int_wx, rtol=1e-14)
+
+
 def test_ktilde_is_stiffness_plus_robin():
     bundle = square_bundle(n=6, kappa0=1.3)
     diff = (bundle.Ktilde - (bundle.Kmat + bundle.B0)).toarray()

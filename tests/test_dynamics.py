@@ -151,6 +151,71 @@ def test_incompatible_data_flagged(caplog):
     assert traj.compat["r1"] == pytest.approx(rep["r1"])
 
 
+def named_scenario(name, resolution, kappa0, kappa1):
+    cfg = {
+        "geometry": {"kind": "named", "name": name},
+        "mesh": {"resolution": resolution},
+        "params": {"tau": 1.0, "c": 1.0, "b": 1.0, "alpha": 2.0, "kappa0": kappa0, "kappa1": kappa1},
+        "time": {"T": 1.0, "dt": 1e-2},
+    }
+    return M.Scenario(M.load_config(cfg))
+
+
+@pytest.mark.parametrize("resolution", [4, 8])
+def test_square_compatibility_residuals_exact(resolution):
+    # on the unit square (gamma0 the bottom side, outer normal -y) these
+    # data give constant boundary functionals, so r0 and r1 are exact:
+    # d_nu y = -1 on gamma0, and constant u0, u1 leave kappa * value only.
+    # The P1 interpolant of y^2 has gradient (0, h) only in the bottom row
+    # of elements, so its r0 = h pins the facet-to-element match.
+    scen = named_scenario("unit-square", resolution, kappa0=1.7, kappa1=0.6)
+    n = scen.mesh.n_nodes
+    y = scen.mesh.nodes[:, 1]
+    rep = M.check_compatibility(StateU(y.copy(), np.zeros(n), np.zeros(n)), scen.bundle, scen.params)
+    assert rep["r0"] == pytest.approx(1.0, rel=1e-12)
+    rep = M.check_compatibility(StateU(y**2, np.zeros(n), np.zeros(n)), scen.bundle, scen.params)
+    assert rep["r0"] == pytest.approx(1.0 / resolution, rel=1e-12)
+    const = StateU(np.full(n, 2.0), np.full(n, -3.0), np.zeros(n))
+    rep = M.check_compatibility(const, scen.bundle, scen.params)
+    assert rep["r0"] == pytest.approx(3.4, rel=1e-12)
+    assert rep["r1"] == pytest.approx(1.8 * np.sqrt(3.0), rel=1e-12)
+
+
+def loop_compatibility(state, bundle):
+    """Facet-by-facet reference for check_compatibility."""
+    mesh = bundle.mesh
+    dim = mesh.dim
+    out = {}
+    for name, tag, bmat, value in (("r0", 0, bundle.B0, state.u), ("r1", 1, bundle.B1, state.ut)):
+        rho = bmat @ value
+        mass = np.zeros((mesh.n_nodes, mesh.n_nodes))
+        for f in np.flatnonzero(mesh.facet_tags == tag):
+            nodes = mesh.facets[f]
+            e = next(e for e, conn in enumerate(mesh.elements) if set(nodes) <= set(conn))
+            grad = mesh.element_gradients[e].T @ state.u[mesh.elements[e]]
+            L = mesh.facet_measures[f]
+            rho[nodes] += (grad @ mesh.facet_normals[f]) * L / dim
+            mass[np.ix_(nodes, nodes)] += L * (1.0 + np.eye(dim)) / (dim * (dim + 1))
+        on = mesh.nodes_on(tag)
+        m = mass[np.ix_(on, on)]
+        w = np.linalg.solve(m, rho[on])
+        out[name] = float(np.sqrt(w @ m @ w))
+    return out
+
+
+@pytest.mark.parametrize("name", ["interval", "unit-square", "half-disk", "transducer"])
+def test_compatibility_matches_facet_loop(name):
+    if name == "interval":
+        scen = make_scenario(mesh={"resolution": 12}, params={"kappa0": 1.3, "kappa1": 0.7})
+    else:
+        scen = named_scenario(name, 4, kappa0=1.3, kappa1=0.7)
+    state = random_state(scen.mesh.n_nodes, np.random.default_rng(11))
+    rep = M.check_compatibility(state, scen.bundle, scen.params)
+    ref = loop_compatibility(state, scen.bundle)
+    for key in ("r0", "r1"):
+        assert rep[key] == pytest.approx(ref[key], rel=1e-12)
+
+
 # -------------------------------------------------------------- schemes
 
 

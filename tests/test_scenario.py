@@ -289,6 +289,33 @@ def test_cli_full_solves_the_spectrum_once(monkeypatch):
     assert payload["abscissa_vs_decay"]["applicable"] is True
 
 
+@pytest.mark.parametrize("subcommand", ["simulate", "full"])
+@pytest.mark.parametrize(
+    "over, expected",
+    [
+        ({"initial": {"kind": "zero"}}, cli.EXIT_OK),
+        ({"time": {"T": 0.02, "dt": 1e-2}}, cli.EXIT_OK),
+        ({"time": {"T": 0.005, "dt": 1e-2}}, cli.EXIT_CONFIG),
+        ({"params": {"kappa0": 0.0}}, cli.EXIT_CONFIG),
+    ],
+    ids=["zero-initial", "two-steps", "T-below-dt", "robin-mode-without-robin"],
+)
+def test_cli_degenerate_configs_exit_cleanly(tmp_path, subcommand, over, expected):
+    # schema-valid configs whose decay fit cannot be made run to the end;
+    # the inconsistent ones are configuration errors with an error.json
+    cfg_path = write_config(tmp_path, tiny_config(**over))
+    out = str(tmp_path / "out")
+    assert cli.main([subcommand, "--config", cfg_path, "--out", out]) == expected
+    if expected == cli.EXIT_CONFIG:
+        err = json.load(open(os.path.join(out, "error.json")))
+        assert err["error"] == "ConfigError"
+    else:
+        fit = json.load(open(os.path.join(out, "summary.json")))["decay_fit"]
+        assert fit == {
+            "omega": None, "M": None, "fit_residual": None, "n_points": None, "applicable": False
+        }
+
+
 def test_cli_rejects_curved_geometry_for_identities(tmp_path):
     cfg = {
         "preset": "transducer-2d",
