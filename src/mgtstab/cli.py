@@ -222,43 +222,48 @@ def run(config, subcommand, out_dir=None, seed=0):
         if out_dir is not None:
             write_json(os.path.join(out_dir, name), payload)
 
-    if subcommand == "certify-geometry":
-        info, _h, err = _certify(scen)
-        payload = {**base, "certification": info}
-        emit("certification.json", payload)
+    # the stages, each with its artifact; `full` chains them
+    def certified():
+        info, h, err = _certify(scen)
+        emit("certification.json", {**base, "certification": info})
         if err is not None:
             raise err
-        return payload
+        return info, h
 
-    if subcommand == "simulate":
+    def simulated():
         traj, sim = _simulate(scen)
-        payload = {**base, **sim}
         if out_dir is not None:
             write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
+        return traj, sim
+
+    def spectral():
+        rep = _spectrum(scen)
+        emit("spectrum.json", {**base, "spectrum": rep.to_dict()})
+        return rep
+
+    def identities():
+        mp = _multiplier_check(scen)
+        emit("multiplier.json", {**base, "multiplier": mp})
+        return mp
+
+    if subcommand == "certify-geometry":
+        return {**base, "certification": certified()[0]}
+
+    if subcommand == "simulate":
+        payload = {**base, **simulated()[1]}
         emit("summary.json", payload)
         return payload
 
     if subcommand == "spectrum":
-        rep = _spectrum(scen)
-        payload = {**base, "spectrum": rep.to_dict()}
-        emit("spectrum.json", payload)
-        return payload
+        return {**base, "spectrum": spectral().to_dict()}
 
     if subcommand == "multiplier-check":
-        payload = {**base, "multiplier": _multiplier_check(scen)}
-        emit("multiplier.json", payload)
-        return payload
+        return {**base, "multiplier": identities()}
 
     if subcommand == "full":
-        info, _h, err = _certify(scen)
-        emit("certification.json", {**base, "certification": info})
-        if err is not None:
-            raise err
-        traj, sim = _simulate(scen)
-        if out_dir is not None:
-            write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
-        rep = _spectrum(scen)
-        emit("spectrum.json", {**base, "spectrum": rep.to_dict()})
+        info, h = certified()
+        traj, sim = simulated()
+        rep = spectral()
         adj = _adjoint_spot_check(scen, seed)
         versus = abscissa_vs_decay(rep, traj.times, traj.E1)
         payload = {
@@ -274,12 +279,8 @@ def run(config, subcommand, out_dir=None, seed=0):
             "abscissa_vs_decay": versus,
             "adjoint_check": adj,
         }
-        can_do_identities = scen.geometry.dimension == 1 or (
-            _h is not None and _h.analytic is not None
-        )
-        if "multiplier" in cfg and can_do_identities:
-            mp = _multiplier_check(scen)
-            emit("multiplier.json", {**base, "multiplier": mp})
+        if "multiplier" in cfg and h.analytic is not None:
+            mp = identities()
             payload["multiplier"] = {
                 "slopes": mp["slopes"],
                 "gamma0_term_max": mp["gamma0_term_max"],

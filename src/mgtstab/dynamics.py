@@ -113,7 +113,7 @@ class SourceTerm:
 # -- compatibility of initial data ------------------------------------------
 
 
-def check_compatibility(state, bundle, params):
+def check_compatibility(state, bundle):
     """Weak boundary residuals of the initial data.
 
     ``r0`` is the L2(gamma0) norm of the Riesz representative of
@@ -394,15 +394,15 @@ def simulate(
     initial data are computed and logged (a warning above ``compat_tol``)
     but never enforced.  The residuals are recovered from element
     gradients and carry O(h) noise even for exactly compatible data, so
-    the default threshold only flags order-one violations.  Non-finite states abort with
-    :class:`NumericalError` (expected for blow-up scenarios run too
-    long).
+    the default threshold only flags order-one violations.  Non-finite
+    states or recorded energies abort with :class:`NumericalError`
+    (expected for blow-up scenarios run too long).
     """
     mesh = bundle.mesh
     n = mesh.n_nodes
     if source is None:
         source = SourceTerm.zero(n)
-    compat = check_compatibility(initial, bundle, params)
+    compat = check_compatibility(initial, bundle)
     if max(compat["r0"], compat["r1"]) > compat_tol:
         _LOGGER.warning(
             "initial data violate the boundary compatibility conditions "
@@ -440,6 +440,8 @@ def simulate(
             StateZ(s.u, z, zt, s.t), bundle, params, allow_indefinite=gamma_negative
         )
         e0 = _energy.energy_E0(s, bundle, params)
+        if not np.isfinite(e0 + e1):
+            raise NumericalError("non-finite energy at t=%.6g" % s.t)
         times.append(s.t)
         rows["E0"].append(e0)
         rows["E1"].append(e1)

@@ -507,17 +507,16 @@ class VectorFieldH:
         """Wrap raw nodal values (used for synthetic fields in tests)."""
         values = np.asarray(values, float).reshape(mesh.n_nodes, mesh.dim)
         g0 = mesh.gamma0_facets
-        qp, _ = mesh.facet_quadrature()
-        vals = np.empty((len(g0), qp.shape[1], mesh.dim))
-        for k, f in enumerate(g0):
-            fv = values[mesh.facets[f]]
-            if mesh.dim == 1:
-                vals[k] = fv
-            else:
-                # linear interpolation of nodal values at the facet points
-                a, b = mesh.nodes[mesh.facets[f][0]], mesh.nodes[mesh.facets[f][1]]
-                t = ((qp[f] - a) @ (b - a)) / np.sum((b - a) ** 2)
-                vals[k] = (1 - t)[:, None] * fv[0] + t[:, None] * fv[1]
+        fv = values[mesh.facets[g0]]  # (facet, vertex, component)
+        if mesh.dim == 1:
+            vals = fv
+        else:
+            # linear interpolation of nodal values at the facet points
+            qp, _ = mesh.facet_quadrature()
+            a, b = mesh.nodes[mesh.facets[g0, 0]], mesh.nodes[mesh.facets[g0, 1]]
+            t = ((qp[g0] - a[:, None]) @ (b - a)[:, :, None])[..., 0]
+            t /= np.sum((b - a) ** 2, axis=1)[:, None]
+            vals = (1 - t)[..., None] * fv[:, None, 0] + t[..., None] * fv[:, None, 1]
         x0 = np.zeros(mesh.dim) if x0 is None else np.asarray(x0, float)
         return cls(values, g0.copy(), vals, collar_width, x0, analytic)
 
@@ -602,11 +601,9 @@ def build_vector_field_h(geometry, mesh, collar_width, trace_tol=1e-10):
     nodal = fld(mesh.nodes)
     g0 = mesh.gamma0_facets
     qp, _ = mesh.facet_quadrature()
-    facet_vals = np.empty((len(g0), qp.shape[1], mesh.dim))
-    for k, f in enumerate(g0):
-        v = fld(qp[f])
-        nu = mesh.facet_normals[f]
-        facet_vals[k] = v - np.outer(v @ nu, nu)
+    v = fld(qp[g0].reshape(-1, mesh.dim)).reshape(qp[g0].shape)
+    nu = mesh.facet_normals[g0]
+    facet_vals = v - (v @ nu[:, :, None]) * nu[:, None, :]
 
     analytic = fld if not isinstance(fld, _CurvedCollarField) else None
     out = VectorFieldH(

@@ -151,45 +151,64 @@ def static_poly_1d(b=1.0, kappa0=2.0):
     )
 
 
-# -- quadrature helpers ------------------------------------------------------
+# -- the space-time quadrature kernel ---------------------------------------
 
 
-def _default_rule(mesh):
-    return "trapezoid" if mesh.dim == 1 else "vertex"
+def _kernel(x, w, times):
+    """The space-time quadrature kernel on one flat point set ``(x, w)``.
+
+    For a closure ``g(t, x) -> (n,)``, ``integral(g)`` is the
+    trapezoid-in-time integral over ``times`` of the series
+    ``S(t) = sum_q w_q g(t, x_q)`` and ``jump(g)`` is its end-time
+    difference ``S(times[-1]) - S(times[0])``.
+    """
+
+    def series(g, at):
+        return np.array([np.sum(g(t, x) * w) for t in at])
+
+    def integral(g):
+        return np.trapezoid(series(g, times), times)
+
+    def jump(g):
+        end, start = series(g, times[[-1, 0]])
+        return end - start
+
+    return integral, jump
 
 
-class _FieldOnMesh:
-    """Evaluates an analytic multiplier field on mesh quadrature sets."""
+def _element_points(mesh, rule):
+    """Flat element quadrature: points ``(n, dim)`` and weights ``(n,)``."""
+    x, w = mesh.element_quadrature(rule or ("trapezoid" if mesh.dim == 1 else "vertex"))
+    return x.reshape(-1, mesh.dim), w.ravel()
 
-    def __init__(self, h, mesh, allow_uncertified):
-        if isinstance(h, VectorFieldH):
-            if not allow_uncertified and not h.certified:
-                raise CertificationError("multiplier field is not certified")
-            if h.analytic is None:
-                raise ValueError(
-                    "identity quadrature needs a field with closed-form "
-                    "derivatives (analytic backend missing)"
-                )
-            self.analytic = h.analytic
-            self.gamma0_values = {
-                int(f): h.gamma0_facet_values[k] for k, f in enumerate(h.gamma0_facet_index)
-            }
-        else:
-            self.analytic = h
-            self.gamma0_values = {}
-        self.mesh = mesh
 
-    def values(self, x):
-        return self.analytic(x)
+def _boundary_points(mesh):
+    """Flat facet quadrature of the gamma0 facets followed by the gamma1 ones.
 
-    def trace(self, pts, facet_idx):
-        """Field values at facet quadrature points, certified where available."""
-        nq = pts.shape[1]
-        out = self.analytic(pts.reshape(-1, self.mesh.dim)).reshape(len(facet_idx), nq, -1)
-        for k, f in enumerate(facet_idx):
-            if int(f) in self.gamma0_values:
-                out[k] = self.gamma0_values[int(f)]
-        return out
+    Returns the facet subset, the points, the weights, the outward
+    normal at every point and the number of points on gamma0 (they come
+    first).
+    """
+    facets = np.concatenate([mesh.gamma0_facets, mesh.gamma1_facets])
+    x, w = mesh.facet_quadrature()
+    nq = w.shape[1]
+    x, w = x[facets].reshape(-1, mesh.dim), w[facets].ravel()
+    nu = np.repeat(mesh.facet_normals[facets], nq, axis=0)
+    return facets, x, w, nu, len(mesh.gamma0_facets) * nq
+
+
+def _closed_form(h, allow_uncertified):
+    """The closed-form field behind ``h``, after the certification gate."""
+    if not isinstance(h, VectorFieldH):
+        return h
+    if not allow_uncertified and not h.certified:
+        raise CertificationError("multiplier field is not certified")
+    if h.analytic is None:
+        raise ValueError(
+            "identity quadrature needs a field with closed-form "
+            "derivatives (analytic backend missing)"
+        )
+    return h.analytic
 
 
 def _normalized(terms):
@@ -206,99 +225,46 @@ def residual_hgradz(fields, h, mesh, b, times, space_rule=None, allow_uncertifie
     the gamma0 annihilation term ``int int_{gamma0} (z_t^2 - b |grad z|^2)
     (h . nu)``, which must sit at the certification tolerance.
     """
-    rule = space_rule or _default_rule(mesh)
-    fom = _FieldOnMesh(h, mesh, allow_uncertified)
+    fld = _closed_form(h, allow_uncertified)
     times = np.asarray(times, float)
-    g0, g1 = mesh.gamma0_facets, mesh.gamma1_facets
-    all_f = np.concatenate([g0, g1])
-    fpts, fw = mesh.facet_quadrature()
+    xv, wv = _element_points(mesh, space_rule)
+    vol, vol_jump = _kernel(xv, wv, times)
+    hv, div, gam = fld(xv), fld.divergence(xv), fields.gamma(xv)
+    J = fld.jacobian(xv)
+    Jsym2 = J + np.transpose(J, (0, 2, 1))
 
-    def boundary_series(facet_idx, pointwise):
-        """Time series of a boundary integral; pointwise(t, pts_flat, h_vals, nu) -> flat."""
-        if len(facet_idx) == 0:
-            return np.zeros(len(times))
-        pts, w = fpts[facet_idx], fw[facet_idx]
-        hv = fom.trace(pts, facet_idx)
-        nu = np.repeat(mesh.facet_normals[facet_idx][:, None, :], pts.shape[1], axis=1)
-        flat = pts.reshape(-1, mesh.dim)
-        hflat = hv.reshape(-1, mesh.dim)
-        nuflat = nu.reshape(-1, mesh.dim)
-        out = np.empty(len(times))
-        for i, t in enumerate(times):
-            out[i] = np.sum(pointwise(t, flat, hflat, nuflat).reshape(w.shape) * w)
-        return out
+    facets, xb, wb, nu, n0 = _boundary_points(mesh)
+    hb = fld(xb).reshape(len(facets), -1, mesh.dim)
+    if isinstance(h, VectorFieldH):
+        # the certified gamma0 trace replaces the closed form on its facets
+        row, k = np.nonzero(facets[:, None] == h.gamma0_facet_index)
+        hb[row] = h.gamma0_facet_values[k]
+    hb = hb.reshape(-1, mesh.dim)
+    hnu = np.sum(hb * nu, axis=1)
+    bdy, _ = _kernel(xb, wb, times)
+    gamma0, _ = _kernel(xb[:n0], wb[:n0], times)
 
-    vpts, vw = mesh.element_quadrature(rule)
-    vflat = vpts.reshape(-1, mesh.dim)
-    hvol = fom.values(vflat)
-    Jvol = fom.analytic.jacobian(vflat)
-    Jsym2 = Jvol + np.transpose(Jvol, (0, 2, 1))
-    divvol = fom.analytic.divergence(vflat)
-    gam = fields.gamma(vflat)
-
-    def vol_series(pointwise):
-        out = np.empty(len(times))
-        for i, t in enumerate(times):
-            out[i] = np.sum(pointwise(t).reshape(vw.shape) * vw)
-        return out
-
-    hgz = lambda t: np.sum(hvol * fields.grad_z(t, vflat), axis=1)
+    hgz = lambda t, x: np.sum(hv * fields.grad_z(t, x), axis=1)
+    grad2 = lambda t, x: np.sum(fields.grad_z(t, x) ** 2, axis=1)
 
     terms = {}
-    end = lambda t: np.sum((fields.zt(t, vflat) * hgz(t)).reshape(vw.shape) * vw)
-    terms["time_boundary"] = end(times[-1]) - end(times[0])
-    terms["vol_div_zt2"] = 0.5 * np.trapezoid(
-        vol_series(lambda t: divvol * fields.zt(t, vflat) ** 2), times
+    terms["time_boundary"] = vol_jump(lambda t, x: fields.zt(t, x) * hgz(t, x))
+    terms["vol_div_zt2"] = 0.5 * vol(lambda t, x: div * fields.zt(t, x) ** 2)
+    terms["bdy_hnu_zt2"] = -0.5 * bdy(lambda t, x: hnu * fields.zt(t, x) ** 2)
+    terms["vol_jacobian"] = (b / 2.0) * vol(
+        lambda t, x: np.einsum("ni,nik,nk->n", fields.grad_z(t, x), Jsym2, fields.grad_z(t, x))
     )
-    terms["bdy_hnu_zt2"] = -0.5 * np.trapezoid(
-        boundary_series(
-            all_f, lambda t, x, hh, nn: np.sum(hh * nn, axis=1) * fields.zt(t, x) ** 2
-        ),
-        times,
+    terms["vol_div_grad2"] = -(b / 2.0) * vol(lambda t, x: div * grad2(t, x))
+    terms["bdy_hnu_grad2"] = (b / 2.0) * bdy(lambda t, x: hnu * grad2(t, x))
+    terms["bdy_dnu"] = -b * bdy(
+        lambda t, x: np.sum(fields.grad_z(t, x) * nu, axis=1)
+        * np.sum(hb * fields.grad_z(t, x), axis=1)
     )
-    terms["vol_jacobian"] = (b / 2.0) * np.trapezoid(
-        vol_series(
-            lambda t: np.einsum(
-                "ni,nik,nk->n", fields.grad_z(t, vflat), Jsym2, fields.grad_z(t, vflat)
-            )
-        ),
-        times,
-    )
-    terms["vol_div_grad2"] = -(b / 2.0) * np.trapezoid(
-        vol_series(lambda t: divvol * np.sum(fields.grad_z(t, vflat) ** 2, axis=1)), times
-    )
-    terms["bdy_hnu_grad2"] = (b / 2.0) * np.trapezoid(
-        boundary_series(
-            all_f,
-            lambda t, x, hh, nn: np.sum(hh * nn, axis=1)
-            * np.sum(fields.grad_z(t, x) ** 2, axis=1),
-        ),
-        times,
-    )
-    terms["bdy_dnu"] = -b * np.trapezoid(
-        boundary_series(
-            all_f,
-            lambda t, x, hh, nn: np.sum(fields.grad_z(t, x) * nn, axis=1)
-            * np.sum(hh * fields.grad_z(t, x), axis=1),
-        ),
-        times,
-    )
-    terms["vol_gamma"] = np.trapezoid(vol_series(lambda t: gam * fields.utt(t, vflat) * hgz(t)), times)
-    terms["vol_f"] = -np.trapezoid(
-        vol_series(lambda t: fields.f(t, vflat, b) * hgz(t)), times
-    )
+    terms["vol_gamma"] = vol(lambda t, x: gam * fields.utt(t, x) * hgz(t, x))
+    terms["vol_f"] = -vol(lambda t, x: fields.f(t, x, b) * hgz(t, x))
 
     gamma0_term = abs(
-        np.trapezoid(
-            boundary_series(
-                g0,
-                lambda t, x, hh, nn: (
-                    fields.zt(t, x) ** 2 - b * np.sum(fields.grad_z(t, x) ** 2, axis=1)
-                )
-                * np.sum(hh * nn, axis=1),
-            ),
-            times,
-        )
+        gamma0(lambda t, x: (fields.zt(t, x) ** 2 - b * grad2(t, x)) * hnu[:n0])
     )
     return {"residual": _normalized(terms), "terms": terms, "gamma0_term": gamma0_term}
 
@@ -309,59 +275,29 @@ def residual_zdivh(fields, h, mesh, b, times, space_rule=None, allow_uncertified
     Includes the ``grad(div h)`` volume term, reported separately (it
     vanishes identically for fields with constant divergence).
     """
-    rule = space_rule or _default_rule(mesh)
-    fom = _FieldOnMesh(h, mesh, allow_uncertified)
+    fld = _closed_form(h, allow_uncertified)
     times = np.asarray(times, float)
-    vpts, vw = mesh.element_quadrature(rule)
-    vflat = vpts.reshape(-1, mesh.dim)
-    divvol = fom.analytic.divergence(vflat)
-    gdiv = fom.analytic.grad_divergence(vflat)
-    gam = fields.gamma(vflat)
-
-    def vol_series(pointwise):
-        out = np.empty(len(times))
-        for i, t in enumerate(times):
-            out[i] = np.sum(pointwise(t).reshape(vw.shape) * vw)
-        return out
-
-    fpts, fw = mesh.facet_quadrature()
-    all_f = np.concatenate([mesh.gamma0_facets, mesh.gamma1_facets])
-
-    def dnu_series():
-        pts, w = fpts[all_f], fw[all_f]
-        flat = pts.reshape(-1, mesh.dim)
-        nu = np.repeat(mesh.facet_normals[all_f][:, None, :], pts.shape[1], axis=1).reshape(
-            -1, mesh.dim
-        )
-        dv = fom.analytic.divergence(flat)
-        out = np.empty(len(times))
-        for i, t in enumerate(times):
-            vals = np.sum(fields.grad_z(t, flat) * nu, axis=1) * fields.z(t, flat) * dv
-            out[i] = np.sum(vals.reshape(w.shape) * w)
-        return out
+    xv, wv = _element_points(mesh, space_rule)
+    vol, vol_jump = _kernel(xv, wv, times)
+    div, gdiv, gam = fld.divergence(xv), fld.grad_divergence(xv), fields.gamma(xv)
+    _, xb, wb, nu, _ = _boundary_points(mesh)
+    bdy, _ = _kernel(xb, wb, times)
+    div_b = fld.divergence(xb)
 
     terms = {}
-    end = lambda t: 0.5 * np.sum(
-        (fields.zt(t, vflat) * fields.z(t, vflat) * divvol).reshape(vw.shape) * vw
+    terms["time_boundary"] = 0.5 * vol_jump(lambda t, x: fields.zt(t, x) * fields.z(t, x) * div)
+    terms["vol_zt2"] = -0.5 * vol(lambda t, x: fields.zt(t, x) ** 2 * div)
+    terms["vol_grad2"] = (b / 2.0) * vol(
+        lambda t, x: np.sum(fields.grad_z(t, x) ** 2, axis=1) * div
     )
-    terms["time_boundary"] = end(times[-1]) - end(times[0])
-    terms["vol_zt2"] = -0.5 * np.trapezoid(
-        vol_series(lambda t: fields.zt(t, vflat) ** 2 * divvol), times
+    terms["vol_graddiv"] = (b / 2.0) * vol(
+        lambda t, x: fields.z(t, x) * np.sum(fields.grad_z(t, x) * gdiv, axis=1)
     )
-    terms["vol_grad2"] = (b / 2.0) * np.trapezoid(
-        vol_series(lambda t: np.sum(fields.grad_z(t, vflat) ** 2, axis=1) * divvol), times
+    terms["bdy_dnu"] = -(b / 2.0) * bdy(
+        lambda t, x: np.sum(fields.grad_z(t, x) * nu, axis=1) * fields.z(t, x) * div_b
     )
-    graddiv_series = vol_series(
-        lambda t: fields.z(t, vflat) * np.sum(fields.grad_z(t, vflat) * gdiv, axis=1)
-    )
-    terms["vol_graddiv"] = (b / 2.0) * np.trapezoid(graddiv_series, times)
-    terms["bdy_dnu"] = -(b / 2.0) * np.trapezoid(dnu_series(), times)
-    terms["vol_gamma"] = 0.5 * np.trapezoid(
-        vol_series(lambda t: gam * fields.utt(t, vflat) * fields.z(t, vflat) * divvol), times
-    )
-    terms["vol_f"] = -0.5 * np.trapezoid(
-        vol_series(lambda t: fields.f(t, vflat, b) * fields.z(t, vflat) * divvol), times
-    )
+    terms["vol_gamma"] = 0.5 * vol(lambda t, x: gam * fields.utt(t, x) * fields.z(t, x) * div)
+    terms["vol_f"] = -0.5 * vol(lambda t, x: fields.f(t, x, b) * fields.z(t, x) * div)
     return {
         "residual": _normalized(terms),
         "terms": terms,
@@ -377,45 +313,24 @@ def residual_zmul(fields, mesh, b, kappa0, kappa1, times, space_rule=None):
     boundary terms then appear as ``b int_{gamma0} kappa0 z^2`` and the
     time-boundary gamma1 term ``(b/2) [int_{gamma1} kappa1 z^2]``.
     """
-    rule = space_rule or _default_rule(mesh)
     times = np.asarray(times, float)
-    vpts, vw = mesh.element_quadrature(rule)
-    vflat = vpts.reshape(-1, mesh.dim)
-    gam = fields.gamma(vflat)
-
-    def vol_series(pointwise):
-        out = np.empty(len(times))
-        for i, t in enumerate(times):
-            out[i] = np.sum(pointwise(t).reshape(vw.shape) * vw)
-        return out
-
-    def bdy_int(facet_idx, coeff, t):
-        if len(facet_idx) == 0:
-            return 0.0
-        pts, w = mesh.facet_quadrature()
-        pts, w = pts[facet_idx], w[facet_idx]
-        flat = pts.reshape(-1, mesh.dim)
-        cf = coeff(flat) if callable(coeff) else float(coeff)
-        vals = cf * fields.z(t, flat) ** 2
-        return float(np.sum(np.asarray(vals).reshape(w.shape) * w))
+    xv, wv = _element_points(mesh, space_rule)
+    vol, vol_jump = _kernel(xv, wv, times)
+    gam = fields.gamma(xv)
+    _, xb, wb, _, n0 = _boundary_points(mesh)
+    robin, _ = _kernel(xb[:n0], wb[:n0], times)
+    _, feedback = _kernel(xb[n0:], wb[n0:], times)
+    k0 = kappa0(xb[:n0]) if callable(kappa0) else float(kappa0)
+    k1 = kappa1(xb[n0:]) if callable(kappa1) else float(kappa1)
 
     terms = {}
-    end = lambda t: np.sum((fields.zt(t, vflat) * fields.z(t, vflat)).reshape(vw.shape) * vw)
-    terms["time_boundary"] = end(times[-1]) - end(times[0])
-    terms["vol_zt2"] = -np.trapezoid(vol_series(lambda t: fields.zt(t, vflat) ** 2), times)
-    terms["vol_grad2"] = b * np.trapezoid(
-        vol_series(lambda t: np.sum(fields.grad_z(t, vflat) ** 2, axis=1)), times
-    )
-    g0series = np.array([bdy_int(mesh.gamma0_facets, kappa0, t) for t in times])
-    terms["gamma0_robin"] = b * np.trapezoid(g0series, times)
-    terms["gamma1_feedback"] = (b / 2.0) * (
-        bdy_int(mesh.gamma1_facets, kappa1, times[-1])
-        - bdy_int(mesh.gamma1_facets, kappa1, times[0])
-    )
-    terms["vol_gamma"] = np.trapezoid(
-        vol_series(lambda t: gam * fields.utt(t, vflat) * fields.z(t, vflat)), times
-    )
-    terms["vol_f"] = -np.trapezoid(vol_series(lambda t: fields.f(t, vflat, b) * fields.z(t, vflat)), times)
+    terms["time_boundary"] = vol_jump(lambda t, x: fields.zt(t, x) * fields.z(t, x))
+    terms["vol_zt2"] = -vol(lambda t, x: fields.zt(t, x) ** 2)
+    terms["vol_grad2"] = b * vol(lambda t, x: np.sum(fields.grad_z(t, x) ** 2, axis=1))
+    terms["gamma0_robin"] = b * robin(lambda t, x: k0 * fields.z(t, x) ** 2)
+    terms["gamma1_feedback"] = (b / 2.0) * feedback(lambda t, x: k1 * fields.z(t, x) ** 2)
+    terms["vol_gamma"] = vol(lambda t, x: gam * fields.utt(t, x) * fields.z(t, x))
+    terms["vol_f"] = -vol(lambda t, x: fields.f(t, x, b) * fields.z(t, x))
     return {"residual": _normalized(terms), "terms": terms}
 
 

@@ -130,7 +130,7 @@ def test_energy_identity_windowing():
 
 def test_robin_mode_is_compatible():
     scen = make_scenario(mesh={"resolution": 64}, initial={"kind": "robin-mode"})
-    rep = M.check_compatibility(scen.initial, scen.bundle, scen.params)
+    rep = M.check_compatibility(scen.initial, scen.bundle)
     # residuals are recovered from element gradients, so they carry O(h)
     # noise; at n = 64 they sit well under the order-one default threshold
     assert max(rep.values()) < 0.02
@@ -141,7 +141,7 @@ def test_incompatible_data_flagged(caplog):
     n = scen.mesh.n_nodes
     # u0' = 1 at the right end with u1 = 0 violates the gamma1 condition
     bad = StateU(np.linspace(1.0, 2.0, n), np.zeros(n), np.zeros(n), 0.0)
-    rep = M.check_compatibility(bad, scen.bundle, scen.params)
+    rep = M.check_compatibility(bad, scen.bundle)
     assert max(rep.values()) > 0.1
     with caplog.at_level(logging.WARNING, logger="mgtstab.dynamics"):
         traj = M.simulate(
@@ -171,12 +171,12 @@ def test_square_compatibility_residuals_exact(resolution):
     scen = named_scenario("unit-square", resolution, kappa0=1.7, kappa1=0.6)
     n = scen.mesh.n_nodes
     y = scen.mesh.nodes[:, 1]
-    rep = M.check_compatibility(StateU(y.copy(), np.zeros(n), np.zeros(n)), scen.bundle, scen.params)
+    rep = M.check_compatibility(StateU(y.copy(), np.zeros(n), np.zeros(n)), scen.bundle)
     assert rep["r0"] == pytest.approx(1.0, rel=1e-12)
-    rep = M.check_compatibility(StateU(y**2, np.zeros(n), np.zeros(n)), scen.bundle, scen.params)
+    rep = M.check_compatibility(StateU(y**2, np.zeros(n), np.zeros(n)), scen.bundle)
     assert rep["r0"] == pytest.approx(1.0 / resolution, rel=1e-12)
     const = StateU(np.full(n, 2.0), np.full(n, -3.0), np.zeros(n))
-    rep = M.check_compatibility(const, scen.bundle, scen.params)
+    rep = M.check_compatibility(const, scen.bundle)
     assert rep["r0"] == pytest.approx(3.4, rel=1e-12)
     assert rep["r1"] == pytest.approx(1.8 * np.sqrt(3.0), rel=1e-12)
 
@@ -210,7 +210,7 @@ def test_compatibility_matches_facet_loop(name):
     else:
         scen = named_scenario(name, 4, kappa0=1.3, kappa1=0.7)
     state = random_state(scen.mesh.n_nodes, np.random.default_rng(11))
-    rep = M.check_compatibility(state, scen.bundle, scen.params)
+    rep = M.check_compatibility(state, scen.bundle)
     ref = loop_compatibility(state, scen.bundle)
     for key in ("r0", "r1"):
         assert rep[key] == pytest.approx(ref[key], rel=1e-12)

@@ -12,7 +12,7 @@ import pytest
 
 import mgtstab as M
 from mgtstab.errors import CertificationError
-from mgtstab.geometry import VectorFieldH
+from mgtstab.geometry import RadialField, VectorFieldH
 
 from conftest import interval_config
 
@@ -124,6 +124,21 @@ def test_uncertified_field_rejected():
         M.residual_hgradz(fields, raw, mesh, 1.0, times)
     out = M.residual_hgradz(fields, raw, mesh, 1.0, times, allow_uncertified=True)
     assert np.isfinite(out["residual"])
+
+
+def test_certified_gamma0_trace_annihilates_the_gamma0_term():
+    # zero stored gamma0 values must replace the closed-form trace of the
+    # radial field, which is not tangential on the bottom side
+    geo = M.named_geometry("unit-square")
+    mesh = M.build_mesh(geo, 8)
+    fields = M.trig_2d()
+    times = np.linspace(0.0, 1.0, 11)
+    radial = RadialField(geo.x0)
+    zeros = VectorFieldH.from_nodal(mesh, np.zeros((mesh.n_nodes, 2)), analytic=radial)
+    out = M.residual_hgradz(fields, zeros, mesh, 1.0, times, allow_uncertified=True)
+    assert out["gamma0_term"] == 0.0
+    bare = M.residual_hgradz(fields, radial, mesh, 1.0, times)
+    assert bare["gamma0_term"] > 0.1
 
 
 def test_curved_field_needs_closed_form_derivatives():

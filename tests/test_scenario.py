@@ -316,6 +316,18 @@ def test_cli_degenerate_configs_exit_cleanly(tmp_path, subcommand, over, expecte
         }
 
 
+def test_cli_energy_overflow_is_a_numerical_error(tmp_path):
+    # the states stay finite while their energy quadratic forms overflow
+    cfg = {"preset": "interval-1d-unstable", "time": {"T": 4000, "dt": 0.5}}
+    cfg_path = write_config(tmp_path, cfg)
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", cfg_path, "--out", out]) == cli.EXIT_NUMERICAL
+    err = json.load(open(os.path.join(out, "error.json")))
+    assert err["error"] == "NumericalError"
+    assert err["exit_code"] == cli.EXIT_NUMERICAL
+    assert not os.path.exists(os.path.join(out, "summary.json"))
+
+
 def test_cli_rejects_curved_geometry_for_identities(tmp_path):
     cfg = {
         "preset": "transducer-2d",
