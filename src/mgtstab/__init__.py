@@ -35,7 +35,6 @@ from .dynamics import (
     m_transform,
     reconstruct_u_from_z,
     simulate,
-    step,
 )
 from .energy import (
     energy_E0,
@@ -160,7 +159,6 @@ __all__ = [
     "solve_neumann_map",
     "spectrum",
     "static_poly_1d",
-    "step",
     "trig_1d",
     "trig_2d",
     "verify_field_properties",

@@ -385,8 +385,9 @@ class OperatorBundle:
     """All assembled matrices for one mesh/material pair.
 
     ``Ktilde = Kmat + B0`` realizes the Robin-Neumann elliptic operator;
-    ``T1`` is the unweighted gamma1 facet mass used by the
-    harmonic-extension load and by boundary traces.
+    ``T0`` and ``T1`` are the unweighted gamma0 and gamma1 facet masses,
+    used by the harmonic-extension load, boundary traces and the
+    compatibility residuals.
     """
 
     mesh: Mesh
@@ -397,6 +398,7 @@ class OperatorBundle:
     B1: sp.csr_matrix
     Malpha: sp.csr_matrix
     Mgamma: sp.csr_matrix
+    T0: sp.csr_matrix
     T1: sp.csr_matrix
     Ktilde: sp.csr_matrix
     _ktilde_lu: object = field(default=None, repr=False)
@@ -434,11 +436,12 @@ def assemble_operators(mesh, params):
     Kmat = _scatter(mesh.elements, stiffness, n)
     B0 = boundary_mass(GAMMA0, params.kappa0_field)
     B1 = boundary_mass(GAMMA1, params.kappa1_field)
+    T0 = boundary_mass(GAMMA0, ones)
     T1 = boundary_mass(GAMMA1, ones)
     Malpha = element_mass(params.alpha_field)
     Mgamma = element_mass(params.gamma_field)
     Ktilde = (Kmat + B0).tocsr()
-    return OperatorBundle(mesh, params, Mmat, Kmat, B0, B1, Malpha, Mgamma, T1, Ktilde)
+    return OperatorBundle(mesh, params, Mmat, Kmat, B0, B1, Malpha, Mgamma, T0, T1, Ktilde)
 
 
 # -- harmonic extension (discrete Neumann map) -------------------------------

@@ -23,7 +23,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import energy as _energy
-from .discretization import _mass
 from .errors import NumericalError
 from .geometry import GAMMA0, GAMMA1
 
@@ -39,14 +38,6 @@ class StateU:
     utt: np.ndarray
     t: float = 0.0
 
-    def stack(self):
-        return np.concatenate([self.u, self.ut, self.utt])
-
-    @classmethod
-    def unstack(cls, vec, t=0.0):
-        n = len(vec) // 3
-        return cls(vec[:n].copy(), vec[n : 2 * n].copy(), vec[2 * n :].copy(), t)
-
 
 @dataclass
 class StateZ:
@@ -56,14 +47,6 @@ class StateZ:
     z: np.ndarray
     zt: np.ndarray
     t: float = 0.0
-
-    def stack(self):
-        return np.concatenate([self.u, self.z, self.zt])
-
-    @classmethod
-    def unstack(cls, vec, t=0.0):
-        n = len(vec) // 3
-        return cls(vec[:n].copy(), vec[n : 2 * n].copy(), vec[2 * n :].copy(), t)
 
 
 def m_transform(state, params):
@@ -135,9 +118,9 @@ def check_compatibility(state, bundle):
     dnu = np.einsum("fi,fi->f", grads[owner], mesh.facet_normals)
 
     out = {}
-    for name, tag, bmat, value in (
-        ("r0", GAMMA0, bundle.B0, state.u),
-        ("r1", GAMMA1, bundle.B1, state.ut),
+    for name, tag, bmat, MG, value in (
+        ("r0", GAMMA0, bundle.B0, bundle.T0, state.u),
+        ("r1", GAMMA1, bundle.B1, bundle.T1, state.ut),
     ):
         on = mesh.facet_tags == tag
         if not on.any():
@@ -148,7 +131,6 @@ def check_compatibility(state, bundle):
         np.add.at(rho, cells, (dnu[on] * measures / dim)[:, None])
         rho += bmat @ value
         # Riesz-represent the functional in L2 of the boundary part
-        MG = bundle.T1 if tag == GAMMA1 else _mass(cells, measures, np.ones(n), n)
         nodes = mesh.nodes_on(tag)
         MGr = MG[np.ix_(nodes, nodes)].toarray()
         w = np.linalg.solve(MGr, rho[nodes])
@@ -184,17 +166,6 @@ class Generator:
             lu = splu(self.E.tocsc())
             self._dense = lu.solve(self.L.toarray())
         return self._dense
-
-    def source_block(self, f_nodal):
-        """Right-hand side vector from a nodal forcing value."""
-        n = self.E.shape[0] // 3
-        out = np.zeros(3 * n)
-        Mf = self.bundle.Mmat @ f_nodal
-        if self.form == "u":
-            out[2 * n :] = Mf
-        else:
-            out[2 * n :] = Mf / self.params.tau
-        return out
 
 
 def assemble_generator(bundle, params, form="u"):
@@ -245,16 +216,24 @@ def assemble_generator(bundle, params, form="u"):
 
 # -- time stepping -----------------------------------------------------------
 
-_STATE_TYPES = {"u": StateU, "z": StateZ}
-
 
 class Stepper:
-    """A-stable one-step/two-step integrators for a generator pencil.
+    """A-stable one-step/two-step integrators for the u-form pencil.
 
     ``implicit-midpoint`` (default) conserves every quadratic invariant
     of the homogeneous system exactly, which is what makes the critical
     case a clean conservation test.  ``bdf2`` is the dissipative
-    alternative; its first step falls back to one midpoint step.
+    alternative; a step without the previous state is one midpoint step.
+
+    Every implicit stage ``(E - k L) x = g`` in ``x = (u, v, w)`` is
+    condensed exactly to one n x n solve.  The first two block rows give
+    ``v = g_v + k w`` and ``u = g_u + k v``; the third becomes
+    ``S w = g_w + k L_u (g_u + k g_v) + k L_v g_v`` with
+    ``S = E_w - k L_w - k^2 L_v - k^3 L_u``, where ``E_w`` and
+    ``(L_u, L_v, L_w)`` are the third block rows of ``E`` and ``L``.
+    ``S`` is factorized once per stage length, ``k = dt/2`` (midpoint)
+    and ``k = 2 dt/3`` (BDF2), and the map from the step's state to the
+    right-hand side of ``S`` is one precomputed n x 3n matrix.
     """
 
     def __init__(self, generator, dt, scheme="implicit-midpoint", source=None):
@@ -262,59 +241,50 @@ class Stepper:
             raise ValueError("dt must be positive")
         if scheme not in ("implicit-midpoint", "bdf2"):
             raise ValueError("unknown scheme %r" % scheme)
+        if generator.form != "u":
+            raise ValueError("Stepper integrates the u-form pencil, not form %r" % generator.form)
         self.generator = generator
         self.dt = float(dt)
         self.scheme = scheme
-        self.source = source
+        self.source = None if source is None or source.is_zero else source
+        n = generator.size // 3
+        self._M = generator.bundle.Mmat
         E, L = generator.E, generator.L
-        if scheme == "implicit-midpoint":
-            self._lhs = splu((E - 0.5 * dt * L).tocsc())
-            self._rhs = (E + 0.5 * dt * L).tocsr()
+        Ew = E[2 * n :, 2 * n :]
+        Lu, Lv, Lw = (L[2 * n :, j * n : (j + 1) * n] for j in range(3))
+
+        def stage(k, G):
+            # (k, factor of S, the n x 3n map x -> rhs of S) for g = G x
+            S = Ew - k * Lw - k**2 * Lv - k**3 * Lu
+            R = sp.hstack([k * Lu, k**2 * Lu + k * Lv, sp.identity(n)])
+            return k, splu(S.tocsc()), (R @ G).tocsr()
+
+        self._mid = stage(0.5 * self.dt, E + 0.5 * self.dt * L)
+        if scheme == "bdf2":
+            self._bdf = stage(2.0 / 3.0 * self.dt, E)
+
+    def step(self, state, prev=None):
+        """Advance a :class:`StateU` by ``dt``.
+
+        BDF2 takes the state one step earlier as ``prev``; without it (the
+        first step) it takes one midpoint step.  Midpoint ignores ``prev``.
+        """
+        x = np.concatenate((state.u, state.ut, state.utt))
+        if self.scheme == "bdf2" and prev is not None:
+            k, lu, Q = self._bdf
+            x = (4.0 * x - np.concatenate((prev.u, prev.ut, prev.utt))) / 3.0
+            gu, gv, _ = np.split(x, 3)
+            t_f, weight = state.t + self.dt, k
         else:
-            self._lhs = splu((E - (2.0 / 3.0) * dt * L).tocsc())
-            self._mid_lhs = splu((E - 0.5 * dt * L).tocsc())
-            self._mid_rhs = (E + 0.5 * dt * L).tocsr()
-        self._E = E.tocsr()
-        self._prev = None
-
-    def _forcing(self, t):
-        if self.source is None or self.source.is_zero:
-            return None
-        return self.generator.source_block(self.source(t))
-
-    def _midpoint(self, vec, t):
-        rhs_mat = self._rhs if self.scheme == "implicit-midpoint" else self._mid_rhs
-        lhs = self._lhs if self.scheme == "implicit-midpoint" else self._mid_lhs
-        rhs = rhs_mat @ vec
-        F = self._forcing(t + 0.5 * self.dt)
-        if F is not None:
-            rhs = rhs + self.dt * F
-        return lhs.solve(rhs)
-
-    def step(self, state):
-        cls = _STATE_TYPES[self.generator.form]
-        if not isinstance(state, cls):
-            raise TypeError("stepper for form %r expects %s" % (self.generator.form, cls.__name__))
-        vec = state.stack()
-        if self.scheme == "implicit-midpoint":
-            new = self._midpoint(vec, state.t)
-        else:
-            if self._prev is None:
-                new = self._midpoint(vec, state.t)
-            else:
-                rhs = (4.0 / 3.0) * (self._E @ vec) - (1.0 / 3.0) * (self._E @ self._prev)
-                F = self._forcing(state.t + self.dt)
-                if F is not None:
-                    rhs = rhs + (2.0 / 3.0) * self.dt * F
-                new = self._lhs.solve(rhs)
-            self._prev = vec
-        out = cls.unstack(new, state.t + self.dt)
-        return out
-
-
-def step(generator, state, dt, scheme="implicit-midpoint", source=None):
-    """Single time step (convenience wrapper; builds a fresh stepper)."""
-    return Stepper(generator, dt, scheme, source).step(state)
+            k, lu, Q = self._mid
+            gu, gv = state.u + k * state.ut, state.ut + k * state.utt
+            t_f, weight = state.t + 0.5 * self.dt, self.dt
+        rhs = Q @ x
+        if self.source is not None:
+            rhs += weight * (self._M @ self.source(t_f))
+        w = lu.solve(rhs)
+        v = gv + k * w
+        return StateU(gu + k * v, v, w, state.t + self.dt)
 
 
 # -- simulation ---------------------------------------------------------------
@@ -376,6 +346,47 @@ class Trajectory:
         return list(self.CSV_COLUMNS), np.column_stack(cols)
 
 
+# Recorded values per state component held before the trajectory columns
+# of a chunk of samples are evaluated together.
+_CHUNK_ELEMENTS = 65536
+
+
+def _observables(U, V, W, times, bundle, params, source, gamma_negative):
+    """The nine trajectory columns (after ``t``) of a chunk of recorded
+    states, one row per sample in ``U, V, W = u, u_t, u_tt``.
+
+    Raises :class:`NumericalError` at the first sample whose ``z_t`` or
+    energy is not finite.
+    """
+    q, tau = params.q, params.tau
+    Z, Zt = V + q * U, W + q * V
+    E1 = _energy.energy_E1(StateZ(U, Z, Zt), bundle, params, allow_indefinite=gamma_negative)
+    E0 = _energy.energy_E0(StateU(U, V, W), bundle, params)
+    bad_state = ~np.isfinite(Zt).all(axis=1)
+    bad = bad_state | ~np.isfinite(E0 + E1)
+    if bad.any():
+        first = int(np.argmax(bad))
+        what = "state" if bad_state[first] else "energy"
+        raise NumericalError("non-finite %s at t=%.6g" % (what, times[first]))
+    quad, M = _energy._quad, bundle.Mmat
+    if source.is_zero:
+        work = np.zeros(len(times))
+    else:
+        F = np.array([source(t) for t in times])
+        work = np.einsum("ij,ji->i", Zt, M @ F.T) / tau
+    return (
+        E0,
+        E1,
+        E0 + E1,
+        quad(bundle.B1, Zt) * params.b / tau,
+        quad(bundle.Mgamma, W) / tau,
+        work,
+        np.sqrt(quad(M, U)),
+        np.sqrt(quad(M, Z)),
+        np.sqrt(quad(M, Zt)),
+    )
+
+
 def simulate(
     bundle,
     params,
@@ -397,6 +408,10 @@ def simulate(
     the default threshold only flags order-one violations.  Non-finite
     states or recorded energies abort with :class:`NumericalError`
     (expected for blow-up scenarios run too long).
+
+    The trajectory columns are evaluated for a chunk of recorded samples
+    at once (``_CHUNK_ELEMENTS // n`` of them), so a blow-up is detected
+    at the end of its chunk; the error still names its first sample.
     """
     mesh = bundle.mesh
     n = mesh.n_nodes
@@ -416,69 +431,38 @@ def simulate(
     stepper = Stepper(gen, dt, scheme, source)
     n_steps = int(round(T / dt))
     record_at = sorted(set(range(0, n_steps + 1, int(output_stride))) | {n_steps})
-
+    n_rec = len(record_at)
+    chunk = max(1, _CHUNK_ELEMENTS // n)
     gamma_negative = bool(np.any(params.gamma_field < 0))
-    q = params.q
-    tau = params.tau
 
-    times, rows = [], {k: [] for k in ("E0", "E1", "E", "Db", "Di", "W", "uL", "zL", "ztL")}
-    snaps = {"u": [], "ut": [], "utt": []} if store_states else None
-
-    state = StateU(
-        np.asarray(initial.u, float).copy(),
-        np.asarray(initial.ut, float).copy(),
-        np.asarray(initial.utt, float).copy(),
-        float(initial.t),
-    )
-
-    def record(s):
-        z = s.ut + q * s.u
-        zt = s.utt + q * s.ut
-        if not np.all(np.isfinite(zt)):
-            raise NumericalError("non-finite state at t=%.6g" % s.t)
-        e1 = _energy.energy_E1(
-            StateZ(s.u, z, zt, s.t), bundle, params, allow_indefinite=gamma_negative
-        )
-        e0 = _energy.energy_E0(s, bundle, params)
-        if not np.isfinite(e0 + e1):
-            raise NumericalError("non-finite energy at t=%.6g" % s.t)
-        times.append(s.t)
-        rows["E0"].append(e0)
-        rows["E1"].append(e1)
-        rows["E"].append(e0 + e1)
-        rows["Db"].append(float(zt @ (bundle.B1 @ zt)) * params.b / tau)
-        rows["Di"].append(float(s.utt @ (bundle.Mgamma @ s.utt)) / tau)
-        f = source(s.t)
-        rows["W"].append(float(zt @ (bundle.Mmat @ f)) / tau)
-        rows["uL"].append(float(np.sqrt(s.u @ (bundle.Mmat @ s.u))))
-        rows["zL"].append(float(np.sqrt(z @ (bundle.Mmat @ z))))
-        rows["ztL"].append(float(np.sqrt(zt @ (bundle.Mmat @ zt))))
-        if snaps is not None:
-            snaps["u"].append(s.u.copy())
-            snaps["ut"].append(s.ut.copy())
-            snaps["utt"].append(s.utt.copy())
-
-    record_set = set(record_at)
-    record(state)
-    for k in range(1, n_steps + 1):
-        state = stepper.step(state)
-        if k in record_set:
-            record(state)
+    # (u, u_t, u_tt) of the recorded states: every sample when they are
+    # kept, else one chunk that is overwritten after its evaluation
+    X = np.empty((3, n_rec if store_states else min(chunk, n_rec), n))
+    times = np.empty(n_rec)
+    cols = np.empty((9, n_rec))
+    fields = (initial.u, initial.ut, initial.utt)
+    state = StateU(*(np.asarray(a, float) for a in fields), float(initial.t))
+    prev, i = None, 0
+    for k in range(n_steps + 1):
+        if k:
+            state, prev = stepper.step(state, prev), state
+        if k != record_at[i]:
+            continue
+        lo = i - i % chunk
+        row = i if store_states else i - lo
+        X[0, row], X[1, row], X[2, row] = state.u, state.ut, state.utt
+        times[i] = state.t
+        i += 1
+        if i % chunk == 0 or i == n_rec:
+            rows = slice(lo, i) if store_states else slice(0, i - lo)
+            cols[:, lo:i] = _observables(
+                *X[:, rows], times[lo:i], bundle, params, source, gamma_negative
+            )
 
     traj = Trajectory(
-        times=np.array(times),
-        E0=np.array(rows["E0"]),
-        E1=np.array(rows["E1"]),
-        E=np.array(rows["E"]),
-        D_boundary=np.array(rows["Db"]),
-        D_interior=np.array(rows["Di"]),
-        work_rate=np.array(rows["W"]),
-        u_L2=np.array(rows["uL"]),
-        z_L2=np.array(rows["zL"]),
-        zt_L2=np.array(rows["ztL"]),
-        states_u=np.array(snaps["u"]) if snaps else None,
-        states_ut=np.array(snaps["ut"]) if snaps else None,
-        states_utt=np.array(snaps["utt"]) if snaps else None,
+        times,
+        *cols,
+        *(X if store_states else (None,) * 3),
         compat=compat,
         meta={
             "dt": float(dt),

@@ -22,12 +22,19 @@ import scipy.linalg
 from .errors import UndefinedWeightError
 
 
+def _quad(A, x):
+    """``x^T A x`` of a vector, or of each row of an ``(m, n)`` stack."""
+    return np.einsum("...i,i...->...", x, A @ x.T)
+
+
 def energy_E1(state_z, bundle, params, allow_indefinite=False):
     """First-order (z-level) energy of a (u, z, z_t) state.
 
-    Requires ``gamma >= 0`` nodewise; pass ``allow_indefinite=True`` to
-    evaluate the (then sign-indefinite) quadratic form anyway, which is
-    how instability scenarios report their growth.
+    The fields may be ``(m, n)`` stacks of m states, which gives one
+    energy per row.  Requires ``gamma >= 0`` nodewise; pass
+    ``allow_indefinite=True`` to evaluate the (then sign-indefinite)
+    quadratic form anyway, which is how instability scenarios report
+    their growth.
     """
     gamma = params.gamma_field
     if not allow_indefinite and np.any(gamma < -1e-14):
@@ -38,19 +45,19 @@ def energy_E1(state_z, bundle, params, allow_indefinite=False):
     tau, b = params.tau, params.b
     q = params.q
     ut = state_z.z - q * state_z.u
-    val = 0.5 * (b / tau) * float(state_z.z @ (bundle.Ktilde @ state_z.z))
-    val += 0.5 * float(state_z.zt @ (bundle.Mmat @ state_z.zt))
-    val += 0.5 * q * float(ut @ (bundle.Mgamma @ ut)) / tau
+    val = 0.5 * (b / tau) * _quad(bundle.Ktilde, state_z.z)
+    val += 0.5 * _quad(bundle.Mmat, state_z.zt)
+    val += 0.5 * q * _quad(bundle.Mgamma, ut) / tau
     return val
 
 
 def energy_E0(state_u, bundle, params):
-    """Zeroth-order energy of a (u, u_t, u_tt) state."""
+    """Zeroth-order energy of a (u, u_t, u_tt) state (or row-wise stack)."""
     if np.any(params.alpha_field < 0):
         raise UndefinedWeightError("alpha is negative somewhere; E0 is undefined")
     tau = params.tau
-    val = 0.5 * float(state_u.ut @ (bundle.Malpha @ state_u.ut)) / tau
-    val += 0.5 * (params.c**2 / tau) * float(state_u.u @ (bundle.Ktilde @ state_u.u))
+    val = 0.5 * _quad(bundle.Malpha, state_u.ut) / tau
+    val += 0.5 * (params.c**2 / tau) * _quad(bundle.Ktilde, state_u.u)
     return val
 
 

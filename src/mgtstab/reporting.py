@@ -55,10 +55,10 @@ def write_json(path, obj):
 
 
 def write_csv(path, columns, rows):
-    lines = [",".join(columns)]
     rows = np.atleast_2d(np.asarray(rows, float))
-    for row in rows:
-        lines.append(",".join("%.17g" % v for v in row))
+    fmt = ",".join(["%.17g"] * rows.shape[1])
+    # row by row: the whole table as Python floats would raise the peak memory
+    lines = [",".join(columns)] + [fmt % tuple(row.tolist()) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

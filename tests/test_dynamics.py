@@ -10,8 +10,10 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 import mgtstab as M
+from mgtstab import dynamics
 from mgtstab.dynamics import SourceTerm, StateU
 
 from conftest import interval_config
@@ -240,11 +242,126 @@ def test_single_step_is_linear():
     a = random_state(scen.mesh.n_nodes, rng)
     b = random_state(scen.mesh.n_nodes, rng)
     ab = StateU(a.u + b.u, a.ut + b.ut, a.utt + b.utt, 0.0)
-    sa = M.step(gen, a, 1e-2)
-    sb = M.step(gen, b, 1e-2)
-    sab = M.step(gen, ab, 1e-2)
+    stepper = M.Stepper(gen, 1e-2)
+    sa, sb, sab = (stepper.step(s) for s in (a, b, ab))
     np.testing.assert_allclose(sab.u, sa.u + sb.u, rtol=1e-11, atol=1e-13)
     np.testing.assert_allclose(sab.utt, sa.utt + sb.utt, rtol=1e-11, atol=1e-12)
+
+
+def test_z_form_generator_rejected():
+    scen = make_scenario(mesh={"resolution": 8})
+    gen = M.assemble_generator(scen.bundle, scen.params, form="z")
+    with pytest.raises(ValueError, match="u-form"):
+        M.Stepper(gen, 1e-2)
+
+
+def test_bdf2_history_is_per_trajectory():
+    rng = np.random.default_rng(5)
+    scen = make_scenario(mesh={"resolution": 16})
+    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    n = scen.mesh.n_nodes
+
+    def advance(stepper, trajs, n_steps=3):
+        for _ in range(n_steps):
+            for traj in trajs:
+                traj.append(stepper.step(traj[-1], traj[-2] if len(traj) > 1 else None))
+
+    shared = [[random_state(n, rng)], [random_state(n, rng)]]
+    advance(M.Stepper(gen, 1e-2, "bdf2"), shared)  # the two trajectories alternate
+    for traj in shared:
+        alone = [traj[0]]
+        advance(M.Stepper(gen, 1e-2, "bdf2"), [alone])
+        for s, r in zip(traj, alone):
+            for name in ("u", "ut", "utt", "t"):
+                np.testing.assert_array_equal(getattr(s, name), getattr(r, name))
+
+
+def pencil_reference(gen, x0, t0, dt, scheme, source):
+    """The full 3n-pencil solves ``(E - k L) x' = g`` the stepper condenses:
+    one midpoint step, or a midpoint start and one BDF2 step."""
+    E, L = gen.E, gen.L
+
+    def forcing(t):
+        return np.concatenate([np.zeros(2 * len(x0) // 3), gen.bundle.Mmat @ source(t)])
+
+    mid = splu((E - 0.5 * dt * L).tocsc())
+    x1 = mid.solve((E + 0.5 * dt * L) @ x0 + dt * forcing(t0 + 0.5 * dt))
+    if scheme == "implicit-midpoint":
+        return x1
+    rhs = (4.0 / 3.0) * (E @ x1) - (1.0 / 3.0) * (E @ x0) + (2.0 / 3.0) * dt * forcing(t0 + 2 * dt)
+    return splu((E - (2.0 / 3.0) * dt * L).tocsc()).solve(rhs)
+
+
+@pytest.mark.parametrize("scheme", ["implicit-midpoint", "bdf2"])
+@pytest.mark.parametrize("name", ["interval-1d-damped", "half-disk-2d"])
+def test_condensed_step_matches_full_pencil_solve(name, scheme):
+    cfg = M.preset(name)
+    cfg["mesh"]["resolution"] = 6
+    cfg["params"]["tau"] = 0.8  # so that E's third block is not the mass matrix
+    scen = M.Scenario(M.load_config(cfg))
+    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    nodes = scen.mesh.nodes
+    profile = np.cos(2.0 * nodes[:, 0]) + nodes[:, -1]
+    src = SourceTerm.separable(profile, lambda t: np.sin(3.0 * t) + 0.5)
+    rng = np.random.default_rng(8)
+    s0 = random_state(scen.mesh.n_nodes, rng)
+    s0.t = 0.3
+    dt = 2e-2
+    stepper = M.Stepper(gen, dt, scheme, src)
+    s1 = stepper.step(s0)
+    new = s1 if scheme == "implicit-midpoint" else stepper.step(s1, s0)
+    got = np.concatenate([new.u, new.ut, new.utt])
+    ref = pencil_reference(gen, np.concatenate([s0.u, s0.ut, s0.utt]), s0.t, dt, scheme, src)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert new.t == pytest.approx(s0.t + (1 if scheme == "implicit-midpoint" else 2) * dt)
+
+
+def per_sample_columns(traj, bundle, params, source):
+    """Trajectory columns evaluated one recorded state at a time."""
+    q, tau = params.q, params.tau
+    rows = []
+    for k in range(len(traj.times)):
+        s = traj.state_u(k)
+        z, zt = s.ut + q * s.u, s.utt + q * s.ut
+        e1 = M.energy_E1(M.m_transform(s, params), bundle, params)
+        e0 = M.energy_E0(s, bundle, params)
+        rows.append(
+            [
+                e0,
+                e1,
+                e0 + e1,
+                zt @ (bundle.B1 @ zt) * params.b / tau,
+                s.utt @ (bundle.Mgamma @ s.utt) / tau,
+                zt @ (bundle.Mmat @ source(s.t)) / tau,
+                np.sqrt(s.u @ (bundle.Mmat @ s.u)),
+                np.sqrt(z @ (bundle.Mmat @ z)),
+                np.sqrt(zt @ (bundle.Mmat @ zt)),
+            ]
+        )
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_chunked_recording_matches_per_sample(offset):
+    # n = 4096 nodes give chunks of 16 samples
+    scen = make_scenario(mesh={"resolution": 4095}, initial={"kind": "robin-mode"})
+    chunk = dynamics._CHUNK_ELEMENTS // scen.mesh.n_nodes
+    assert chunk == 16
+    n_samples = 1 if offset is None else chunk + offset
+    x = scen.mesh.nodes[:, 0]
+    src = SourceTerm.separable(np.sin(np.pi * x), lambda t: np.cos(3.0 * t))
+    dt = 1e-3
+    run = dict(T=(n_samples - 1) * dt, dt=dt, source=src)
+    kept = M.simulate(scen.bundle, scen.params, scen.initial, store_states=True, **run)
+    bare = M.simulate(scen.bundle, scen.params, scen.initial, store_states=False, **run)
+    assert len(kept.times) == len(bare.times) == n_samples
+    assert bare.states_u is None and kept.states_u.shape == (n_samples, scen.mesh.n_nodes)
+    names = ("E0", "E1", "E", "D_boundary", "D_interior", "work_rate", "u_L2", "z_L2", "zt_L2")
+    ref = per_sample_columns(kept, scen.bundle, scen.params, src)
+    for name, col in zip(names, ref):
+        for traj in (kept, bare):
+            got = getattr(traj, name)
+            np.testing.assert_allclose(got, col, rtol=1e-12, atol=1e-300, err_msg=name)
 
 
 # ---------------------------------------------------------- reconstruction

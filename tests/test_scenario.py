@@ -155,6 +155,19 @@ def test_write_csv_roundtrips_floats(tmp_path):
     np.testing.assert_array_equal(back, rows)  # %.17g is lossless for doubles
 
 
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    path = str(tmp_path / "vals.csv")
+    rows = np.array(
+        [
+            [-1.0 / 3.0, 5e-324, 1e300, np.nan],
+            [np.inf, -np.inf, -0.0, -2.2250738585072014e-309],
+        ]
+    )
+    write_csv(path, ["a", "b", "c", "d"], rows)
+    expected = "a,b,c,d\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+    assert open(path, "rb").read() == expected.encode()
+
+
 def test_trajectory_csv_columns(tmp_path):
     scen = M.Scenario(interval_config(initial={"kind": "robin-mode"}))
     traj = M.simulate(
@@ -317,15 +330,20 @@ def test_cli_degenerate_configs_exit_cleanly(tmp_path, subcommand, over, expecte
 
 
 def test_cli_energy_overflow_is_a_numerical_error(tmp_path):
-    # the states stay finite while their energy quadratic forms overflow
-    cfg = {"preset": "interval-1d-unstable", "time": {"T": 4000, "dt": 0.5}}
-    cfg_path = write_config(tmp_path, cfg)
-    out = str(tmp_path / "out")
-    assert cli.main(["simulate", "--config", cfg_path, "--out", out]) == cli.EXIT_NUMERICAL
-    err = json.load(open(os.path.join(out, "error.json")))
-    assert err["error"] == "NumericalError"
-    assert err["exit_code"] == cli.EXIT_NUMERICAL
-    assert not os.path.exists(os.path.join(out, "summary.json"))
+    # the states stay finite while their energy quadratic forms overflow;
+    # the message names the first non-finite sample at the preset's stride
+    # (every 5 time units) and at every step, mid-chunk in both cases
+    for stride, t_bad in ((10, "2725"), (1, "2723.5")):
+        time = {"T": 4000, "dt": 0.5, "output_stride": stride}
+        cfg = {"preset": "interval-1d-unstable", "time": time}
+        cfg_path = write_config(tmp_path, cfg)
+        out = str(tmp_path / ("out%d" % stride))
+        assert cli.main(["simulate", "--config", cfg_path, "--out", out]) == cli.EXIT_NUMERICAL
+        err = json.load(open(os.path.join(out, "error.json")))
+        assert err["error"] == "NumericalError"
+        assert err["message"] == "non-finite energy at t=" + t_bad
+        assert err["exit_code"] == cli.EXIT_NUMERICAL
+        assert not os.path.exists(os.path.join(out, "summary.json"))
 
 
 def test_cli_rejects_curved_geometry_for_identities(tmp_path):
