@@ -24,9 +24,7 @@ from .discretization import (
 )
 from .dynamics import (
     Generator,
-    SourceTerm,
-    StateU,
-    StateZ,
+    State,
     Stepper,
     Trajectory,
     assemble_generator,
@@ -112,10 +110,8 @@ __all__ = [
     "NumericalError",
     "OperatorBundle",
     "Scenario",
-    "SourceTerm",
     "SpectrumReport",
-    "StateU",
-    "StateZ",
+    "State",
     "Stepper",
     "Trajectory",
     "UndefinedWeightError",

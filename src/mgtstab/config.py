@@ -210,9 +210,12 @@ class Scenario:
         self.geometry = build_geometry(config)
         self.mesh = build_mesh(self.geometry, config["mesh"]["resolution"])
         p = config["params"]
-        self.params = MaterialParams.constant(
-            self.mesh, p["tau"], p["c"], p["b"], p["alpha"], p["kappa0"], p["kappa1"]
-        )
+        try:
+            self.params = MaterialParams.constant(
+                self.mesh, p["tau"], p["c"], p["b"], p["alpha"], p["kappa0"], p["kappa1"]
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         self.bundle = assemble_operators(self.mesh, self.params)
         self._initial = None
 

@@ -305,6 +305,10 @@ class MaterialParams:
         for name in ("tau", "c", "b"):
             if not getattr(self, name) > 0:
                 raise ValueError("%s must be strictly positive" % name)
+        c2 = self.c * self.c
+        derived = [c2, c2 / self.b, self.tau * c2 / self.b, self.b / self.tau, c2 / self.tau]
+        if not np.isfinite(derived).all():
+            raise ValueError("c^2, c^2/b, tau c^2/b, b/tau and c^2/tau must be finite")
         self.alpha_field = np.asarray(self.alpha_field, float)
         self.kappa0_field = np.asarray(self.kappa0_field, float)
         self.kappa1_field = np.asarray(self.kappa1_field, float)

@@ -16,7 +16,7 @@ gamma`` by ``1/tau`` and leaves the ratio ``q = c^2/b`` unchanged.
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,67 +30,31 @@ _LOGGER = logging.getLogger(__name__)
 
 
 @dataclass
-class StateU:
-    """Nodal state (u, u_t, u_tt) at time ``t``."""
+class State:
+    """Nodal state ``(u, v, w)`` at time ``t``.
+
+    ``(v, w)`` is ``(u_t, u_tt)`` in u-form and ``(z, z_t)`` in z-form,
+    with ``z = u_t + (c^2/b) u``.
+    """
 
     u: np.ndarray
-    ut: np.ndarray
-    utt: np.ndarray
-    t: float = 0.0
-
-
-@dataclass
-class StateZ:
-    """Nodal state (u, z, z_t) at time ``t`` with ``z = u_t + (c^2/b) u``."""
-
-    u: np.ndarray
-    z: np.ndarray
-    zt: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
     t: float = 0.0
 
 
 def m_transform(state, params):
     """Map (u, u_t, u_tt) to (u, z, z_t) with z = u_t + q u, q = c^2/b."""
     q = params.q
-    return StateZ(state.u.copy(), state.ut + q * state.u, state.utt + q * state.ut, state.t)
+    return State(state.u.copy(), state.v + q * state.u, state.w + q * state.v, state.t)
 
 
 def m_inverse(state, params):
     """Inverse change of variables: u_t = z - q u, u_tt = z_t - q z + q^2 u."""
     q = params.q
-    ut = state.z - q * state.u
-    utt = state.zt - q * state.z + q**2 * state.u
-    return StateU(state.u.copy(), ut, utt, state.t)
-
-
-class SourceTerm:
-    """Deterministic time-dependent nodal forcing f(t).
-
-    Either identically zero, or a fixed nodal field times a scalar time
-    profile, or an arbitrary callable ``t -> nodal vector``.
-    """
-
-    def __init__(self, n_nodes, func=None):
-        self.n_nodes = int(n_nodes)
-        self._func = func
-
-    @classmethod
-    def zero(cls, n_nodes):
-        return cls(n_nodes, None)
-
-    @classmethod
-    def separable(cls, field_values, profile):
-        field_values = np.asarray(field_values, float)
-        return cls(len(field_values), lambda t: field_values * profile(t))
-
-    @property
-    def is_zero(self):
-        return self._func is None
-
-    def __call__(self, t):
-        if self._func is None:
-            return np.zeros(self.n_nodes)
-        return np.asarray(self._func(t), float)
+    ut = state.v - q * state.u
+    utt = state.w - q * state.v + q**2 * state.u
+    return State(state.u.copy(), ut, utt, state.t)
 
 
 # -- compatibility of initial data ------------------------------------------
@@ -120,7 +84,7 @@ def check_compatibility(state, bundle):
     out = {}
     for name, tag, bmat, MG, value in (
         ("r0", GAMMA0, bundle.B0, bundle.T0, state.u),
-        ("r1", GAMMA1, bundle.B1, bundle.T1, state.ut),
+        ("r1", GAMMA1, bundle.B1, bundle.T1, state.v),
     ):
         on = mesh.facet_tags == tag
         if not on.any():
@@ -143,29 +107,52 @@ def check_compatibility(state, bundle):
 
 @dataclass
 class Generator:
-    """First-order operator pencil ``E Phi' = L Phi + F(t)``.
+    """First-order operator pencil ``E Phi' = L Phi + F(t)`` in block form.
 
     ``form`` is ``"u"`` (states ``(u, u_t, u_tt)``) or ``"z"`` (states
-    ``(u, z, z_t)``).  ``dense()`` returns the actual generator matrix
-    ``E^{-1} L``.
+    ``(u, z, z_t)``).  In ``Phi = (u, v, w)`` the pencil reads
+
+        u' = shift u + v,    v' = w,    Ew w' = Lu u + Lv v + Lw w,
+
+    with ``shift = 0`` in u-form and ``-c^2/b`` in z-form.  ``E`` and
+    ``L`` are the assembled 3n x 3n matrices; ``dense()`` returns the
+    actual generator matrix ``E^{-1} L``.
     """
 
     form: str
-    E: sp.csr_matrix
-    L: sp.csr_matrix
+    shift: float
+    Ew: sp.csr_matrix
+    Lu: sp.csr_matrix
+    Lv: sp.csr_matrix
+    Lw: sp.csr_matrix
     bundle: object
-    params: object
-    _dense: np.ndarray = field(default=None, repr=False)
 
     @property
     def size(self):
-        return self.E.shape[0]
+        return 3 * self.Ew.shape[0]
+
+    @property
+    def E(self):
+        n = self.Ew.shape[0]
+        return sp.block_diag([sp.identity(n), sp.identity(n), self.Ew], format="csr")
+
+    @property
+    def L(self):
+        I = sp.identity(self.Ew.shape[0], format="csr")
+        first = [self.shift * I if self.shift else None, I, None]
+        return sp.bmat([first, [None, None, I], [self.Lu, self.Lv, self.Lw]], format="csr")
 
     def dense(self):
-        if self._dense is None:
-            lu = splu(self.E.tocsc())
-            self._dense = lu.solve(self.L.toarray())
-        return self._dense
+        # the first two block rows are identity shifts; only the third
+        # needs Ew^{-1}
+        n = self.Ew.shape[0]
+        A = np.zeros((3 * n, 3 * n), order="F")
+        i = np.arange(n)
+        A[i, i] = self.shift
+        A[i, n + i] = A[n + i, 2 * n + i] = 1.0
+        L3 = sp.hstack([self.Lu, self.Lv, self.Lw]).toarray()
+        A[2 * n :] = splu(self.Ew.tocsc()).solve(L3)
+        return A
 
 
 def assemble_generator(bundle, params, form="u"):
@@ -175,43 +162,18 @@ def assemble_generator(bundle, params, form="u"):
     matrix; that identity is validated numerically in the tests rather
     than assumed here.
     """
-    n = bundle.mesh.n_nodes
-    I = sp.identity(n, format="csr")
     tau, b, c2 = params.tau, params.b, params.c**2
     if form == "u":
-        E = sp.block_diag([sp.identity(n), sp.identity(n), tau * bundle.Mmat], format="csc")
-        L = sp.bmat(
-            [
-                [None, I, None],
-                [None, None, I],
-                [
-                    -c2 * bundle.Ktilde,
-                    -(b * bundle.Ktilde + c2 * bundle.B1),
-                    -(bundle.Malpha + b * bundle.B1),
-                ],
-            ],
-            format="csr",
-        )
+        shift, Ew = 0.0, tau * bundle.Mmat
+        Lu, Lv = -c2 * bundle.Ktilde, -(b * bundle.Ktilde + c2 * bundle.B1)
+        Lw = -(bundle.Malpha + b * bundle.B1)
     elif form == "z":
-        q = params.q
-        b_bar = b / tau
-        Mgam = bundle.Mgamma / tau
-        E = sp.block_diag([sp.identity(n), sp.identity(n), bundle.Mmat], format="csc")
-        L = sp.bmat(
-            [
-                [-q * I, I, None],
-                [None, None, I],
-                [
-                    -(q**2) * Mgam,
-                    q * Mgam - b_bar * bundle.Ktilde,
-                    -(b_bar * bundle.B1 + Mgam),
-                ],
-            ],
-            format="csr",
-        )
+        q, b_bar, Mgam = params.q, b / tau, bundle.Mgamma / tau
+        shift, Ew = -q, bundle.Mmat
+        Lu, Lv, Lw = -(q**2) * Mgam, q * Mgam - b_bar * bundle.Ktilde, -(b_bar * bundle.B1 + Mgam)
     else:
         raise ValueError("form must be 'u' or 'z'")
-    return Generator(form, E.tocsr(), L, bundle, params)
+    return Generator(form, shift, Ew, Lu, Lv, Lw, bundle)
 
 
 # -- time stepping -----------------------------------------------------------
@@ -229,11 +191,11 @@ class Stepper:
     condensed exactly to one n x n solve.  The first two block rows give
     ``v = g_v + k w`` and ``u = g_u + k v``; the third becomes
     ``S w = g_w + k L_u (g_u + k g_v) + k L_v g_v`` with
-    ``S = E_w - k L_w - k^2 L_v - k^3 L_u``, where ``E_w`` and
-    ``(L_u, L_v, L_w)`` are the third block rows of ``E`` and ``L``.
+    ``S = E_w - k L_w - k^2 L_v - k^3 L_u`` from the generator's blocks.
     ``S`` is factorized once per stage length, ``k = dt/2`` (midpoint)
     and ``k = 2 dt/3`` (BDF2), and the map from the step's state to the
-    right-hand side of ``S`` is one precomputed n x 3n matrix.
+    right-hand side of ``S`` is one precomputed n x 3n matrix.  The
+    forcing ``source`` is ``None`` or a callable ``t -> nodal vector``.
     """
 
     def __init__(self, generator, dt, scheme="implicit-midpoint", source=None):
@@ -243,15 +205,13 @@ class Stepper:
             raise ValueError("unknown scheme %r" % scheme)
         if generator.form != "u":
             raise ValueError("Stepper integrates the u-form pencil, not form %r" % generator.form)
-        self.generator = generator
         self.dt = float(dt)
         self.scheme = scheme
-        self.source = None if source is None or source.is_zero else source
-        n = generator.size // 3
+        self.source = source
         self._M = generator.bundle.Mmat
         E, L = generator.E, generator.L
-        Ew = E[2 * n :, 2 * n :]
-        Lu, Lv, Lw = (L[2 * n :, j * n : (j + 1) * n] for j in range(3))
+        Ew, Lu, Lv, Lw = generator.Ew, generator.Lu, generator.Lv, generator.Lw
+        n = Ew.shape[0]
 
         def stage(k, G):
             # (k, factor of S, the n x 3n map x -> rhs of S) for g = G x
@@ -264,27 +224,27 @@ class Stepper:
             self._bdf = stage(2.0 / 3.0 * self.dt, E)
 
     def step(self, state, prev=None):
-        """Advance a :class:`StateU` by ``dt``.
+        """Advance a u-form :class:`State` by ``dt``.
 
         BDF2 takes the state one step earlier as ``prev``; without it (the
         first step) it takes one midpoint step.  Midpoint ignores ``prev``.
         """
-        x = np.concatenate((state.u, state.ut, state.utt))
+        x = np.concatenate((state.u, state.v, state.w))
         if self.scheme == "bdf2" and prev is not None:
             k, lu, Q = self._bdf
-            x = (4.0 * x - np.concatenate((prev.u, prev.ut, prev.utt))) / 3.0
+            x = (4.0 * x - np.concatenate((prev.u, prev.v, prev.w))) / 3.0
             gu, gv, _ = np.split(x, 3)
             t_f, weight = state.t + self.dt, k
         else:
             k, lu, Q = self._mid
-            gu, gv = state.u + k * state.ut, state.ut + k * state.utt
+            gu, gv = state.u + k * state.v, state.v + k * state.w
             t_f, weight = state.t + 0.5 * self.dt, self.dt
         rhs = Q @ x
         if self.source is not None:
             rhs += weight * (self._M @ self.source(t_f))
         w = lu.solve(rhs)
         v = gv + k * w
-        return StateU(gu + k * v, v, w, state.t + self.dt)
+        return State(gu + k * v, v, w, state.t + self.dt)
 
 
 # -- simulation ---------------------------------------------------------------
@@ -297,7 +257,9 @@ class Trajectory:
     Energy/dissipation columns follow the energy identity: boundary
     dissipation rate ``(b/tau) z_t^T B1 z_t``, interior rate
     ``u_tt^T (Mgamma/tau) u_tt`` and work rate ``z_t^T M f / tau``.
-    State snapshots at output times are kept when ``store_states``.
+    With ``store_states`` the u-form states at the output times are
+    kept as ``states``, of shape ``(3, samples, n)``: ``u``, ``u_t`` and
+    ``u_tt``.
     """
 
     times: np.ndarray
@@ -310,39 +272,19 @@ class Trajectory:
     u_L2: np.ndarray
     z_L2: np.ndarray
     zt_L2: np.ndarray
-    states_u: np.ndarray = None
-    states_ut: np.ndarray = None
-    states_utt: np.ndarray = None
+    states: np.ndarray = None
     compat: dict = None
     meta: dict = None
 
-    def state_u(self, k):
-        if self.states_u is None:
+    def state(self, k):
+        if self.states is None:
             raise ValueError("state snapshots were not stored")
-        return StateU(
-            self.states_u[k].copy(),
-            self.states_ut[k].copy(),
-            self.states_utt[k].copy(),
-            float(self.times[k]),
-        )
-
-    def state_z(self, k, params):
-        return m_transform(self.state_u(k), params)
+        return State(*self.states[:, k].copy(), float(self.times[k]))
 
     CSV_COLUMNS = ("t", "E0", "E1", "E", "D_boundary", "D_interior", "u_L2", "z_L2", "zt_L2")
 
     def csv_rows(self):
-        cols = [
-            self.times,
-            self.E0,
-            self.E1,
-            self.E,
-            self.D_boundary,
-            self.D_interior,
-            self.u_L2,
-            self.z_L2,
-            self.zt_L2,
-        ]
+        cols = [self.times] + [getattr(self, name) for name in self.CSV_COLUMNS[1:]]
         return list(self.CSV_COLUMNS), np.column_stack(cols)
 
 
@@ -356,12 +298,13 @@ def _observables(U, V, W, times, bundle, params, source, gamma_negative):
     states, one row per sample in ``U, V, W = u, u_t, u_tt``.
 
     Raises :class:`NumericalError` at the first sample whose ``z_t`` or
-    energy is not finite.
+    energy is not finite; a blow-up overflows silently up to that check.
     """
     q, tau = params.q, params.tau
-    Z, Zt = V + q * U, W + q * V
-    E1 = _energy.energy_E1(StateZ(U, Z, Zt), bundle, params, allow_indefinite=gamma_negative)
-    E0 = _energy.energy_E0(StateU(U, V, W), bundle, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z, Zt = V + q * U, W + q * V
+        E1 = _energy.energy_E1(State(U, Z, Zt), bundle, params, allow_indefinite=gamma_negative)
+        E0 = _energy.energy_E0(State(U, V, W), bundle, params)
     bad_state = ~np.isfinite(Zt).all(axis=1)
     bad = bad_state | ~np.isfinite(E0 + E1)
     if bad.any():
@@ -369,7 +312,7 @@ def _observables(U, V, W, times, bundle, params, source, gamma_negative):
         what = "state" if bad_state[first] else "energy"
         raise NumericalError("non-finite %s at t=%.6g" % (what, times[first]))
     quad, M = _energy._quad, bundle.Mmat
-    if source.is_zero:
+    if source is None:
         work = np.zeros(len(times))
     else:
         F = np.array([source(t) for t in times])
@@ -401,7 +344,8 @@ def simulate(
 ):
     """Advance the u-form system and record energy/dissipation series.
 
-    ``initial`` is a :class:`StateU`.  Compatibility residuals of the
+    ``initial`` is a u-form :class:`State` and ``source`` ``None`` or a
+    callable ``t -> nodal vector``.  Compatibility residuals of the
     initial data are computed and logged (a warning above ``compat_tol``)
     but never enforced.  The residuals are recovered from element
     gradients and carry O(h) noise even for exactly compatible data, so
@@ -413,10 +357,7 @@ def simulate(
     at once (``_CHUNK_ELEMENTS // n`` of them), so a blow-up is detected
     at the end of its chunk; the error still names its first sample.
     """
-    mesh = bundle.mesh
-    n = mesh.n_nodes
-    if source is None:
-        source = SourceTerm.zero(n)
+    n = bundle.mesh.n_nodes
     compat = check_compatibility(initial, bundle)
     if max(compat["r0"], compat["r1"]) > compat_tol:
         _LOGGER.warning(
@@ -440,8 +381,8 @@ def simulate(
     X = np.empty((3, n_rec if store_states else min(chunk, n_rec), n))
     times = np.empty(n_rec)
     cols = np.empty((9, n_rec))
-    fields = (initial.u, initial.ut, initial.utt)
-    state = StateU(*(np.asarray(a, float) for a in fields), float(initial.t))
+    fields = (initial.u, initial.v, initial.w)
+    state = State(*(np.asarray(a, float) for a in fields), float(initial.t))
     prev, i = None, 0
     for k in range(n_steps + 1):
         if k:
@@ -450,7 +391,7 @@ def simulate(
             continue
         lo = i - i % chunk
         row = i if store_states else i - lo
-        X[0, row], X[1, row], X[2, row] = state.u, state.ut, state.utt
+        X[0, row], X[1, row], X[2, row] = state.u, state.v, state.w
         times[i] = state.t
         i += 1
         if i % chunk == 0 or i == n_rec:
@@ -462,7 +403,7 @@ def simulate(
     traj = Trajectory(
         times,
         *cols,
-        *(X if store_states else (None,) * 3),
+        X if store_states else None,
         compat=compat,
         meta={
             "dt": float(dt),

@@ -27,8 +27,8 @@ def _quad(A, x):
     return np.einsum("...i,i...->...", x, A @ x.T)
 
 
-def energy_E1(state_z, bundle, params, allow_indefinite=False):
-    """First-order (z-level) energy of a (u, z, z_t) state.
+def energy_E1(state, bundle, params, allow_indefinite=False):
+    """First-order (z-level) energy of a z-form state ``(u, z, z_t)``.
 
     The fields may be ``(m, n)`` stacks of m states, which gives one
     energy per row.  Requires ``gamma >= 0`` nodewise; pass
@@ -44,20 +44,20 @@ def energy_E1(state_z, bundle, params, allow_indefinite=False):
         )
     tau, b = params.tau, params.b
     q = params.q
-    ut = state_z.z - q * state_z.u
-    val = 0.5 * (b / tau) * _quad(bundle.Ktilde, state_z.z)
-    val += 0.5 * _quad(bundle.Mmat, state_z.zt)
+    ut = state.v - q * state.u
+    val = 0.5 * (b / tau) * _quad(bundle.Ktilde, state.v)
+    val += 0.5 * _quad(bundle.Mmat, state.w)
     val += 0.5 * q * _quad(bundle.Mgamma, ut) / tau
     return val
 
 
-def energy_E0(state_u, bundle, params):
-    """Zeroth-order energy of a (u, u_t, u_tt) state (or row-wise stack)."""
+def energy_E0(state, bundle, params):
+    """Zeroth-order energy of a u-form state ``(u, u_t, u_tt)`` (or row-wise stack)."""
     if np.any(params.alpha_field < 0):
         raise UndefinedWeightError("alpha is negative somewhere; E0 is undefined")
     tau = params.tau
-    val = 0.5 * _quad(bundle.Malpha, state_u.ut) / tau
-    val += 0.5 * (params.c**2 / tau) * _quad(bundle.Ktilde, state_u.u)
+    val = 0.5 * _quad(bundle.Malpha, state.v) / tau
+    val += 0.5 * (params.c**2 / tau) * _quad(bundle.Ktilde, state.u)
     return val
 
 

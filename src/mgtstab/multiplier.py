@@ -44,20 +44,6 @@ class ManufacturedField:
     def f(self, t, x, b):
         return self.ztt(t, x) - b * self.lap_z(t, x) + self.gamma(x) * self.utt(t, x)
 
-    def scaled(self, s):
-        """The field family with z (and u_tt, to keep f consistent) scaled by s."""
-        return ManufacturedField(
-            z=lambda t, x: s * self.z(t, x),
-            zt=lambda t, x: s * self.zt(t, x),
-            ztt=lambda t, x: s * self.ztt(t, x),
-            grad_z=lambda t, x: s * self.grad_z(t, x),
-            lap_z=lambda t, x: s * self.lap_z(t, x),
-            gamma=self.gamma,
-            utt=lambda t, x: s * self.utt(t, x),
-            family=self.family + "-scaled",
-            meta=dict(self.meta),
-        )
-
 
 def trig_1d():
     """Smooth 1D family z = cos(pi x) sin(t) (does not satisfy the BCs)."""
@@ -369,21 +355,21 @@ def reconstruction_diagnostic(trajectory, bundle, params, window, delta=0.25, so
         "boundary_dissipation": float(np.trapezoid(trajectory.D_boundary[sl], t[sl])),
         "interior_dissipation": float(np.trapezoid(trajectory.D_interior[sl], t[sl])),
     }
-    if source is None or source.is_zero:
+    if source is None:
         terms["forcing"] = 0.0
     else:
         M = bundle.Mmat
         f2 = [float(source(ti) @ (M @ source(ti))) for ti in t[sl]]
         terms["forcing"] = float(np.trapezoid(f2, t[sl]))
 
-    if trajectory.states_u is None:
+    if trajectory.states is None:
         raise ValueError("reconstruction diagnostic needs stored state snapshots")
     K = bundle.Ktilde.toarray()
     M = bundle.Mmat.toarray()
     lam, V = scipy.linalg.eigh(K, M)
     lam = np.maximum(lam, 0.0)
     q = params.q
-    z_samples = trajectory.states_ut[sl] + q * trajectory.states_u[sl]
+    z_samples = trajectory.states[1, sl] + q * trajectory.states[0, sl]
     coords = z_samples @ (M @ V)
     frac = (coords**2) @ (lam ** (1.0 - delta))
     terms["lot_surrogate"] = float(np.trapezoid(frac, t[sl]))

@@ -48,8 +48,12 @@ def gaussian_bump(x, center, width, amplitude=1.0):
 
 
 def initial_state(spec, mesh, params):
-    """Build a :class:`~mgtstab.dynamics.StateU` from an initial spec dict."""
-    from .dynamics import StateU
+    """Build a u-form :class:`~mgtstab.dynamics.State` from an initial spec dict.
+
+    The bump centre must have one coordinate per mesh dimension, and the
+    data must be finite; either failure is a :class:`ConfigError`.
+    """
+    from .dynamics import State
 
     n = mesh.n_nodes
     kind = spec.get("kind", "zero")
@@ -67,10 +71,15 @@ def initial_state(spec, mesh, params):
     elif kind == "gaussian-bump":
         if "center" not in spec or "width" not in spec:
             raise ConfigError("gaussian-bump initial data need 'center' and 'width'")
-        u0 = gaussian_bump(mesh.nodes, spec["center"], spec["width"], amp)
+        if np.size(spec["center"]) != mesh.dim:
+            raise ConfigError("initial.center needs one coordinate per mesh dimension")
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            u0 = gaussian_bump(mesh.nodes, spec["center"], spec["width"], amp)
     else:
         raise ConfigError("unknown initial profile %r" % kind)
-    return StateU(u0, np.zeros(n), np.zeros(n), 0.0)
+    if not np.isfinite(u0).all():
+        raise ConfigError("the initial data are not finite")
+    return State(u0, np.zeros(n), np.zeros(n), 0.0)
 
 
 # -- geometries ---------------------------------------------------------------

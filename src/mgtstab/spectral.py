@@ -56,7 +56,8 @@ def spectrum(generator, dense_cap=DENSE_EIG_CAP, n_partial=40):
     Up to ``dense_cap`` (total first-order size) the full spectrum comes
     from one standard dense eigensolve of the generator matrix
     ``E^{-1} L``; ``E`` (``diag(I, I, tau M)`` in u-form) is
-    block-diagonal SPD, so that matrix costs one sparse factorization.
+    block-diagonal SPD, so that matrix costs one sparse factorization of
+    its third block.
     Above the cap the report is flagged ``partial``: only the
     ``n_partial`` eigenvalues of smallest modulus are computed
     (shift-invert at zero with a fixed start vector, the only target

@@ -268,9 +268,10 @@ def test_c10_reconstruction_second_order_in_dt():
             scen.bundle, scen.params, scen.initial, T=2.0, dt=1e-3 / div,
             output_stride=1, store_states=True,
         )
-        z = traj.states_ut + scen.params.q * traj.states_u
-        u_rec = M.reconstruct_u_from_z(traj.times, z, traj.states_u[0], scen.params)
-        errors.append(float(np.abs(u_rec - traj.states_u).max()))
+        u, ut, _ = traj.states
+        z = ut + scen.params.q * u
+        u_rec = M.reconstruct_u_from_z(traj.times, z, u[0], scen.params)
+        errors.append(float(np.abs(u_rec - u).max()))
     slope = M.refinement_slope(errors)
     ok = slope >= 1.9
     _line(

@@ -14,7 +14,7 @@ from scipy.sparse.linalg import splu
 
 import mgtstab as M
 from mgtstab import dynamics
-from mgtstab.dynamics import SourceTerm, StateU
+from mgtstab.dynamics import State
 
 from conftest import interval_config
 
@@ -24,7 +24,7 @@ def make_scenario(**over):
 
 
 def random_state(n, rng):
-    return StateU(rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n), 0.0)
+    return State(rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n), 0.0)
 
 
 # ---------------------------------------------------------- m-transform
@@ -37,8 +37,8 @@ def test_m_transform_roundtrip():
     z = M.m_transform(s, scen.params)
     back = M.m_inverse(z, scen.params)
     np.testing.assert_allclose(back.u, s.u, rtol=1e-14)
-    np.testing.assert_allclose(back.ut, s.ut, rtol=1e-13)
-    np.testing.assert_allclose(back.utt, s.utt, rtol=1e-13)
+    np.testing.assert_allclose(back.v, s.v, rtol=1e-13)
+    np.testing.assert_allclose(back.w, s.w, rtol=1e-13)
 
 
 def test_m_transform_definition():
@@ -47,8 +47,8 @@ def test_m_transform_definition():
     q = scen.params.q
     s = random_state(scen.mesh.n_nodes, rng)
     z = M.m_transform(s, scen.params)
-    np.testing.assert_allclose(z.z, s.ut + q * s.u, rtol=1e-14)
-    np.testing.assert_allclose(z.zt, s.utt + q * s.ut, rtol=1e-14)
+    np.testing.assert_allclose(z.v, s.v + q * s.u, rtol=1e-14)
+    np.testing.assert_allclose(z.w, s.w + q * s.v, rtol=1e-14)
 
 
 # ---------------------------------------------------------- conservation
@@ -110,7 +110,7 @@ def test_energy_identity_residual_second_order():
 def test_energy_identity_with_forcing():
     scen = make_scenario(mesh={"resolution": 32}, initial={"kind": "robin-mode"})
     x = scen.mesh.nodes[:, 0]
-    src = SourceTerm.separable(np.sin(np.pi * x), lambda t: np.cos(3.0 * t))
+    src = lambda t: np.sin(np.pi * x) * np.cos(3.0 * t)
     traj = M.simulate(
         scen.bundle, scen.params, scen.initial, T=1.0, dt=1e-3,
         source=src, store_states=False,
@@ -142,7 +142,7 @@ def test_incompatible_data_flagged(caplog):
     scen = make_scenario(mesh={"resolution": 64})
     n = scen.mesh.n_nodes
     # u0' = 1 at the right end with u1 = 0 violates the gamma1 condition
-    bad = StateU(np.linspace(1.0, 2.0, n), np.zeros(n), np.zeros(n), 0.0)
+    bad = State(np.linspace(1.0, 2.0, n), np.zeros(n), np.zeros(n), 0.0)
     rep = M.check_compatibility(bad, scen.bundle)
     assert max(rep.values()) > 0.1
     with caplog.at_level(logging.WARNING, logger="mgtstab.dynamics"):
@@ -173,11 +173,11 @@ def test_square_compatibility_residuals_exact(resolution):
     scen = named_scenario("unit-square", resolution, kappa0=1.7, kappa1=0.6)
     n = scen.mesh.n_nodes
     y = scen.mesh.nodes[:, 1]
-    rep = M.check_compatibility(StateU(y.copy(), np.zeros(n), np.zeros(n)), scen.bundle)
+    rep = M.check_compatibility(State(y.copy(), np.zeros(n), np.zeros(n)), scen.bundle)
     assert rep["r0"] == pytest.approx(1.0, rel=1e-12)
-    rep = M.check_compatibility(StateU(y**2, np.zeros(n), np.zeros(n)), scen.bundle)
+    rep = M.check_compatibility(State(y**2, np.zeros(n), np.zeros(n)), scen.bundle)
     assert rep["r0"] == pytest.approx(1.0 / resolution, rel=1e-12)
-    const = StateU(np.full(n, 2.0), np.full(n, -3.0), np.zeros(n))
+    const = State(np.full(n, 2.0), np.full(n, -3.0), np.zeros(n))
     rep = M.check_compatibility(const, scen.bundle)
     assert rep["r0"] == pytest.approx(3.4, rel=1e-12)
     assert rep["r1"] == pytest.approx(1.8 * np.sqrt(3.0), rel=1e-12)
@@ -188,7 +188,7 @@ def loop_compatibility(state, bundle):
     mesh = bundle.mesh
     dim = mesh.dim
     out = {}
-    for name, tag, bmat, value in (("r0", 0, bundle.B0, state.u), ("r1", 1, bundle.B1, state.ut)):
+    for name, tag, bmat, value in (("r0", 0, bundle.B0, state.u), ("r1", 1, bundle.B1, state.v)):
         rho = bmat @ value
         mass = np.zeros((mesh.n_nodes, mesh.n_nodes))
         for f in np.flatnonzero(mesh.facet_tags == tag):
@@ -241,11 +241,11 @@ def test_single_step_is_linear():
     gen = M.assemble_generator(scen.bundle, scen.params, form="u")
     a = random_state(scen.mesh.n_nodes, rng)
     b = random_state(scen.mesh.n_nodes, rng)
-    ab = StateU(a.u + b.u, a.ut + b.ut, a.utt + b.utt, 0.0)
+    ab = State(a.u + b.u, a.v + b.v, a.w + b.w, 0.0)
     stepper = M.Stepper(gen, 1e-2)
     sa, sb, sab = (stepper.step(s) for s in (a, b, ab))
     np.testing.assert_allclose(sab.u, sa.u + sb.u, rtol=1e-11, atol=1e-13)
-    np.testing.assert_allclose(sab.utt, sa.utt + sb.utt, rtol=1e-11, atol=1e-12)
+    np.testing.assert_allclose(sab.w, sa.w + sb.w, rtol=1e-11, atol=1e-12)
 
 
 def test_z_form_generator_rejected():
@@ -272,7 +272,7 @@ def test_bdf2_history_is_per_trajectory():
         alone = [traj[0]]
         advance(M.Stepper(gen, 1e-2, "bdf2"), [alone])
         for s, r in zip(traj, alone):
-            for name in ("u", "ut", "utt", "t"):
+            for name in ("u", "v", "w", "t"):
                 np.testing.assert_array_equal(getattr(s, name), getattr(r, name))
 
 
@@ -302,7 +302,7 @@ def test_condensed_step_matches_full_pencil_solve(name, scheme):
     gen = M.assemble_generator(scen.bundle, scen.params, form="u")
     nodes = scen.mesh.nodes
     profile = np.cos(2.0 * nodes[:, 0]) + nodes[:, -1]
-    src = SourceTerm.separable(profile, lambda t: np.sin(3.0 * t) + 0.5)
+    src = lambda t: profile * (np.sin(3.0 * t) + 0.5)
     rng = np.random.default_rng(8)
     s0 = random_state(scen.mesh.n_nodes, rng)
     s0.t = 0.3
@@ -310,8 +310,8 @@ def test_condensed_step_matches_full_pencil_solve(name, scheme):
     stepper = M.Stepper(gen, dt, scheme, src)
     s1 = stepper.step(s0)
     new = s1 if scheme == "implicit-midpoint" else stepper.step(s1, s0)
-    got = np.concatenate([new.u, new.ut, new.utt])
-    ref = pencil_reference(gen, np.concatenate([s0.u, s0.ut, s0.utt]), s0.t, dt, scheme, src)
+    got = np.concatenate([new.u, new.v, new.w])
+    ref = pencil_reference(gen, np.concatenate([s0.u, s0.v, s0.w]), s0.t, dt, scheme, src)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     assert new.t == pytest.approx(s0.t + (1 if scheme == "implicit-midpoint" else 2) * dt)
 
@@ -321,8 +321,8 @@ def per_sample_columns(traj, bundle, params, source):
     q, tau = params.q, params.tau
     rows = []
     for k in range(len(traj.times)):
-        s = traj.state_u(k)
-        z, zt = s.ut + q * s.u, s.utt + q * s.ut
+        s = traj.state(k)
+        z, zt = s.v + q * s.u, s.w + q * s.v
         e1 = M.energy_E1(M.m_transform(s, params), bundle, params)
         e0 = M.energy_E0(s, bundle, params)
         rows.append(
@@ -331,7 +331,7 @@ def per_sample_columns(traj, bundle, params, source):
                 e1,
                 e0 + e1,
                 zt @ (bundle.B1 @ zt) * params.b / tau,
-                s.utt @ (bundle.Mgamma @ s.utt) / tau,
+                s.w @ (bundle.Mgamma @ s.w) / tau,
                 zt @ (bundle.Mmat @ source(s.t)) / tau,
                 np.sqrt(s.u @ (bundle.Mmat @ s.u)),
                 np.sqrt(z @ (bundle.Mmat @ z)),
@@ -349,13 +349,13 @@ def test_chunked_recording_matches_per_sample(offset):
     assert chunk == 16
     n_samples = 1 if offset is None else chunk + offset
     x = scen.mesh.nodes[:, 0]
-    src = SourceTerm.separable(np.sin(np.pi * x), lambda t: np.cos(3.0 * t))
+    src = lambda t: np.sin(np.pi * x) * np.cos(3.0 * t)
     dt = 1e-3
     run = dict(T=(n_samples - 1) * dt, dt=dt, source=src)
     kept = M.simulate(scen.bundle, scen.params, scen.initial, store_states=True, **run)
     bare = M.simulate(scen.bundle, scen.params, scen.initial, store_states=False, **run)
     assert len(kept.times) == len(bare.times) == n_samples
-    assert bare.states_u is None and kept.states_u.shape == (n_samples, scen.mesh.n_nodes)
+    assert bare.states is None and kept.states.shape == (3, n_samples, scen.mesh.n_nodes)
     names = ("E0", "E1", "E", "D_boundary", "D_interior", "work_rate", "u_L2", "z_L2", "zt_L2")
     ref = per_sample_columns(kept, scen.bundle, scen.params, src)
     for name, col in zip(names, ref):
@@ -371,9 +371,10 @@ def test_reconstruction_matches_simulated_u():
     scen = make_scenario(mesh={"resolution": 32}, initial={"kind": "robin-mode"})
     dt = 5e-4
     traj = M.simulate(scen.bundle, scen.params, scen.initial, T=1.0, dt=dt)
-    z = traj.states_ut + scen.params.q * traj.states_u
-    u_rec = M.reconstruct_u_from_z(traj.times, z, traj.states_u[0], scen.params)
-    err = np.abs(u_rec - traj.states_u).max()
+    u, ut, _ = traj.states
+    z = ut + scen.params.q * u
+    u_rec = M.reconstruct_u_from_z(traj.times, z, u[0], scen.params)
+    err = np.abs(u_rec - u).max()
     assert err < 5e-6, err
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mgtstab as M
-from mgtstab.dynamics import StateU, StateZ
+from mgtstab.dynamics import State
 from mgtstab.errors import UndefinedWeightError
 
 from conftest import interval_config
@@ -15,7 +15,7 @@ def make_scenario(**over):
 
 
 def random_z_state(n, rng):
-    return StateZ(rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n), 0.0)
+    return State(rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n), 0.0)
 
 
 def test_total_energy_matches_quadratic_form():
@@ -24,8 +24,8 @@ def test_total_energy_matches_quadratic_form():
     Q = M.energy_quadratic_form(scen.bundle, scen.params)
     n = scen.mesh.n_nodes
     for _ in range(5):
-        s = StateU(rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n), 0.0)
-        phi = np.concatenate([s.u, s.ut, s.utt])
+        s = State(rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n), 0.0)
+        phi = np.concatenate([s.u, s.v, s.w])
         direct = M.energy_E0(s, scen.bundle, scen.params) + M.energy_E1(
             M.m_transform(s, scen.params), scen.bundle, scen.params
         )
@@ -55,15 +55,15 @@ def test_e0_is_positive_definite():
     scen = make_scenario()
     n = scen.mesh.n_nodes
     for _ in range(10):
-        s = StateU(rng.standard_normal(n), rng.standard_normal(n), np.zeros(n), 0.0)
+        s = State(rng.standard_normal(n), rng.standard_normal(n), np.zeros(n), 0.0)
         assert M.energy_E0(s, scen.bundle, scen.params) > 0.0
-    zero = StateU(np.zeros(n), np.zeros(n), np.zeros(n), 0.0)
+    zero = State(np.zeros(n), np.zeros(n), np.zeros(n), 0.0)
     assert M.energy_E0(zero, scen.bundle, scen.params) == 0.0
 
 
 def weighted_norm2(s, bundle):
     K, Mm = bundle.Ktilde, bundle.Mmat
-    return float(s.u @ (K @ s.u) + s.ut @ (K @ s.ut) + s.utt @ (Mm @ s.utt))
+    return float(s.u @ (K @ s.u) + s.v @ (K @ s.v) + s.w @ (Mm @ s.w))
 
 
 def test_norm_equivalence_sandwich():
@@ -73,7 +73,7 @@ def test_norm_equivalence_sandwich():
     assert 0 < c_low <= c_high
     n = scen.mesh.n_nodes
     for _ in range(25):
-        s = StateU(rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n), 0.0)
+        s = State(rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n), 0.0)
         norm2 = weighted_norm2(s, scen.bundle)
         e = M.energy_E0(s, scen.bundle, scen.params) + M.energy_E1(
             M.m_transform(s, scen.params), scen.bundle, scen.params
@@ -98,7 +98,7 @@ def test_norm_equivalence_is_attained():
     lam, vec = scipy.linalg.eigh(Q, H)
     for idx, target in ((0, c_low), (-1, c_high)):
         phi = vec[:, idx]
-        s = StateU(phi[:n], phi[n : 2 * n], phi[2 * n :], 0.0)
+        s = State(phi[:n], phi[n : 2 * n], phi[2 * n :], 0.0)
         e = M.energy_E0(s, scen.bundle, scen.params) + M.energy_E1(
             M.m_transform(s, scen.params), scen.bundle, scen.params
         )

@@ -310,8 +310,30 @@ def test_cli_full_solves_the_spectrum_once(monkeypatch):
         ({"time": {"T": 0.02, "dt": 1e-2}}, cli.EXIT_OK),
         ({"time": {"T": 0.005, "dt": 1e-2}}, cli.EXIT_CONFIG),
         ({"params": {"kappa0": 0.0}}, cli.EXIT_CONFIG),
+        ({"params": {"c": 1e200}}, cli.EXIT_CONFIG),
+        ({"params": {"b": 1e-320}}, cli.EXIT_CONFIG),
+        ({"params": {"tau": 1e-320}}, cli.EXIT_CONFIG),
+        (
+            {
+                "geometry": {"kind": "named", "name": "half-disk"},
+                "mesh": {"resolution": 3},
+                "initial": {"kind": "gaussian-bump", "center": [0.1], "width": 0.2},
+            },
+            cli.EXIT_CONFIG,
+        ),
+        ({"initial": {"kind": "gaussian-bump", "center": 0.5, "width": 1e-300}}, cli.EXIT_CONFIG),
     ],
-    ids=["zero-initial", "two-steps", "T-below-dt", "robin-mode-without-robin"],
+    ids=[
+        "zero-initial",
+        "two-steps",
+        "T-below-dt",
+        "robin-mode-without-robin",
+        "c-squared-overflows",
+        "c-squared-over-b-overflows",
+        "b-over-tau-overflows",
+        "center-length-below-dimension",
+        "non-finite-initial-data",
+    ],
 )
 def test_cli_degenerate_configs_exit_cleanly(tmp_path, subcommand, over, expected):
     # schema-valid configs whose decay fit cannot be made run to the end;
