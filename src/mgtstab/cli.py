@@ -183,18 +183,20 @@ def _multiplier_check(scen):
             row["zdivh"] = mult.residual_zdivh(free, h, mesh, b, times)
         levels.append(row)
 
+    def slope(key):
+        # null where no rate is defined: one level, or a residual exactly
+        # zero or not finite
+        residuals = [lv[key]["residual"] for lv in levels]
+        try:
+            return mult.refinement_slope(residuals) if len(levels) > 1 else None
+        except ValueError:
+            return None
+
     identities = [k for k in ("hgradz", "zdivh", "zmul") if k in levels[0]]
-    slopes = {}
-    for key in identities:
-        slopes[key] = (
-            mult.refinement_slope([lv[key]["residual"] for lv in levels])
-            if len(levels) > 1
-            else None
-        )
     return {
         "window": [cut, t_final - cut],
         "levels": levels,
-        "slopes": slopes,
+        "slopes": {key: slope(key) for key in identities},
         "gamma0_term_max": max(lv["hgradz"]["gamma0_term"] for lv in levels),
     }
 

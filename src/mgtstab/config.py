@@ -214,9 +214,9 @@ class Scenario:
             self.params = MaterialParams.constant(
                 self.mesh, p["tau"], p["c"], p["b"], p["alpha"], p["kappa0"], p["kappa1"]
             )
+            self.bundle = assemble_operators(self.mesh, self.params)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        self.bundle = assemble_operators(self.mesh, self.params)
         self._initial = None
 
     @property

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import GeometryError, IllPosedMapError, MeshError
+from .errors import IllPosedMapError, MeshError
 from .geometry import GAMMA0, GAMMA1
 
 
@@ -155,25 +155,23 @@ class Mesh:
         raise ValueError("unknown 2D rule %r" % rule)
 
 
-def _is_axis_aligned_rectangle(vertices):
-    if len(vertices) != 4:
-        return False
-    e = np.roll(vertices, -1, axis=0) - vertices
-    for k in range(4):
-        if not (abs(e[k, 0]) < 1e-14 or abs(e[k, 1]) < 1e-14):
-            return False
-    return True
-
-
 def build_mesh(geometry, resolution):
     """Mesh a validated geometry.
 
-    1D: ``resolution`` uniform elements.  2D: axis-aligned rectangles get
-    a ``resolution x resolution`` tensor grid split into triangles
-    (2 * resolution^2 elements); general polygons are fanned from the
-    vertex centroid and each coarse triangle is subdivided into
-    ``resolution^2`` similar children, so each boundary segment
-    contributes exactly ``resolution`` facets.
+    1D: ``resolution`` uniform elements.  2D: one lattice builder for
+    every polygon.  The polygon is split into coarse ccw triangles: an
+    axis-aligned rectangle into the two on its sw-ne diagonal (so the
+    result is the ``resolution x resolution`` tensor grid cut along its
+    cell diagonals), any other polygon into the fan from its vertex
+    centroid, which must see every edge counterclockwise.  Each coarse
+    triangle ``(P, A, B)`` is refined into ``r^2`` similar children
+    (``r = resolution``) on the lattice ``P + i/r (A - P) + j/r (B - P)``,
+    ``i + j <= r``.
+    Nodes shared between coarse triangles are merged on their coordinates
+    rounded to 12 decimals and numbered by first appearance.  Boundary
+    facets are the element edges used once, oriented as in their element
+    and ordered along the polygon segments, so each segment contributes
+    exactly ``resolution`` facets.
     """
     resolution = int(resolution)
     if resolution < 2:
@@ -188,98 +186,53 @@ def build_mesh(geometry, resolution):
         return Mesh(1, nodes, elements, facets, tags, facet_normals=normals)
 
     verts = geometry.vertices
-    if _is_axis_aligned_rectangle(verts):
-        return _rectangle_mesh(geometry, resolution)
-    return _fan_mesh(geometry, resolution)
+    ahead = np.roll(verts, -1, axis=0)
+    sides = ahead - verts
+    if len(verts) == 4 and (np.abs(sides).min(axis=1) < 1e-14).all():
+        (x0, y0), (x1, y1) = verts.min(axis=0), verts.max(axis=0)
+        P = np.array([[x0, y0], [x0, y0]])
+        A = np.array([[x1, y0], [x1, y1]])
+        B = np.array([[x1, y1], [x0, y1]])
+    else:
+        P, A, B = np.broadcast_to(verts.mean(axis=0), verts.shape), verts, ahead
+    cross = (A[:, 0] - P[:, 0]) * (B[:, 1] - P[:, 1]) - (A[:, 1] - P[:, 1]) * (B[:, 0] - P[:, 0])
+    if np.any(cross <= 0):
+        raise MeshError("polygon is not star-shaped about its vertex centroid")
 
+    # lattice points (i, j), i + j <= r, with i outer; local[i, j] numbers them
+    r = resolution
+    i, j = np.triu_indices(r + 1)
+    j = j - i
+    local = np.zeros((r + 1, r + 1), dtype=np.int64)
+    local[i, j] = np.arange(len(i))
+    # cell (i, j) has an "up" child and, when i + j + 1 < r, a "down" child
+    ci, cj = np.triu_indices(r)
+    cj = cj - ci
+    di, dj = np.array([[0, 1, 0], [1, 1, 0]]), np.array([[0, 0, 1], [0, 1, 1]])
+    children = local[ci[:, None, None] + di, cj[:, None, None] + dj]
+    children = children[(ci + cj)[:, None] + np.arange(2) < r]
 
-def _rectangle_mesh(geometry, n):
-    v = geometry.vertices
-    xmin, ymin = v.min(axis=0)
-    xmax, ymax = v.max(axis=0)
-    xs = np.linspace(xmin, xmax, n + 1)
-    ys = np.linspace(ymin, ymax, n + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    s, t = (i / r)[None, :, None], (j / r)[None, :, None]
+    points = P[:, None] + s * (A - P)[:, None] + t * (B - P)[:, None]
+    points = np.round(points.reshape(-1, 2), 12)
+    _, first, inverse = np.unique(points, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    nodes = points[first[order]]
+    node_of_point = np.argsort(order)[inverse.reshape(-1)]
+    offsets = len(i) * np.arange(len(P))[:, None, None]
+    elements = node_of_point[(children[None] + offsets).reshape(-1, 3)]
 
-    def nid(i, j):
-        return j * (n + 1) + i
-
-    elements = []
-    for j in range(n):
-        for i in range(n):
-            sw, se, ne, nw = nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)
-            elements.append([sw, se, ne])
-            elements.append([sw, ne, nw])
-
-    # walk the four sides in ccw order and tag facets by the geometry
-    # segment each side corresponds to
-    corner_ids = {
-        (xmin, ymin): nid(0, 0),
-        (xmax, ymin): nid(n, 0),
-        (xmax, ymax): nid(n, n),
-        (xmin, ymax): nid(0, n),
-    }
-    side_nodes = {
-        (corner_ids[(xmin, ymin)], corner_ids[(xmax, ymin)]): [nid(i, 0) for i in range(n + 1)],
-        (corner_ids[(xmax, ymin)], corner_ids[(xmax, ymax)]): [nid(n, j) for j in range(n + 1)],
-        (corner_ids[(xmax, ymax)], corner_ids[(xmin, ymax)]): [nid(i, n) for i in range(n, -1, -1)],
-        (corner_ids[(xmin, ymax)], corner_ids[(xmin, ymin)]): [nid(0, j) for j in range(n, -1, -1)],
-    }
-    facets, tags = [], []
-    for k in range(4):
-        a = tuple(geometry.vertices[k])
-        b = tuple(geometry.vertices[(k + 1) % 4])
-        key = (corner_ids[a], corner_ids[b])
-        if key not in side_nodes:
-            raise GeometryError("rectangle vertices are not in ccw order")
-        chain = side_nodes[key]
-        for i in range(n):
-            facets.append([chain[i], chain[i + 1]])
-            tags.append(geometry.segment_tags[k])
-    return Mesh(2, nodes, np.array(elements), np.array(facets), np.array(tags))
-
-
-def _fan_mesh(geometry, r):
-    verts = geometry.vertices
-    center = verts.mean(axis=0)
-    node_ids = {}
-    nodes = []
-
-    def nid(p):
-        key = (round(p[0], 12), round(p[1], 12))
-        if key not in node_ids:
-            node_ids[key] = len(nodes)
-            nodes.append([key[0], key[1]])
-        return node_ids[key]
-
-    elements = []
-    facets, tags = [], []
-    n = len(verts)
-    for k in range(n):
-        A, B = verts[k], verts[(k + 1) % n]
-        # lattice over triangle (center, A, B); outer edge A -> B follows
-        # the polygon traversal so facet orientation matches the boundary
-        P = center
-        cr = (A[0] - P[0]) * (B[1] - P[1]) - (A[1] - P[1]) * (B[0] - P[0])
-        if cr <= 0:
-            raise MeshError("polygon is not star-shaped about its vertex centroid")
-        ids = {}
-        for i in range(r + 1):
-            for j in range(r + 1 - i):
-                p = P + (i / r) * (A - P) + (j / r) * (B - P)
-                ids[(i, j)] = nid(p)
-        for i in range(r):
-            for j in range(r - i):
-                elements.append([ids[(i, j)], ids[(i + 1, j)], ids[(i, j + 1)]])
-                if i + j < r - 1:
-                    elements.append([ids[(i + 1, j)], ids[(i + 1, j + 1)], ids[(i, j + 1)]])
-        # outer edge: points with i + j = r, running from A (i=r) to B (j=r)
-        chain = [ids[(r - m, m)] for m in range(r + 1)]
-        for m in range(r):
-            facets.append([chain[m], chain[m + 1]])
-            tags.append(geometry.segment_tags[k])
-    return Mesh(2, np.array(nodes), np.array(elements), np.array(facets), np.array(tags))
+    edges = elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    key = edges.min(axis=1) * len(nodes) + edges.max(axis=1)
+    _, uses, counts = np.unique(key, return_inverse=True, return_counts=True)
+    facets = edges[counts[uses] == 1]
+    # the polygon segment each facet midpoint lies on, and where along it
+    rel = nodes[facets].mean(axis=1)[:, None] - verts
+    along = (rel * sides).sum(axis=2) / (sides * sides).sum(axis=1)
+    off = np.abs(rel[..., 0] * sides[:, 1] - rel[..., 1] * sides[:, 0])
+    segment = np.where((along > 0) & (along < 1), off, np.inf).argmin(axis=1)
+    walk = np.lexsort((along[np.arange(len(facets)), segment], segment))
+    return Mesh(2, nodes, elements, facets[walk], geometry.segment_tags[segment[walk]])
 
 
 # -- material data ---------------------------------------------------------
@@ -422,7 +375,11 @@ class OperatorBundle:
 
 
 def assemble_operators(mesh, params):
-    """Assemble the full operator bundle (exact local quadrature)."""
+    """Assemble the full operator bundle (exact local quadrature).
+
+    Raises ``ValueError`` when an assembled matrix holds a non-finite
+    entry, as coefficients near the float range make them overflow.
+    """
     n = mesh.n_nodes
     ones = np.ones(n)
 
@@ -445,7 +402,11 @@ def assemble_operators(mesh, params):
     Malpha = element_mass(params.alpha_field)
     Mgamma = element_mass(params.gamma_field)
     Ktilde = (Kmat + B0).tocsr()
-    return OperatorBundle(mesh, params, Mmat, Kmat, B0, B1, Malpha, Mgamma, T0, T1, Ktilde)
+    bundle = OperatorBundle(mesh, params, Mmat, Kmat, B0, B1, Malpha, Mgamma, T0, T1, Ktilde)
+    bad = [k for k, A in vars(bundle).items() if sp.issparse(A) and not np.isfinite(A.data).all()]
+    if bad:
+        raise ValueError("assembled matrices %s are not finite" % ", ".join(bad))
+    return bundle
 
 
 # -- harmonic extension (discrete Neumann map) -------------------------------

@@ -321,8 +321,14 @@ def residual_zmul(fields, mesh, b, kappa0, kappa1, times, space_rule=None):
 
 
 def refinement_slope(residuals, factors=None):
-    """Least-squares slope of log(residual) against log(1/h)."""
+    """Least-squares slope of log(residual) against log(1/h).
+
+    Raises ``ValueError`` when a residual is zero, negative or not finite:
+    no rate is defined then.
+    """
     r = np.asarray(residuals, float)
+    if not (np.isfinite(r) & (r > 0)).all():
+        raise ValueError("residuals must be positive and finite to define a rate")
     n = len(r)
     x = np.log(np.asarray(factors, float)) if factors is not None else np.log(2.0) * np.arange(n)
     A = np.column_stack([np.ones(n), x])

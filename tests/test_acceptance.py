@@ -12,6 +12,7 @@ runs under a frozen seed.
 import json
 import math
 import os
+from pathlib import Path
 import time
 
 import numpy as np
@@ -298,8 +299,8 @@ def test_c11_full_runs_are_byte_identical(tmp_path):
     mismatched = [
         name
         for name in names
-        if open(os.path.join(outs[0], name), "rb").read()
-        != open(os.path.join(outs[1], name), "rb").read()
+        if Path(outs[0], name).read_bytes()
+        != Path(outs[1], name).read_bytes()
     ]
     ok = not mismatched and len(names) >= 4
     _line(

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 import mgtstab as M
-from mgtstab.discretization import MaterialParams
+from mgtstab.discretization import MaterialParams, Mesh
 from mgtstab.errors import IllPosedMapError, MeshError
 
 from conftest import interval_config
@@ -56,6 +56,107 @@ def test_fan_mesh_covers_half_disk():
     # inscribed polygon area below pi/2, converging from below
     area = mesh.element_volumes.sum()
     assert 0.95 * np.pi / 2 < area < np.pi / 2
+
+
+def reference_fan(geometry, r):
+    """The loop-and-dictionary fan builder the lattice builder replaced.
+
+    ``round`` acts on ``np.float64`` coordinates here, so it is numpy's
+    rounding (Python-float ``round`` differs in the last bit on a few
+    half-disk nodes).
+    """
+    verts = geometry.vertices
+    P = verts.mean(axis=0)
+    node_ids, nodes = {}, []
+
+    def nid(p):
+        key = (round(p[0], 12), round(p[1], 12))
+        if key not in node_ids:
+            node_ids[key] = len(nodes)
+            nodes.append([key[0], key[1]])
+        return node_ids[key]
+
+    elements, facets, tags = [], [], []
+    n = len(verts)
+    for k in range(n):
+        A, B = verts[k], verts[(k + 1) % n]
+        ids = {}
+        for i in range(r + 1):
+            for j in range(r + 1 - i):
+                ids[(i, j)] = nid(P + (i / r) * (A - P) + (j / r) * (B - P))
+        for i in range(r):
+            for j in range(r - i):
+                elements.append([ids[(i, j)], ids[(i + 1, j)], ids[(i, j + 1)]])
+                if i + j < r - 1:
+                    elements.append([ids[(i + 1, j)], ids[(i + 1, j + 1)], ids[(i, j + 1)]])
+        chain = [ids[(r - m, m)] for m in range(r + 1)]
+        for m in range(r):
+            facets.append([chain[m], chain[m + 1]])
+            tags.append(geometry.segment_tags[k])
+    return Mesh(2, np.array(nodes), np.array(elements), np.array(facets), np.array(tags))
+
+
+def reference_grid(geometry, n):
+    """Tensor grid of a rectangle, cells cut along their sw-ne diagonal."""
+    (x0, y0), (x1, y1) = geometry.vertices.min(axis=0), geometry.vertices.max(axis=0)
+    X, Y = np.meshgrid(np.linspace(x0, x1, n + 1), np.linspace(y0, y1, n + 1))
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    elements = []
+    for j in range(n):
+        for i in range(n):
+            sw, se, ne, nw = j * (n + 1) + i + np.array([0, 1, n + 2, n + 1])
+            elements += [[sw, se, ne], [sw, ne, nw]]
+    # boundary ring counterclockwise from the corner at vertex 0
+    ring = np.concatenate(
+        [np.arange(n), n + (n + 1) * np.arange(n), (n + 1) ** 2 - 1 - np.arange(n),
+         (n + 1) * (n - np.arange(n))]
+    )
+    ring = np.roll(ring, -np.flatnonzero((nodes[ring] == geometry.vertices[0]).all(axis=1))[0])
+    facets = np.column_stack([ring, np.roll(ring, -1)])
+    tags = np.repeat(geometry.segment_tags, n)
+    return Mesh(2, nodes, np.array(elements), facets, tags)
+
+
+@pytest.mark.parametrize(
+    "name, r",
+    [("half-disk", r) for r in (2, 3, 8, 24)] + [("transducer", r) for r in (2, 3, 8)],
+)
+def test_lattice_fan_is_bitwise_the_reference_fan(name, r):
+    geo = M.named_geometry(name)
+    mesh, ref = M.build_mesh(geo, r), reference_fan(geo, r)
+    for attr in ("nodes", "elements", "facets", "facet_tags"):
+        got, want = getattr(mesh, attr), getattr(ref, attr)
+        assert got.dtype == want.dtype and got.shape == want.shape, attr
+        assert got.tobytes() == want.tobytes(), attr
+
+
+@pytest.mark.parametrize("r", [2, 3, 8])
+def test_lattice_square_is_the_tensor_grid(r):
+    geo = M.named_geometry("unit-square")
+    mesh, ref = M.build_mesh(geo, r), reference_grid(geo, r)
+    # the same node set, renumbered: match every node to its nearest grid node
+    dist = np.linalg.norm(mesh.nodes[:, None] - ref.nodes[None], axis=2)
+    match = dist.argmin(axis=1)
+    assert dist.min(axis=1).max() <= 5e-13
+    assert np.array_equal(np.sort(match), np.arange(ref.n_nodes))
+
+    def triangles(elements):
+        # each ccw triangle rotated to start at its smallest grid node
+        start = elements.argmin(axis=1)[:, None]
+        return {tuple(row) for row in np.take_along_axis(elements, (start + np.arange(3)) % 3, axis=1)}
+
+    assert len(mesh.elements) == len(ref.elements)
+    assert triangles(match[mesh.elements]) == triangles(ref.elements)
+    np.testing.assert_allclose(mesh.nodes[mesh.facets], ref.nodes[ref.facets], rtol=0, atol=5e-13)
+    np.testing.assert_array_equal(mesh.facet_tags, ref.facet_tags)
+
+
+def test_mesh_rejects_polygon_not_star_shaped_about_its_centroid():
+    # a U whose vertex centroid (1.5, 1.5) lies in the notch, outside it
+    verts = [(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)]
+    geo = M.Geometry.polygon(verts, [M.GAMMA0] + [M.GAMMA1] * 7, (1.5, 0.0))
+    with pytest.raises(MeshError, match="not star-shaped"):
+        M.build_mesh(geo, 2)
 
 
 def test_mesh_rejects_bad_resolution():

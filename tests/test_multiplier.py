@@ -161,6 +161,12 @@ def test_refinement_slope_recovers_exact_order():
     assert M.refinement_slope(res3, factors=[1, 3, 9]) == pytest.approx(3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-3, np.inf, np.nan])
+def test_refinement_slope_rejects_undefined_rates(bad):
+    with pytest.raises(ValueError):
+        M.refinement_slope([1e-2, bad, 1e-4])
+
+
 def test_reconstruction_diagnostic_structure():
     scen = M.Scenario(interval_config(mesh={"resolution": 32}, initial={"kind": "robin-mode"}))
     traj = M.simulate(

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -141,7 +142,7 @@ def test_write_json_is_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "one.json"), str(tmp_path / "two.json")
     write_json(p1, payload)
     write_json(p2, {"a": {"x": None, "y": True}, "b": [1.0, 2.0]})
-    b1, b2 = open(p1, "rb").read(), open(p2, "rb").read()
+    b1, b2 = Path(p1).read_bytes(), Path(p2).read_bytes()
     assert b1 == b2
     assert b1.endswith(b"\n")
     assert json.loads(b1) == payload
@@ -165,7 +166,7 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     )
     write_csv(path, ["a", "b", "c", "d"], rows)
     expected = "a,b,c,d\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
-    assert open(path, "rb").read() == expected.encode()
+    assert Path(path).read_bytes() == expected.encode()
 
 
 def test_trajectory_csv_columns(tmp_path):
@@ -177,7 +178,7 @@ def test_trajectory_csv_columns(tmp_path):
     from mgtstab.reporting import write_trajectory_csv
 
     write_trajectory_csv(traj, path)
-    header = open(path).readline().strip().split(",")
+    header = Path(path).read_text().splitlines()[0].split(",")
     assert tuple(header) == traj.CSV_COLUMNS
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (len(traj.times), len(header))
@@ -192,7 +193,7 @@ def test_cli_simulate_writes_artifacts(tmp_path):
     out = str(tmp_path / "out")
     code = cli.main(["simulate", "--config", cfg_path, "--out", out])
     assert code == cli.EXIT_OK
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = json.loads(Path(out, "summary.json").read_text())
     assert summary["subcommand"] == "simulate"
     assert summary["classification"] == "stable"
     assert summary["energy"]["identity_residual"] <= 1e-4
@@ -204,7 +205,7 @@ def test_cli_spectrum(tmp_path):
     cfg_path = write_config(tmp_path, tiny_config())
     out = str(tmp_path / "out")
     assert cli.main(["spectrum", "--config", cfg_path, "--out", out]) == cli.EXIT_OK
-    rep = json.load(open(os.path.join(out, "spectrum.json")))
+    rep = json.loads(Path(out, "spectrum.json").read_text())
     assert rep["spectrum"]["abscissa"] < 0
     assert rep["spectrum"]["stable"] is True
     # eigenvalues serialize as [re, im] pairs
@@ -215,7 +216,7 @@ def test_cli_certify_geometry(tmp_path):
     cfg_path = write_config(tmp_path, tiny_config())
     out = str(tmp_path / "out")
     assert cli.main(["certify-geometry", "--config", cfg_path, "--out", out]) == cli.EXIT_OK
-    cert = json.load(open(os.path.join(out, "certification.json")))["certification"]
+    cert = json.loads(Path(out, "certification.json").read_text())["certification"]
     assert cert["certified"] is True
     assert cert["c0"] > 0
     assert cert["max_normal_trace_on_gamma0"] <= 1e-10
@@ -226,7 +227,7 @@ def test_cli_multiplier_check(tmp_path):
     cfg_path = write_config(tmp_path, cfg)
     out = str(tmp_path / "out")
     assert cli.main(["multiplier-check", "--config", cfg_path, "--out", out]) == cli.EXIT_OK
-    rep = json.load(open(os.path.join(out, "multiplier.json")))["multiplier"]
+    rep = json.loads(Path(out, "multiplier.json").read_text())["multiplier"]
     assert set(rep["slopes"]) == {"hgradz", "zdivh", "zmul"}
     for slope in rep["slopes"].values():
         assert slope >= 1.8
@@ -240,7 +241,7 @@ def test_cli_config_error_exit_and_artifact(tmp_path):
     out = str(tmp_path / "out")
     code = cli.main(["simulate", "--config", cfg_path, "--out", out])
     assert code == cli.EXIT_CONFIG
-    err = json.load(open(os.path.join(out, "error.json")))
+    err = json.loads(Path(out, "error.json").read_text())
     assert err["exit_code"] == cli.EXIT_CONFIG
     assert err["error"] == "ConfigError"
 
@@ -252,9 +253,9 @@ def test_cli_geometry_error_exit(tmp_path):
     out = str(tmp_path / "out")
     code = cli.main(["certify-geometry", "--config", cfg_path, "--out", out])
     assert code == cli.EXIT_GEOMETRY
-    err = json.load(open(os.path.join(out, "error.json")))
+    err = json.loads(Path(out, "error.json").read_text())
     assert err["exit_code"] == cli.EXIT_GEOMETRY
-    cert = json.load(open(os.path.join(out, "certification.json")))["certification"]
+    cert = json.loads(Path(out, "certification.json").read_text())["certification"]
     assert cert["certified"] is False
 
 
@@ -270,7 +271,7 @@ def test_cli_numerical_error_exit(tmp_path):
     out = str(tmp_path / "out")
     code = cli.main(["spectrum", "--config", cfg_path, "--out", out])
     assert code == cli.EXIT_NUMERICAL
-    err = json.load(open(os.path.join(out, "error.json")))
+    err = json.loads(Path(out, "error.json").read_text())
     assert err["exit_code"] == cli.EXIT_NUMERICAL
 
 
@@ -280,7 +281,7 @@ def test_cli_full_partial_spectrum_is_not_applicable(tmp_path):
     cfg_path = write_config(tmp_path, tiny_config(spectrum={"dense_cap": 1, "n_partial": 6}))
     out = str(tmp_path / "out")
     assert cli.main(["full", "--config", cfg_path, "--out", out]) == cli.EXIT_OK
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = json.loads(Path(out, "summary.json").read_text())
     assert summary["spectral"]["partial"] is True
     assert summary["abscissa_vs_decay"]["applicable"] is False
     assert summary["abscissa_vs_decay"]["ratio"] is None
@@ -322,6 +323,7 @@ def test_cli_full_solves_the_spectrum_once(monkeypatch):
             cli.EXIT_CONFIG,
         ),
         ({"initial": {"kind": "gaussian-bump", "center": 0.5, "width": 1e-300}}, cli.EXIT_CONFIG),
+        ({"params": {"alpha": 1e308}}, cli.EXIT_CONFIG),
     ],
     ids=[
         "zero-initial",
@@ -333,6 +335,7 @@ def test_cli_full_solves_the_spectrum_once(monkeypatch):
         "b-over-tau-overflows",
         "center-length-below-dimension",
         "non-finite-initial-data",
+        "alpha-mass-overflows",
     ],
 )
 def test_cli_degenerate_configs_exit_cleanly(tmp_path, subcommand, over, expected):
@@ -342,13 +345,31 @@ def test_cli_degenerate_configs_exit_cleanly(tmp_path, subcommand, over, expecte
     out = str(tmp_path / "out")
     assert cli.main([subcommand, "--config", cfg_path, "--out", out]) == expected
     if expected == cli.EXIT_CONFIG:
-        err = json.load(open(os.path.join(out, "error.json")))
+        err = json.loads(Path(out, "error.json").read_text())
         assert err["error"] == "ConfigError"
     else:
-        fit = json.load(open(os.path.join(out, "summary.json")))["decay_fit"]
+        fit = json.loads(Path(out, "summary.json").read_text())["decay_fit"]
         assert fit == {
             "omega": None, "M": None, "fit_residual": None, "n_points": None, "applicable": False
         }
+
+
+def test_cli_full_reports_undefined_multiplier_slope_as_null(tmp_path):
+    # with b = 1e300 the zdivh residuals sit at roundoff and one is exactly
+    # zero, so that identity has no rate; the other two keep theirs
+    cfg = {
+        "preset": "interval-1d-damped",
+        "mesh": {"resolution": 16},
+        "time": {"T": 0.5, "dt": 0.01},
+        "params": {"b": 1e300},
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    out = str(tmp_path / "out")
+    assert cli.main(["full", "--config", cfg_path, "--out", out]) == cli.EXIT_OK
+    slopes = json.loads(Path(out, "summary.json").read_text())["multiplier"]["slopes"]
+    assert slopes["zdivh"] is None
+    assert slopes["hgradz"] >= 1.9
+    assert slopes["zmul"] >= 1.9
 
 
 def test_cli_energy_overflow_is_a_numerical_error(tmp_path):
@@ -361,7 +382,7 @@ def test_cli_energy_overflow_is_a_numerical_error(tmp_path):
         cfg_path = write_config(tmp_path, cfg)
         out = str(tmp_path / ("out%d" % stride))
         assert cli.main(["simulate", "--config", cfg_path, "--out", out]) == cli.EXIT_NUMERICAL
-        err = json.load(open(os.path.join(out, "error.json")))
+        err = json.loads(Path(out, "error.json").read_text())
         assert err["error"] == "NumericalError"
         assert err["message"] == "non-finite energy at t=" + t_bad
         assert err["exit_code"] == cli.EXIT_NUMERICAL
@@ -386,8 +407,8 @@ def test_cli_repeat_runs_are_byte_identical(tmp_path):
     for out in (out1, out2):
         assert cli.main(["simulate", "--config", cfg_path, "--out", out, "--seed", "5"]) == 0
     for name in ("summary.json", "trajectory.csv"):
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
+        b1 = Path(out1, name).read_bytes()
+        b2 = Path(out2, name).read_bytes()
         assert b1 == b2, name
 
 
