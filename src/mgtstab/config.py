@@ -12,13 +12,20 @@ import hashlib
 import json
 
 import jsonschema
+import numpy as np
 
 from . import presets
 from .discretization import MaterialParams, assemble_operators, build_mesh
+from .dynamics import m_transform
+from .energy import energy_E0, energy_E1
 from .errors import ConfigError
 from .geometry import Geometry
 
 SCHEMA_VERSION = 1
+
+# Largest step count ``round(T / dt)`` a run may take (the presets use at
+# most 2e4); ``simulate`` keeps its recording schedule per step.
+MAX_STEPS = 10**7
 
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
@@ -159,6 +166,9 @@ def load_config(obj):
             raise ConfigError("configuration is missing the %r section" % section)
     if merged["time"]["T"] < merged["time"]["dt"]:
         raise ConfigError("time.T must be at least time.dt (one step)")
+    # round(T / dt) > MAX_STEPS, also when T / dt overflows to inf
+    if merged["time"]["T"] / merged["time"]["dt"] > MAX_STEPS + 0.5:
+        raise ConfigError("time.T / time.dt exceeds the budget of %d steps" % MAX_STEPS)
     return merged
 
 
@@ -221,9 +231,18 @@ class Scenario:
 
     @property
     def initial(self):
+        """The u-form initial state; data whose energy E0 or E1 is not
+        finite are a :class:`ConfigError`."""
         if self._initial is None:
             spec = self.config.get("initial", {"kind": "zero"})
-            self._initial = presets.initial_state(spec, self.mesh, self.params)
+            state = presets.initial_state(spec, self.mesh, self.params)
+            with np.errstate(over="ignore", invalid="ignore"):
+                E0 = energy_E0(state, self.bundle, self.params)
+                zstate = m_transform(state, self.params)
+                E1 = energy_E1(zstate, self.bundle, self.params, allow_indefinite=True)
+            if not np.isfinite(E0 + E1):
+                raise ConfigError("the energy of the initial data is not finite")
+            self._initial = state
         return self._initial
 
     @property

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .dynamics import _CHUNK_ELEMENTS
 from .errors import CertificationError
 from .geometry import VectorFieldH
 
@@ -25,10 +26,13 @@ from .geometry import VectorFieldH
 class ManufacturedField:
     """Closed-form space-time fields for identity checks.
 
-    All callables are vectorized: time-dependent ones take ``(t, x)``
-    with ``x`` of shape ``(n, dim)`` and return ``(n,)`` (gradients
-    ``(n, dim)``); ``gamma`` takes ``x`` only.  The forcing consistent
-    with the z-equation is ``f = z_tt - b lap_z + gamma u_tt``.
+    All callables are vectorized and broadcast over a leading time axis:
+    time-dependent ones take ``(t, x)`` with ``t`` of shape ``(nt, 1)``
+    (or a scalar) and ``x`` of shape ``(nq, dim)``, and return values of
+    shape ``(nt, nq)`` and gradients of shape ``(nt, nq, dim)``; a field
+    that does not depend on time may return ``(nq,)`` (``(nq, dim)``).
+    ``gamma`` takes ``x`` only.  The forcing consistent with the
+    z-equation is ``f = z_tt - b lap_z + gamma u_tt``.
     """
 
     z: callable
@@ -52,7 +56,7 @@ def trig_1d():
         z=lambda t, x: np.cos(pi * x[:, 0]) * np.sin(t),
         zt=lambda t, x: np.cos(pi * x[:, 0]) * np.cos(t),
         ztt=lambda t, x: -np.cos(pi * x[:, 0]) * np.sin(t),
-        grad_z=lambda t, x: (-pi * np.sin(pi * x[:, 0]) * np.sin(t))[:, None],
+        grad_z=lambda t, x: (-pi * np.sin(pi * x[:, 0]) * np.sin(t))[..., None],
         lap_z=lambda t, x: -(pi**2) * np.cos(pi * x[:, 0]) * np.sin(t),
         gamma=lambda x: 0.3 + 0.1 * x[:, 0],
         utt=lambda t, x: (1.0 + x[:, 0]) * np.sin(2.0 * t),
@@ -65,11 +69,12 @@ def trig_2d():
     pi = np.pi
 
     def gz(t, x):
-        return np.column_stack(
+        return np.stack(
             [
                 -pi * np.sin(pi * x[:, 0]) * np.cos(pi * x[:, 1]) * np.sin(t),
                 -pi * np.cos(pi * x[:, 0]) * np.sin(pi * x[:, 1]) * np.sin(t),
-            ]
+            ],
+            axis=-1,
         )
 
     return ManufacturedField(
@@ -107,7 +112,7 @@ def bc_satisfying_1d(omega=1.3, kappa0=1.0, kappa1=1.0):
         z=lambda t, x: X(x[:, 0]) * np.exp(s * t),
         zt=lambda t, x: s * X(x[:, 0]) * np.exp(s * t),
         ztt=lambda t, x: s**2 * X(x[:, 0]) * np.exp(s * t),
-        grad_z=lambda t, x: (Xp(x[:, 0]) * np.exp(s * t))[:, None],
+        grad_z=lambda t, x: (Xp(x[:, 0]) * np.exp(s * t))[..., None],
         lap_z=lambda t, x: -(omega**2) * X(x[:, 0]) * np.exp(s * t),
         gamma=lambda x: 0.2 * (1.0 + x[:, 0]),
         utt=lambda t, x: (1.0 - x[:, 0] ** 2) * np.exp(s * t),
@@ -128,7 +133,7 @@ def static_poly_1d(b=1.0, kappa0=2.0):
         z=lambda t, x: -x[:, 0] ** 2 + 2 * x[:, 0] + 1.0,
         zt=zero,
         ztt=zero,
-        grad_z=lambda t, x: (2.0 - 2.0 * x[:, 0])[:, None],
+        grad_z=lambda t, x: (2.0 - 2.0 * x[:, 0])[..., None],
         lap_z=lambda t, x: np.full(len(x), -2.0),
         gamma=lambda x: np.full(len(x), 0.5),
         utt=lambda t, x: x[:, 0] + 0.5,
@@ -143,14 +148,19 @@ def static_poly_1d(b=1.0, kappa0=2.0):
 def _kernel(x, w, times):
     """The space-time quadrature kernel on one flat point set ``(x, w)``.
 
-    For a closure ``g(t, x) -> (n,)``, ``integral(g)`` is the
-    trapezoid-in-time integral over ``times`` of the series
-    ``S(t) = sum_q w_q g(t, x_q)`` and ``jump(g)`` is its end-time
-    difference ``S(times[-1]) - S(times[0])``.
+    For a closure ``g(t, x) -> (nt, nq)`` (see :class:`ManufacturedField`),
+    ``integral(g)`` is the trapezoid-in-time integral over ``times`` of
+    the series ``S(t) = sum_q w_q g(t, x_q)`` and ``jump(g)`` is its
+    end-time difference ``S(times[-1]) - S(times[0])``.  ``g`` is called
+    once per chunk of at most ``_CHUNK_ELEMENTS // nq`` times (at least
+    one), given as a column; a static ``g`` is summed once per chunk.
     """
+    rows = max(1, _CHUNK_ELEMENTS // len(w))
 
     def series(g, at):
-        return np.array([np.sum(g(t, x) * w) for t in at])
+        chunks = np.split(at[:, None], range(rows, len(at), rows))
+        sums = [np.broadcast_to(np.sum(g(t, x) * w, axis=-1), len(t)) for t in chunks]
+        return np.concatenate(sums)
 
     def integral(g):
         return np.trapezoid(series(g, times), times)
@@ -230,21 +240,23 @@ def residual_hgradz(fields, h, mesh, b, times, space_rule=None, allow_uncertifie
     bdy, _ = _kernel(xb, wb, times)
     gamma0, _ = _kernel(xb[:n0], wb[:n0], times)
 
-    hgz = lambda t, x: np.sum(hv * fields.grad_z(t, x), axis=1)
-    grad2 = lambda t, x: np.sum(fields.grad_z(t, x) ** 2, axis=1)
+    hgz = lambda t, x: np.sum(hv * fields.grad_z(t, x), axis=-1)
+    grad2 = lambda t, x: np.sum(fields.grad_z(t, x) ** 2, axis=-1)
 
     terms = {}
     terms["time_boundary"] = vol_jump(lambda t, x: fields.zt(t, x) * hgz(t, x))
     terms["vol_div_zt2"] = 0.5 * vol(lambda t, x: div * fields.zt(t, x) ** 2)
     terms["bdy_hnu_zt2"] = -0.5 * bdy(lambda t, x: hnu * fields.zt(t, x) ** 2)
     terms["vol_jacobian"] = (b / 2.0) * vol(
-        lambda t, x: np.einsum("ni,nik,nk->n", fields.grad_z(t, x), Jsym2, fields.grad_z(t, x))
+        lambda t, x: np.einsum(
+            "...ni,nik,...nk->...n", fields.grad_z(t, x), Jsym2, fields.grad_z(t, x)
+        )
     )
     terms["vol_div_grad2"] = -(b / 2.0) * vol(lambda t, x: div * grad2(t, x))
     terms["bdy_hnu_grad2"] = (b / 2.0) * bdy(lambda t, x: hnu * grad2(t, x))
     terms["bdy_dnu"] = -b * bdy(
-        lambda t, x: np.sum(fields.grad_z(t, x) * nu, axis=1)
-        * np.sum(hb * fields.grad_z(t, x), axis=1)
+        lambda t, x: np.sum(fields.grad_z(t, x) * nu, axis=-1)
+        * np.sum(hb * fields.grad_z(t, x), axis=-1)
     )
     terms["vol_gamma"] = vol(lambda t, x: gam * fields.utt(t, x) * hgz(t, x))
     terms["vol_f"] = -vol(lambda t, x: fields.f(t, x, b) * hgz(t, x))
@@ -274,13 +286,13 @@ def residual_zdivh(fields, h, mesh, b, times, space_rule=None, allow_uncertified
     terms["time_boundary"] = 0.5 * vol_jump(lambda t, x: fields.zt(t, x) * fields.z(t, x) * div)
     terms["vol_zt2"] = -0.5 * vol(lambda t, x: fields.zt(t, x) ** 2 * div)
     terms["vol_grad2"] = (b / 2.0) * vol(
-        lambda t, x: np.sum(fields.grad_z(t, x) ** 2, axis=1) * div
+        lambda t, x: np.sum(fields.grad_z(t, x) ** 2, axis=-1) * div
     )
     terms["vol_graddiv"] = (b / 2.0) * vol(
-        lambda t, x: fields.z(t, x) * np.sum(fields.grad_z(t, x) * gdiv, axis=1)
+        lambda t, x: fields.z(t, x) * np.sum(fields.grad_z(t, x) * gdiv, axis=-1)
     )
     terms["bdy_dnu"] = -(b / 2.0) * bdy(
-        lambda t, x: np.sum(fields.grad_z(t, x) * nu, axis=1) * fields.z(t, x) * div_b
+        lambda t, x: np.sum(fields.grad_z(t, x) * nu, axis=-1) * fields.z(t, x) * div_b
     )
     terms["vol_gamma"] = 0.5 * vol(lambda t, x: gam * fields.utt(t, x) * fields.z(t, x) * div)
     terms["vol_f"] = -0.5 * vol(lambda t, x: fields.f(t, x, b) * fields.z(t, x) * div)
@@ -312,7 +324,7 @@ def residual_zmul(fields, mesh, b, kappa0, kappa1, times, space_rule=None):
     terms = {}
     terms["time_boundary"] = vol_jump(lambda t, x: fields.zt(t, x) * fields.z(t, x))
     terms["vol_zt2"] = -vol(lambda t, x: fields.zt(t, x) ** 2)
-    terms["vol_grad2"] = b * vol(lambda t, x: np.sum(fields.grad_z(t, x) ** 2, axis=1))
+    terms["vol_grad2"] = b * vol(lambda t, x: np.sum(fields.grad_z(t, x) ** 2, axis=-1))
     terms["gamma0_robin"] = b * robin(lambda t, x: k0 * fields.z(t, x) ** 2)
     terms["gamma1_feedback"] = (b / 2.0) * feedback(lambda t, x: k1 * fields.z(t, x) ** 2)
     terms["vol_gamma"] = vol(lambda t, x: gam * fields.utt(t, x) * fields.z(t, x))

@@ -7,10 +7,14 @@ annihilation term uses the certified tangential trace and has to vanish
 identically, not just converge.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import mgtstab as M
+from mgtstab import multiplier
+from mgtstab.dynamics import _CHUNK_ELEMENTS
 from mgtstab.errors import CertificationError
 from mgtstab.geometry import RadialField, VectorFieldH
 
@@ -106,6 +110,135 @@ def test_identities_second_order_2d():
         res_z.append(out_z["residual"])
     assert M.refinement_slope(res_h) >= 1.8, res_h
     assert M.refinement_slope(res_z) >= 1.8, res_z
+
+
+# ------------------------------------------------- the space-time kernel
+
+
+def per_sample_kernel(x, w, times):
+    """Reference kernel: one closure call per time sample."""
+
+    def series(g, at):
+        return np.array([np.sum(g(t, x) * w) for t in at])
+
+    def integral(g):
+        return np.trapezoid(series(g, times), times)
+
+    def jump(g):
+        end, start = series(g, times[[-1, 0]])
+        return end - start
+
+    return integral, jump
+
+
+def element_points(dim):
+    """A small 1D or 2D geometry, its mesh and the element point set."""
+    if dim == 1:
+        geo, mesh = interval_mesh(64)
+    else:
+        geo = M.named_geometry("half-disk")
+        mesh = M.build_mesh(geo, 4)
+    return geo, mesh, multiplier._element_points(mesh, None)
+
+
+def multi_chunk_times(nq):
+    """Times spanning more than three kernel chunks on ``nq`` points."""
+    return np.linspace(0.0, 2.0, 3 * max(1, _CHUNK_ELEMENTS // nq) + 5)
+
+
+FAMILIES = {
+    "trig-1d": (M.trig_1d, (1, 2)),
+    "trig-2d": (M.trig_2d, (2,)),
+    "bc-1d": (M.bc_satisfying_1d, (1, 2)),
+    "static-poly-1d": (M.static_poly_1d, (1, 2)),
+}
+
+
+@pytest.mark.parametrize(
+    "family, dim",
+    [(name, dim) for name, (_, dims) in FAMILIES.items() for dim in dims],
+)
+def test_time_vectorized_kernel_equals_the_per_sample_kernel(family, dim):
+    # every row sum is the same pairwise sum as the per-sample one, so the
+    # chunked kernel is bitwise equal to it, across chunk boundaries too
+    fld = FAMILIES[family][0]()
+    b = 1.3
+    integrands = {
+        "z": fld.z,
+        "zt": fld.zt,
+        "ztt": fld.ztt,
+        "lap_z": fld.lap_z,
+        "utt": fld.utt,
+        "grad2": lambda t, x: np.sum(fld.grad_z(t, x) ** 2, axis=-1),
+        "f_z": lambda t, x: fld.f(t, x, b) * fld.z(t, x),
+    }
+    _, _, (x, w) = element_points(dim)
+    times = multi_chunk_times(len(w))
+    new, new_jump = multiplier._kernel(x, w, times)
+    ref, ref_jump = per_sample_kernel(x, w, times)
+    for name, g in integrands.items():
+        assert new(g) == ref(g), name
+        assert new_jump(g) == ref_jump(g), name
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_residuals_equal_the_per_sample_kernel(monkeypatch, dim):
+    # the full identities, einsum Jacobian term and certified gamma0
+    # trace included, over times spanning several volume chunks
+    geo, mesh, (_, w) = element_points(dim)
+    h = M.build_vector_field_h(geo, mesh, 0.3)
+    times = multi_chunk_times(len(w))
+    fld = M.trig_1d() if dim == 1 else M.trig_2d()
+    bcf = M.bc_satisfying_1d()
+
+    def run():
+        out = [
+            M.residual_hgradz(fld, h, mesh, 1.0, times),
+            M.residual_zdivh(fld, h, mesh, 1.0, times),
+        ]
+        if dim == 1:
+            out.append(M.residual_zmul(bcf, mesh, 1.0, 1.0, 1.0, times))
+        return out
+
+    new = run()
+    monkeypatch.setattr(multiplier, "_kernel", per_sample_kernel)
+    assert new == run()
+
+
+def recording(fld, rows):
+    """``fld`` with every time-dependent closure logging its time rows
+    and point count."""
+
+    def wrap(g):
+        def rec(t, x):
+            rows.append((np.shape(t)[0], len(x)))
+            return g(t, x)
+
+        return rec
+
+    names = ("z", "zt", "ztt", "grad_z", "lap_z", "utt")
+    return dataclasses.replace(fld, **{k: wrap(getattr(fld, k)) for k in names})
+
+
+def test_kernel_calls_stay_within_the_chunk_budget():
+    # half-disk-2d's third multiplier level (resolution 8 * 2**2) has
+    # 52 224 volume points, so the budget allows one time row per call
+    geo = M.named_geometry("half-disk")
+    mesh = M.build_mesh(geo, 32)
+    h = M.build_vector_field_h(geo, mesh, 0.3)
+    rows = []
+    fld = recording(M.trig_2d(), rows)
+    times = np.linspace(0.0, 2.0, 4)
+    M.residual_hgradz(fld, h, mesh, 1.0, times)
+    M.residual_zdivh(fld, h, mesh, 1.0, times)
+    # and a 1D level whose volume times span several chunks
+    _, mesh1 = interval_mesh(512)
+    fld1 = recording(M.bc_satisfying_1d(), rows)
+    M.residual_zmul(fld1, mesh1, 1.0, 1.0, 1.0, np.linspace(0.0, 2.0, 321))
+    assert max(nq for _, nq in rows) > _CHUNK_ELEMENTS // 2
+    assert any(nt > 1 for nt, _ in rows)
+    for nt, nq in rows:
+        assert nt <= max(1, _CHUNK_ELEMENTS // nq), (nt, nq)
 
 
 # ----------------------------------------------------------- gatekeeping

@@ -10,7 +10,7 @@ import pytest
 
 import mgtstab as M
 from mgtstab import cli, spectral
-from mgtstab.config import SCHEMA, canonical_json
+from mgtstab.config import MAX_STEPS, SCHEMA, canonical_json
 from mgtstab.reporting import sanitize, write_csv, write_json
 
 from conftest import interval_config
@@ -324,6 +324,7 @@ def test_cli_full_solves_the_spectrum_once(monkeypatch):
         ),
         ({"initial": {"kind": "gaussian-bump", "center": 0.5, "width": 1e-300}}, cli.EXIT_CONFIG),
         ({"params": {"alpha": 1e308}}, cli.EXIT_CONFIG),
+        ({"params": {"c": 1e150}}, cli.EXIT_CONFIG),
     ],
     ids=[
         "zero-initial",
@@ -336,6 +337,7 @@ def test_cli_full_solves_the_spectrum_once(monkeypatch):
         "center-length-below-dimension",
         "non-finite-initial-data",
         "alpha-mass-overflows",
+        "initial-energy-overflows",
     ],
 )
 def test_cli_degenerate_configs_exit_cleanly(tmp_path, subcommand, over, expected):
@@ -352,6 +354,16 @@ def test_cli_degenerate_configs_exit_cleanly(tmp_path, subcommand, over, expecte
         assert fit == {
             "omega": None, "M": None, "fit_residual": None, "n_points": None, "applicable": False
         }
+
+
+def test_load_config_bounds_the_step_count():
+    # checked on the config alone: such runs are never started
+    for T, dt in ((1e9, 1e-3), (1e300, 1e-300)):
+        with pytest.raises(M.ConfigError, match="budget of %d steps" % MAX_STEPS):
+            M.load_config({"preset": "interval-1d-damped", "time": {"T": T, "dt": dt}})
+    time = {"T": MAX_STEPS * 1e-3, "dt": 1e-3}
+    cfg = M.load_config({"preset": "interval-1d-damped", "time": time})
+    assert round(cfg["time"]["T"] / cfg["time"]["dt"]) == MAX_STEPS
 
 
 def test_cli_full_reports_undefined_multiplier_slope_as_null(tmp_path):
