@@ -146,6 +146,15 @@ def _merge(base, override):
     return out
 
 
+def _non_finite(obj, path):
+    """Paths to the non-finite numbers (NaN, +-inf) in a JSON-like value."""
+    if isinstance(obj, dict):
+        return [p for key, val in obj.items() for p in _non_finite(val, path + [str(key)])]
+    if isinstance(obj, list):
+        return [p for i, val in enumerate(obj) for p in _non_finite(val, path + [str(i)])]
+    return [path] if isinstance(obj, float) and not np.isfinite(obj) else []
+
+
 def load_config(obj):
     """Resolve presets and validate; returns the effective config dict."""
     if not isinstance(obj, dict):
@@ -161,6 +170,10 @@ def load_config(obj):
     if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError("invalid configuration at %s: %s" % (path, exc.message))
+    # json.load accepts NaN and Infinity, and the schema's "number" lets them through
+    bad = _non_finite(merged, [])
+    if bad:
+        raise ConfigError("invalid configuration at %s: not a finite number" % "/".join(bad[0]))
     for section in ("geometry", "mesh", "params", "time"):
         if section not in merged:
             raise ConfigError("configuration is missing the %r section" % section)

@@ -176,17 +176,15 @@ def build_mesh(geometry, resolution):
     resolution = int(resolution)
     if resolution < 2:
         raise MeshError("resolution must be at least 2")
+    verts, ahead, normals = geometry.segments()
     if geometry.dimension == 1:
         xl, xr = geometry.vertices
         nodes = np.linspace(xl, xr, resolution + 1)[:, None]
         elements = np.column_stack([np.arange(resolution), np.arange(1, resolution + 1)])
         facets = np.array([[0], [resolution]])
         tags = geometry.segment_tags.copy()
-        normals = np.array([[-1.0], [1.0]])
         return Mesh(1, nodes, elements, facets, tags, facet_normals=normals)
 
-    verts = geometry.vertices
-    ahead = np.roll(verts, -1, axis=0)
     sides = ahead - verts
     if len(verts) == 4 and (np.abs(sides).min(axis=1) < 1e-14).all():
         (x0, y0), (x1, y1) = verts.min(axis=0), verts.max(axis=0)

@@ -9,6 +9,12 @@ chain), and constructs a bent radial vector field ``h``: equal to
 ``x - x0`` away from gamma0 and corrected inside a collar so that its
 trace on gamma0 is tangential while the symmetric part of its Jacobian
 stays uniformly positive definite.
+
+Every consumer reads one boundary-segment table, ``Geometry.segments()``
+(start points, end points and outward normals of all segments; a 1D
+endpoint is a zero-length segment).  The field is ``x - x0`` for empty
+gamma0, one :class:`FlatCollarField` for a 1D endpoint or a flat 2D
+chain, and a curved collar field otherwise.
 """
 
 from dataclasses import dataclass, field
@@ -32,22 +38,6 @@ def _as_tag(value):
     if value in (GAMMA0, GAMMA1):
         return int(value)
     raise GeometryError("unknown boundary tag %r" % (value,))
-
-
-def _segments_properly_intersect(p1, p2, q1, q2):
-    # Standard orientation test; touching at shared endpoints is handled
-    # by the caller (adjacent segments are skipped).
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if abs(v) < 1e-14:
-            return 0
-        return 1 if v > 0 else -1
-
-    o1 = orient(p1, p2, q1)
-    o2 = orient(p1, p2, q2)
-    o3 = orient(q1, q2, p1)
-    o4 = orient(q1, q2, p2)
-    return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
 
 
 @dataclass
@@ -137,14 +127,19 @@ class Geometry:
     # -- basic queries -----------------------------------------------------
 
     def _check_simple(self):
-        n = len(self.vertices)
-        segs = [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j == i or (j - i) % n in (1, n - 1):
-                    continue
-                if _segments_properly_intersect(*segs[i], *segs[j]):
-                    raise GeometryError("polygon is self-intersecting")
+        a, b, _ = self.segments()
+
+        def orient(p, q, r):  # sign of the turn p -> q -> r, 0 within 1e-14
+            u, w = q - p, r - p
+            v = u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+            return np.where(np.abs(v) < 1e-14, 0, np.sign(v))
+
+        # every pair (i, j) of segments; a segment shares endpoints with
+        # itself and its neighbours, where the orientation is exactly 0
+        p1, p2, q1, q2 = a[:, None], b[:, None], a[None], b[None]
+        o = [orient(p1, p2, q1), orient(p1, p2, q2), orient(q1, q2, p1), orient(q1, q2, p2)]
+        if np.any((o[0] != o[1]) & (o[2] != o[3]) & np.all(o, axis=0)):
+            raise GeometryError("polygon is self-intersecting")
 
     def signed_area(self):
         if self.dimension == 1:
@@ -156,25 +151,24 @@ class Geometry:
     def n_segments(self):
         return 2 if self.dimension == 1 else len(self.vertices)
 
-    def segment_coords(self, i):
-        """Endpoint coordinates of boundary segment ``i``.
+    def segments(self):
+        """The boundary-segment table ``(a, b, nu)``.
 
-        1D: the endpoint position as a float.  2D: array ``[[a], [b]]``.
+        Start points ``a``, end points ``b`` and outward unit normals
+        ``nu`` of all segments, each of shape ``(n_segments, dim)``.  A 1D
+        endpoint is the degenerate segment ``a == b`` with ``nu = -1``
+        (left) or ``+1`` (right).
         """
         if self.dimension == 1:
-            return self.vertices[i]
-        n = len(self.vertices)
-        return np.array([self.vertices[i], self.vertices[(i + 1) % n]])
-
-    def segment_normal(self, i):
-        if self.dimension == 1:
-            return np.array([-1.0]) if i == 0 else np.array([1.0])
-        a, b = self.segment_coords(i)
+            a = self.vertices[:, None]
+            return a, a, np.array([[-1.0], [1.0]])
+        a = self.vertices
+        b = np.roll(a, -1, axis=0)
         d = b - a
         # interior lies to the left of the ccw traversal, so the outward
         # normal is the right-hand rotation of the edge direction
-        nu = np.array([d[1], -d[0]])
-        return nu / np.linalg.norm(nu)
+        nu = np.column_stack([d[:, 1], -d[:, 0]])
+        return a, b, nu / np.linalg.norm(nu, axis=1)[:, None]
 
     def segments_with_tag(self, tag):
         return np.flatnonzero(self.segment_tags == tag)
@@ -187,36 +181,19 @@ class Geometry:
         return float(np.sqrt(d2.max()))
 
     def gamma0_chain(self):
-        """Ordered vertex coordinates of the gamma0 chain.
+        """Indices of the gamma0 segments in boundary order.
 
-        Follows the polygon orientation.  Raises if gamma0 is present but
-        not a single contiguous run of segments.  Returns an empty array
-        for empty gamma0; for 1D, the gamma0 endpoint position(s).
+        Raises if gamma0 is present but not a single contiguous run of
+        segments; empty for empty gamma0.  gamma1 is nonempty, so the run
+        never closes on itself.
         """
-        idx = self.segments_with_tag(GAMMA0)
-        if self.dimension == 1:
-            return self.vertices[idx]
-        if len(idx) == 0:
-            return np.empty((0, 2))
-        n = self.n_segments
-        if len(idx) == n:
-            starts = [0]
-        else:
-            in_g0 = np.zeros(n, bool)
-            in_g0[idx] = True
-            starts = [i for i in range(n) if in_g0[i] and not in_g0[(i - 1) % n]]
-            if len(starts) != 1:
-                raise GeometryError("gamma0 is not a contiguous chain of segments")
-        s = starts[0]
-        run = [s]
-        while len(run) < len(idx):
-            run.append((run[-1] + 1) % n)
-        if sorted(run) != sorted(idx.tolist()):
+        in_g0 = self.segment_tags == GAMMA0
+        starts = np.flatnonzero(in_g0 & ~np.roll(in_g0, 1))
+        if len(starts) > 1:
             raise GeometryError("gamma0 is not a contiguous chain of segments")
-        pts = [self.vertices[run[0]]]
-        for i in run:
-            pts.append(self.vertices[(i + 1) % n])
-        return np.array(pts)
+        if len(starts) == 0:
+            return starts
+        return (starts[0] + np.arange(np.count_nonzero(in_g0))) % len(in_g0)
 
 
 # -- hypothesis checks -----------------------------------------------------
@@ -230,19 +207,29 @@ def check_star_shaped(geometry, tol=1e-12):
     expression is linear per segment, so segment endpoints suffice).
     Empty gamma0 holds trivially with ``max_violation = -inf``.
     """
-    idx = geometry.segments_with_tag(GAMMA0)
-    if len(idx) == 0:
-        return {"holds": True, "max_violation": -np.inf}
-    worst = -np.inf
-    for i in idx:
-        nu = geometry.segment_normal(i)
-        if geometry.dimension == 1:
-            vals = [(geometry.segment_coords(i) - geometry.x0[0]) * nu[0]]
-        else:
-            a, b = geometry.segment_coords(i)
-            vals = [(a - geometry.x0) @ nu, (b - geometry.x0) @ nu]
-        worst = max(worst, float(max(vals)))
+    a, b, nu = geometry.segments()
+    # initial=-0.0 is the additive identity that keeps the sign of a zero
+    # margin (a 1D gamma0 endpoint at x0)
+    margin = [np.sum((p - geometry.x0) * nu, axis=1, initial=-0.0) for p in (a, b)]
+    gamma0 = geometry.segment_tags == GAMMA0
+    worst = float(np.max(np.maximum(*margin)[gamma0], initial=-np.inf))
     return {"holds": worst <= tol, "max_violation": worst}
+
+
+def _gamma0_turns(geometry):
+    """Sines of the turns between consecutive gamma0 segments.
+
+    Normalized cross products of consecutive edges along the ccw chain:
+    positive where the chain turns left, zero where it is straight.  Empty
+    for a single segment or a 1D endpoint.
+    """
+    a, b, _ = geometry.segments()
+    e = (b - a)[geometry.gamma0_chain()]
+    if len(e) < 2:
+        return np.empty(0)
+    e0, e1 = e[:-1], e[1:]
+    cross = e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0]
+    return cross / (np.linalg.norm(e0, axis=1) * np.linalg.norm(e1, axis=1))
 
 
 def check_convex_gamma0(geometry, tol=1e-12):
@@ -253,20 +240,7 @@ def check_convex_gamma0(geometry, tol=1e-12):
     the domain interior.  Flat (single-segment) chains and 1D endpoints
     are convex by convention.
     """
-    if geometry.dimension == 1:
-        return {"convex": True, "min_turn": np.inf}
-    chain = geometry.gamma0_chain()
-    if len(chain) < 3:
-        return {"convex": True, "min_turn": np.inf}
-    closed = np.allclose(chain[0], chain[-1])
-    edges = np.diff(chain, axis=0)
-    if closed:
-        edges = np.vstack([edges, chain[1] - chain[0]])
-    min_turn = np.inf
-    for k in range(len(edges) - 1):
-        e0, e1 = edges[k], edges[k + 1]
-        cr = (e0[0] * e1[1] - e0[1] * e1[0]) / (np.linalg.norm(e0) * np.linalg.norm(e1))
-        min_turn = min(min_turn, float(cr))
+    min_turn = float(np.min(_gamma0_turns(geometry), initial=np.inf))
     return {"convex": min_turn >= -tol, "min_turn": min_turn}
 
 
@@ -312,69 +286,28 @@ class RadialField:
         return np.zeros((len(np.atleast_2d(x)), self.dim))
 
 
-class IntervalCollarField:
-    """1D bent radial field for a single gamma0 endpoint.
-
-    ``h(x) = (x - x0) - psi(d / delta) * beta * nu`` with ``d`` the
-    distance to the gamma0 endpoint ``a``, ``nu`` its outward direction
-    and ``beta = (a - x0) * nu <= 0`` under the star-shape condition;
-    then ``h' >= 1`` everywhere and ``h(a) = 0``.
-    """
-
-    dim = 1
-
-    def __init__(self, x0, anchor, nu, delta):
-        self.x0 = float(np.atleast_1d(x0)[0])
-        self.anchor = float(np.atleast_1d(anchor)[0])
-        self.nu = float(nu)
-        self.delta = float(delta)
-        self.beta = (self.anchor - self.x0) * self.nu
-
-    def _d(self, x):
-        return -self.nu * (x - self.anchor)
-
-    def __call__(self, x):
-        x = np.asarray(x, float).reshape(-1)
-        d = self._d(x)
-        h = (x - self.x0) - _psi(d / self.delta) * self.beta * self.nu
-        return h[:, None]
-
-    def jacobian(self, x):
-        x = np.asarray(x, float).reshape(-1)
-        d = self._d(x)
-        hp = 1.0 + (self.beta / self.delta) * _dpsi(d / self.delta)
-        return hp[:, None, None]
-
-    def divergence(self, x):
-        return self.jacobian(x)[:, 0, 0]
-
-    def grad_divergence(self, x):
-        x = np.asarray(x, float).reshape(-1)
-        d = self._d(x)
-        gd = -(self.beta / self.delta**2) * _ddpsi(d / self.delta) * self.nu
-        return gd[:, None]
-
-
 class FlatCollarField:
-    """2D bent radial field for a flat (collinear) gamma0 chain.
+    """Bent radial field for a flat gamma0: a straight segment ``[a, b]``.
 
-    Inside the strip over the segment the correction is
-    ``psi(d / delta) * beta0 * nu`` with constant ``beta0 = (a - x0) . nu``;
-    past the segment ends the foot point clamps to the end vertex and the
-    correction freezes.  All derivatives are closed-form.
+    In 2D the segment is a collinear gamma0 chain; in 1D it is the
+    gamma0 endpoint, a zero-length segment ``a == b`` whose tangent is
+    zero.  Inside the strip over the segment the correction is
+    ``psi(d / delta) * beta0 * nu`` with constant ``beta0 = (a - x0) . nu``
+    (``<= 0`` under the star-shape condition), so ``h . nu = 0`` on the
+    segment; past the segment ends the foot point clamps to the end
+    vertex and the correction freezes.  All derivatives are closed-form.
     """
-
-    dim = 2
 
     def __init__(self, x0, a, b, nu, delta):
-        self.x0 = np.asarray(x0, float)
-        self.a = np.asarray(a, float)
-        self.b = np.asarray(b, float)
-        self.nu = np.asarray(nu, float)
+        self.x0 = np.atleast_1d(np.asarray(x0, float))
+        self.a = np.atleast_1d(np.asarray(a, float))
+        self.b = np.atleast_1d(np.asarray(b, float))
+        self.nu = np.atleast_1d(np.asarray(nu, float))
+        self.dim = len(self.a)
         self.delta = float(delta)
         t = self.b - self.a
         self.length = float(np.linalg.norm(t))
-        self.tangent = t / self.length
+        self.tangent = t / self.length if self.length > 0 else t
         self.beta0 = float((self.a - self.x0) @ self.nu)
 
     def _project(self, x):
@@ -397,16 +330,15 @@ class FlatCollarField:
         x, d, u, _ = self._project(x)
         # grad d = u (exact for the distance to a convex segment)
         coef = (_dpsi(d / self.delta) / self.delta) * self.beta0
-        return np.eye(2) - coef[:, None, None] * self.nu[:, None] * u[:, None, :]
+        return np.eye(self.dim) - coef[:, None, None] * self.nu[:, None] * u[:, None, :]
 
     def divergence(self, x):
         x, d, u, _ = self._project(x)
-        return 2.0 - (_dpsi(d / self.delta) / self.delta) * self.beta0 * (u @ self.nu)
+        return self.dim - (_dpsi(d / self.delta) / self.delta) * self.beta0 * (u @ self.nu)
 
     def grad_divergence(self, x):
         x, d, u, interior = self._project(x)
-        n = len(x)
-        out = np.zeros((n, 2))
+        out = np.zeros_like(x)
         dp = _dpsi(d / self.delta)
         ddp = _ddpsi(d / self.delta)
         nu_u = u @ self.nu
@@ -414,6 +346,7 @@ class FlatCollarField:
         out += -(self.beta0 / self.delta**2) * (ddp * nu_u)[:, None] * u
         # second piece: -(beta0 / delta) psi' hess(d) nu ; hess(d) vanishes in
         # the strip (d is linear there) and is (I - u u^T)/d in the end fans
+        # (zero in 1D, where u = -nu)
         fan = ~interior & (d > 1e-14)
         if np.any(fan):
             hn = (self.nu - nu_u[fan, None] * u[fan]) / d[fan, None]
@@ -432,21 +365,15 @@ class _CurvedCollarField:
 
     dim = 2
 
-    def __init__(self, x0, chain, delta):
+    def __init__(self, x0, chain, facet_nu, delta):
         self.x0 = np.asarray(x0, float)
         self.chain = np.asarray(chain, float)
         self.delta = float(delta)
-        edges = np.diff(self.chain, axis=0)
-        lens = np.linalg.norm(edges, axis=1)
-        self.facet_nu = np.column_stack([edges[:, 1], -edges[:, 0]]) / lens[:, None]
-        vnu = np.zeros_like(self.chain)
-        vnu[0] = self.facet_nu[0]
-        vnu[-1] = self.facet_nu[-1]
-        for i in range(1, len(self.chain) - 1):
-            v = self.facet_nu[i - 1] + self.facet_nu[i]
-            vnu[i] = v / np.linalg.norm(v)
-        self.vertex_nu = vnu
-        self.edge_len = lens
+        # vertex normals: the facet normal at the chain ends, the normalized
+        # mean of the two adjacent facet normals in between
+        mean = facet_nu[:-1] + facet_nu[1:]
+        mean /= np.linalg.norm(mean, axis=1)[:, None]
+        self.vertex_nu = np.vstack([facet_nu[:1], mean, facet_nu[-1:]])
 
     def _foot(self, x):
         x = np.atleast_2d(np.asarray(x, float))
@@ -571,32 +498,15 @@ def build_vector_field_h(geometry, mesh, collar_width, trace_tol=1e-10):
     if not 0 < collar_width < geometry.diameter():
         raise GeometryError("collar_width must lie in (0, domain diameter)")
 
-    chain = geometry.gamma0_chain()
-    if geometry.dimension == 1:
-        if len(chain) == 0:
-            fld = RadialField(geometry.x0)
-        else:
-            i = geometry.segments_with_tag(GAMMA0)[0]
-            fld = IntervalCollarField(
-                geometry.x0, chain[0], geometry.segment_normal(i)[0], collar_width
-            )
-    elif len(chain) == 0:
+    a, b, seg_nu = geometry.segments()
+    run = geometry.gamma0_chain()
+    if len(run) == 0:
         fld = RadialField(geometry.x0)
+    elif np.all(np.abs(_gamma0_turns(geometry)) <= 1e-12):
+        fld = FlatCollarField(geometry.x0, a[run[0]], b[run[-1]], seg_nu[run[0]], collar_width)
     else:
-        edges = np.diff(chain, axis=0)
-        flat = True
-        for k in range(len(edges) - 1):
-            cr = edges[k, 0] * edges[k + 1, 1] - edges[k, 1] * edges[k + 1, 0]
-            if abs(cr) > 1e-12 * np.linalg.norm(edges[k]) * np.linalg.norm(edges[k + 1]):
-                flat = False
-                break
-        if flat:
-            i = geometry.segments_with_tag(GAMMA0)[0]
-            fld = FlatCollarField(
-                geometry.x0, chain[0], chain[-1], geometry.segment_normal(i), collar_width
-            )
-        else:
-            fld = _CurvedCollarField(geometry.x0, chain, collar_width)
+        chain = np.vstack([a[run], b[run[-1:]]])
+        fld = _CurvedCollarField(geometry.x0, chain, seg_nu[run], collar_width)
 
     nodal = fld(mesh.nodes)
     g0 = mesh.gamma0_facets

@@ -325,6 +325,13 @@ def test_cli_full_solves_the_spectrum_once(monkeypatch):
         ({"initial": {"kind": "gaussian-bump", "center": 0.5, "width": 1e-300}}, cli.EXIT_CONFIG),
         ({"params": {"alpha": 1e308}}, cli.EXIT_CONFIG),
         ({"params": {"c": 1e150}}, cli.EXIT_CONFIG),
+        ({"time": {"T": float("nan")}}, cli.EXIT_CONFIG),
+        ({"time": {"dt": float("nan")}}, cli.EXIT_CONFIG),
+        ({"initial": {"kind": "gaussian-bump", "center": float("nan")}}, cli.EXIT_CONFIG),
+        ({"multiplier": {"t_final": float("nan")}}, cli.EXIT_CONFIG),
+        ({"multiplier": {"window_cut": float("nan")}}, cli.EXIT_CONFIG),
+        ({"geometry": {"x0": float("nan")}}, cli.EXIT_CONFIG),
+        ({"geometry": {"x_right": float("inf")}}, cli.EXIT_CONFIG),
     ],
     ids=[
         "zero-initial",
@@ -338,6 +345,13 @@ def test_cli_full_solves_the_spectrum_once(monkeypatch):
         "non-finite-initial-data",
         "alpha-mass-overflows",
         "initial-energy-overflows",
+        "T-nan",
+        "dt-nan",
+        "center-nan",
+        "t-final-nan",
+        "window-cut-nan",
+        "x0-nan",
+        "x-right-infinity",
     ],
 )
 def test_cli_degenerate_configs_exit_cleanly(tmp_path, subcommand, over, expected):
@@ -354,6 +368,16 @@ def test_cli_degenerate_configs_exit_cleanly(tmp_path, subcommand, over, expecte
         assert fit == {
             "omega": None, "M": None, "fit_residual": None, "n_points": None, "applicable": False
         }
+
+
+def test_load_config_rejects_non_finite_numbers(tmp_path):
+    # the file form is read with json.load, which accepts NaN and Infinity
+    cfg = tiny_config(initial={"kind": "gaussian-bump", "center": [float("inf")]})
+    assert "Infinity" in Path(write_config(tmp_path, cfg)).read_text()
+    with pytest.raises(M.ConfigError, match="at initial/center/0: not a finite number"):
+        M.load_config_file(write_config(tmp_path, cfg))
+    with pytest.raises(M.ConfigError, match="at time/T: not a finite number"):
+        M.load_config({"preset": "interval-1d-damped", "time": {"T": float("nan")}})
 
 
 def test_load_config_bounds_the_step_count():
