@@ -277,6 +277,7 @@ def run(config, subcommand, out_dir=None, seed=0):
                 "stable": rep.stable,
                 "partial": rep.partial,
                 "n_eigenvalues": len(rep.eigenvalues),
+                **rep.health(),
             },
             "abscissa_vs_decay": versus,
             "adjoint_check": adj,

@@ -143,15 +143,29 @@ class Generator:
         return sp.bmat([first, [None, None, I], [self.Lu, self.Lv, self.Lw]], format="csr")
 
     def dense(self):
-        # the first two block rows are identity shifts; only the third
-        # needs Ew^{-1}
-        n = self.Ew.shape[0]
-        A = np.zeros((3 * n, 3 * n), order="F")
+        """The generator matrix ``E^{-1} L``, dense, of size 3n."""
+        return self._companion((self.Lu, self.Lv, self.Lw), self.shift)
+
+    def dense_vw(self):
+        """The ``(v, w)`` block ``[[0, I], Ew^{-1} [Lv, Lw]]`` of ``E^{-1} L``, size 2n.
+
+        When ``Lu == 0`` (z-form with gamma == 0) the generator matrix is
+        block upper triangular, ``[[shift I, *], [0, dense_vw()]]``, so
+        its spectrum is ``shift`` n times together with this block's.
+        """
+        return self._companion((self.Lv, self.Lw))
+
+    def _companion(self, row, shift=0.0):
+        # identity superdiagonal blocks, ``shift I`` as the first diagonal
+        # block and ``Ew^{-1} row`` as the last block row, the only one
+        # that needs Ew^{-1}
+        n, k = self.Ew.shape[0], len(row)
+        A = np.zeros((k * n, k * n), order="F")
         i = np.arange(n)
-        A[i, i] = self.shift
-        A[i, n + i] = A[n + i, 2 * n + i] = 1.0
-        L3 = sp.hstack([self.Lu, self.Lv, self.Lw]).toarray()
-        A[2 * n :] = splu(self.Ew.tocsc()).solve(L3)
+        A[i, i] = shift
+        for j in range(k - 1):
+            A[j * n + i, (j + 1) * n + i] = 1.0
+        A[(k - 1) * n :] = splu(self.Ew.tocsc()).solve(sp.hstack(row).toarray())
         return A
 
 

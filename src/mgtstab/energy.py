@@ -66,11 +66,13 @@ def energy_identity_residual(trajectory, t_start=None, t_end=None):
 
     Time integrals use the trapezoid rule on the stored output grid, so
     the residual scales with the output spacing squared.  Normalization
-    is by the larger endpoint energy.
+    is by the larger endpoint energy.  The window runs from the first
+    sample at or after ``t_start`` to the first at or after ``t_end``;
+    a ``t_end`` past the last sample ends it at the last sample.
     """
     t = trajectory.times
     i0 = 0 if t_start is None else int(np.searchsorted(t, t_start))
-    i1 = len(t) - 1 if t_end is None else int(np.searchsorted(t, t_end))
+    i1 = len(t) - 1 if t_end is None else min(int(np.searchsorted(t, t_end)), len(t) - 1)
     if i1 <= i0:
         raise ValueError("empty integration window")
     sl = slice(i0, i1 + 1)

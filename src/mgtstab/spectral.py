@@ -10,6 +10,12 @@ whose Routh-Hurwitz condition ``alpha b > tau c^2`` is exactly
 ``gamma > 0`` (all coefficients being positive).  At equality the cubic
 factors as ``(lambda + c^2/b)(tau lambda^2 + b mu)``, giving one negative
 real root and a conjugate pair on the imaginary axis.
+
+The same factorization holds for the assembled generator: with
+``gamma == 0`` the z-form coupling block ``-q^2 Mgamma / tau`` vanishes,
+so the generator is block triangular, with ``-c^2/b`` n times on its
+diagonal next to the 2n damped-wave block in ``(z, z_t)``.
+``spectrum`` then solves only that block.
 """
 
 from dataclasses import dataclass, field
@@ -19,13 +25,19 @@ import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 
 from . import energy as _energy
+from .dynamics import assemble_generator
 
 DENSE_EIG_CAP = 6000
 
 
 @dataclass
 class SpectrumReport:
-    """Eigenvalues of a generator with the derived stability flags."""
+    """Eigenvalues of a generator with the derived stability flags.
+
+    ``meta`` holds the eigensolver ``method`` and, when the iterative
+    eigensolver stopped early, the number of ``converged`` eigenvalues;
+    ``health()`` returns those of them that are present.
+    """
 
     eigenvalues: np.ndarray
     abscissa: float
@@ -41,7 +53,11 @@ class SpectrumReport:
             "stable": self.stable,
             "partial": self.partial,
             "form": self.form,
+            **self.health(),
         }
+
+    def health(self):
+        return {k: self.meta[k] for k in ("method", "converged") if k in self.meta}
 
 
 def _sorted_eigs(vals):
@@ -53,11 +69,18 @@ def _sorted_eigs(vals):
 def spectrum(generator, dense_cap=DENSE_EIG_CAP, n_partial=40):
     """Eigenvalues of the generator pencil ``L x = lambda E x``.
 
-    Up to ``dense_cap`` (total first-order size) the full spectrum comes
-    from one standard dense eigensolve of the generator matrix
-    ``E^{-1} L``; ``E`` (``diag(I, I, tau M)`` in u-form) is
-    block-diagonal SPD, so that matrix costs one sparse factorization of
-    its third block.
+    Up to ``dense_cap`` (total first-order size 3n) the full spectrum
+    comes from one standard dense eigensolve; ``E`` (``diag(I, I, tau M)``
+    in u-form) is block-diagonal SPD, so the generator matrix
+    ``E^{-1} L`` costs one sparse factorization of its third block.
+    When the bundle's ``Mgamma`` holds no nonzero entry (gamma == 0
+    exactly) the eigensolve runs on the 2n damped-wave block of the
+    z-form generator (``Generator.dense_vw``) and ``-c^2/b`` is added n
+    times (method ``dense-wave-block``); the z-form is assembled from
+    the bundle's parameters unless ``generator`` already is one.  u- and
+    z-form are exactly conjugate, so either way the report keeps the
+    ``form`` and size of the generator it was given.  Otherwise the
+    eigensolve runs on the 3n generator matrix (method ``dense``).
     Above the cap the report is flagged ``partial``: only the
     ``n_partial`` eigenvalues of smallest modulus are computed
     (shift-invert at zero with a fixed start vector, the only target
@@ -69,9 +92,18 @@ def spectrum(generator, dense_cap=DENSE_EIG_CAP, n_partial=40):
     n = generator.size
     meta = {}
     if n <= dense_cap:
-        vals = _sorted_eigs(scipy.linalg.eigvals(generator.dense()))
+        bundle = generator.bundle
+        if bundle.Mgamma.count_nonzero() == 0:
+            gen = generator
+            if gen.form != "z":
+                gen = assemble_generator(bundle, bundle.params, "z")
+            wave = scipy.linalg.eigvals(gen.dense_vw())
+            vals = _sorted_eigs(np.concatenate((np.full(n // 3, gen.shift), wave)))
+            meta["method"] = "dense-wave-block"
+        else:
+            vals = _sorted_eigs(scipy.linalg.eigvals(generator.dense()))
+            meta["method"] = "dense"
         partial = False
-        meta["method"] = "dense"
     else:
         from .errors import NumericalError
 

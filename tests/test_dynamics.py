@@ -127,6 +127,16 @@ def test_energy_identity_windowing():
     assert M.energy_identity_residual(traj, t_start=0.5, t_end=1.5) <= 1e-4
 
 
+def test_energy_identity_window_end_past_the_last_sample_is_clamped():
+    scen = M.Scenario(interval_config())
+    traj = M.simulate(scen.bundle, scen.params, scen.initial, T=1.0, dt=1e-2, store_states=False)
+    whole = M.energy_identity_residual(traj)
+    for t_end in (1.0 + 1e-9, 2.0):
+        assert M.energy_identity_residual(traj, t_end=t_end) == whole
+    with pytest.raises(ValueError):
+        M.energy_identity_residual(traj, t_start=2.0)
+
+
 # ---------------------------------------------------------- compatibility
 
 

@@ -210,6 +210,22 @@ def test_cli_spectrum(tmp_path):
     assert rep["spectrum"]["stable"] is True
     # eigenvalues serialize as [re, im] pairs
     assert len(rep["spectrum"]["eigenvalues"][0]) == 2
+    assert rep["spectrum"]["method"] == "dense"
+    assert "converged" not in rep["spectrum"]
+
+
+def test_cli_spectrum_and_full_name_the_critical_eigensolve(tmp_path):
+    # alpha = tau c^2 / b: gamma == 0, so the damped-wave block is solved
+    cfg_path = write_config(tmp_path, tiny_config(params={"alpha": 1.0}))
+    out = str(tmp_path / "out")
+    assert cli.main(["spectrum", "--config", cfg_path, "--out", out]) == cli.EXIT_OK
+    rep = json.loads(Path(out, "spectrum.json").read_text())["spectrum"]
+    assert rep["method"] == "dense-wave-block"
+    assert len(rep["eigenvalues"]) == 3 * 17
+    assert cli.main(["full", "--config", cfg_path, "--out", out]) == cli.EXIT_OK
+    summary = json.loads(Path(out, "summary.json").read_text())
+    assert summary["spectral"]["method"] == "dense-wave-block"
+    assert summary["spectral"]["n_eigenvalues"] == 3 * 17
 
 
 def test_cli_certify_geometry(tmp_path):
@@ -283,6 +299,9 @@ def test_cli_full_partial_spectrum_is_not_applicable(tmp_path):
     assert cli.main(["full", "--config", cfg_path, "--out", out]) == cli.EXIT_OK
     summary = json.loads(Path(out, "summary.json").read_text())
     assert summary["spectral"]["partial"] is True
+    assert summary["spectral"]["method"] == "sparse-shift-invert"
+    spec = json.loads(Path(out, "spectrum.json").read_text())["spectrum"]
+    assert spec["method"] == "sparse-shift-invert"
     assert summary["abscissa_vs_decay"]["applicable"] is False
     assert summary["abscissa_vs_decay"]["ratio"] is None
 
@@ -301,6 +320,7 @@ def test_cli_full_solves_the_spectrum_once(monkeypatch):
     payload = cli.run(tiny_config(), "full")
     assert len(calls) == 1
     assert payload["abscissa_vs_decay"]["applicable"] is True
+    assert payload["spectral"]["method"] == "dense"
 
 
 @pytest.mark.parametrize("subcommand", ["simulate", "full"])

@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 
 import mgtstab as M
+from mgtstab import dynamics, spectral
 
 from conftest import interval_config
 
@@ -70,15 +71,88 @@ def test_modal_cubic_rejects_nonpositive_mu():
 
 def test_spectrum_is_union_of_modal_triples():
     # kappa1 = 0 decouples the semi-discrete system over the eigenpairs of
-    # (Ktilde, M); each keeps exactly the three modal-cubic roots
-    scen = make_scenario(mesh={"resolution": 16}, params={"kappa1": 0.0})
+    # (Ktilde, M); each keeps exactly the three modal-cubic roots.  At
+    # gamma = 0 (alpha = 1) the cubic factors as (lambda + c^2/b)(tau
+    # lambda^2 + b mu), an exact oracle for the damped-wave block path.
+    for alpha, method in ((2.0, "dense"), (1.0, "dense-wave-block")):
+        scen = make_scenario(mesh={"resolution": 16}, params={"kappa1": 0.0, "alpha": alpha})
+        gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+        rep = M.spectrum(gen)
+        assert rep.meta["method"] == method
+        mus = scipy.linalg.eigh(
+            scen.bundle.Ktilde.toarray(), scen.bundle.Mmat.toarray(), eigvals_only=True
+        )
+        predicted = np.concatenate([M.modal_cubic_roots(mu, scen.params) for mu in mus])
+        assert M.match_spectra(rep.eigenvalues, predicted) <= 1e-8, alpha
+
+
+def _reference_eigs(gen):
+    # the 3n dense eigensolve every gamma takes outside the critical case
+    return spectral._sorted_eigs(scipy.linalg.eigvals(gen.dense()))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"preset": "interval-1d-damped", "mesh": {"resolution": 16}, "params": {"alpha": 1.0}},
+        {"preset": "transducer-2d", "mesh": {"resolution": 3}},
+    ],
+    ids=["interval-16", "transducer-3"],
+)
+def test_critical_wave_block_spectrum_matches_the_full_eigensolve(cfg):
+    # gamma == 0 with kappa1 > 0: the damped-wave block plus -c^2/b n times
+    scen = M.Scenario(M.load_config(cfg))
+    assert scen.config["params"]["kappa1"] > 0 and scen.bundle.Mgamma.count_nonzero() == 0
+    n = scen.mesh.n_nodes
     gen = M.assemble_generator(scen.bundle, scen.params, form="u")
     rep = M.spectrum(gen)
-    mus = scipy.linalg.eigh(
-        scen.bundle.Ktilde.toarray(), scen.bundle.Mmat.toarray(), eigvals_only=True
-    )
-    predicted = np.concatenate([M.modal_cubic_roots(mu, scen.params) for mu in mus])
-    assert M.match_spectra(rep.eigenvalues, predicted) <= 1e-8
+    ref = _reference_eigs(gen)
+    assert rep.meta["method"] == "dense-wave-block"
+    assert (rep.form, len(rep.eigenvalues), rep.partial) == ("u", 3 * n, False)
+    assert M.match_spectra(rep.eigenvalues, ref) <= 1e-8
+    assert abs(rep.abscissa - ref.real.max()) <= 1e-10
+    assert np.count_nonzero(rep.eigenvalues == -scen.params.q) == n
+    # a z-form input takes the same block and keeps its own form
+    rep_z = M.spectrum(M.assemble_generator(scen.bundle, scen.params, form="z"))
+    assert rep_z.form == "z" and rep_z.meta == rep.meta
+    np.testing.assert_array_equal(rep_z.eigenvalues, rep.eigenvalues)
+
+
+def test_nearly_critical_gamma_takes_the_full_eigensolve():
+    # gamma = 2**-50 is classified critical, but Mgamma is not exactly zero
+    scen = make_scenario(mesh={"resolution": 8}, params={"alpha": 1.0 + 2.0**-50})
+    assert scen.params.stability_classification() == "critical"
+    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    rep = M.spectrum(gen)
+    assert rep.meta["method"] == "dense"
+    np.testing.assert_array_equal(rep.eigenvalues, _reference_eigs(gen))
+
+
+def test_noncritical_spectrum_assembles_no_z_form(monkeypatch):
+    calls = []
+    assemble = spectral.assemble_generator
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "assemble_generator", recording)
+    monkeypatch.setattr(dynamics, "assemble_generator", recording)
+    scen = make_scenario(mesh={"resolution": 8})  # gamma = 1
+    rep = M.spectrum(assemble(scen.bundle, scen.params, form="u"))
+    assert rep.meta["method"] == "dense"
+    assert calls == []
+
+
+def test_report_dict_carries_the_eigensolver_health():
+    vals = np.array([-1.0 + 0j])
+    meta = {"method": "sparse-shift-invert", "target": "smallest modulus", "converged": 3}
+    rep = spectral.SpectrumReport(vals, -1.0, True, partial=True, meta=meta)
+    out = rep.to_dict()
+    assert (out["method"], out["converged"]) == ("sparse-shift-invert", 3)
+    assert "target" not in out
+    dense = spectral.SpectrumReport(vals, -1.0, True, meta={"method": "dense"})
+    assert "converged" not in dense.to_dict()
 
 
 def test_dense_spectrum_report_shape():
