@@ -11,15 +11,19 @@ damped-wave equation for ``z`` coupled to a scalar relaxation ODE for
 ``u``; both generator forms are assembled here and their conjugacy is a
 test target, not an assumption.  General ``tau > 0`` is handled by
 normalizing the equation by ``tau``, which rescales ``alpha, b, c^2,
-gamma`` by ``1/tau`` and leaves the ratio ``q = c^2/b`` unchanged.
+gamma`` by ``1/tau`` and leaves the ratio ``q = c^2/b`` unchanged.  Each
+implicit step is one condensed n x n solve: a dense LAPACK LU for n <= 128
+and SuperLU above.
 """
 
 import itertools
 import logging
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse.linalg import splu
 
 from . import energy as _energy
@@ -193,6 +197,21 @@ def assemble_generator(bundle, params, form="u"):
 # -- time stepping -----------------------------------------------------------
 
 
+# Values held in one working set: a chunk of recorded state components or
+# of quadrature values, or a dense stage's ``S`` and n x 3n map ``Q``.
+_CHUNK_ELEMENTS = 65536
+
+
+def _lapack(out):
+    # a LAPACK call's outputs before ``info``; a nonzero ``info`` raises like splu's singular factor
+    if out[-1]:
+        raise RuntimeError("LAPACK info %d: singular factor or bad argument" % out[-1])
+    return out[:-1]
+
+
+_Stage = namedtuple("_Stage", "k Q solve S solver factor_nnz")  # S w = Q x (+ forcing)
+
+
 class Stepper:
     """A-stable one-step/two-step integrators for the u-form pencil.
 
@@ -207,14 +226,18 @@ class Stepper:
     ``S w = g_w + k L_u (g_u + k g_v) + k L_v g_v`` with
     ``S = E_w - k L_w - k^2 L_v - k^3 L_u`` from the generator's blocks.
     ``S`` is factorized once per stage length, ``k = dt/2`` (midpoint)
-    and ``k = 2 dt/3`` (BDF2), and the map from the step's state to the
-    right-hand side of ``S`` is one precomputed n x 3n matrix.  The
-    forcing ``source`` is ``None`` or a callable ``t -> nodal vector``.
+    and ``k = 2 dt/3`` (BDF2), and the map ``Q`` from the step's state to
+    the right-hand side of ``S`` is one precomputed n x 3n matrix.  Both
+    are dense, with a LAPACK LU of ``S`` (``"dense-lu"``), while they fit
+    the working-set budget ``4 n^2 <= _CHUNK_ELEMENTS`` (n <= 128), where
+    sparse calls cost more than their arithmetic; above it ``S`` has a
+    SuperLU factor and ``Q`` is CSR (``"sparse-lu"``).  The forcing
+    ``source`` is ``None`` or a callable ``t -> nodal vector``.
     """
 
     def __init__(self, generator, dt, scheme="implicit-midpoint", source=None):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValueError("dt must be positive and finite")
         if scheme not in ("implicit-midpoint", "bdf2"):
             raise ValueError("unknown scheme %r" % scheme)
         if generator.form != "u":
@@ -228,14 +251,36 @@ class Stepper:
         n = Ew.shape[0]
 
         def stage(k, G):
-            # (k, factor of S, the n x 3n map x -> rhs of S) for g = G x
+            # the stage of length k for g = G x; its storage follows n alone
             S = Ew - k * Lw - k**2 * Lv - k**3 * Lu
-            R = sp.hstack([k * Lu, k**2 * Lu + k * Lv, sp.identity(n)])
-            return k, splu(S.tocsc()), (R @ G).tocsr()
+            Q = sp.hstack([k * Lu, k**2 * Lu + k * Lv, sp.identity(n)]) @ G
+            if 4 * n * n <= _CHUNK_ELEMENTS:
+                lu, piv = _lapack(dgetrf(S.toarray()))
+                solve = lambda rhs: _lapack(dgetrs(lu, piv, rhs))[0]  # noqa: E731
+                return _Stage(k, Q.toarray(), solve, S, "dense-lu", n * n)
+            lu = splu(S.tocsc())
+            return _Stage(k, Q.tocsr(), lu.solve, S, "sparse-lu", lu.nnz)
 
         self._mid = stage(0.5 * self.dt, E + 0.5 * self.dt * L)
         if scheme == "bdf2":
             self._bdf = stage(2.0 / 3.0 * self.dt, E)
+
+    def _stage_rhs(self, state, prev):
+        # the stage of the step from ``state``, its (g_u, g_v) and S's rhs
+        x = np.concatenate((state.u, state.v, state.w))
+        if self.scheme == "bdf2" and prev is not None:
+            stage = self._bdf
+            x = (4.0 * x - np.concatenate((prev.u, prev.v, prev.w))) / 3.0
+            gu, gv, _ = np.split(x, 3)
+            t_f, weight = state.t + self.dt, stage.k
+        else:
+            stage = self._mid
+            gu, gv = state.u + stage.k * state.v, state.v + stage.k * state.w
+            t_f, weight = state.t + 0.5 * self.dt, self.dt
+        rhs = stage.Q @ x
+        if self.source is not None:
+            rhs += weight * (self._M @ self.source(t_f))
+        return stage, gu, gv, rhs
 
     def step(self, state, prev=None):
         """Advance a u-form :class:`State` by ``dt``.
@@ -243,22 +288,18 @@ class Stepper:
         BDF2 takes the state one step earlier as ``prev``; without it (the
         first step) it takes one midpoint step.  Midpoint ignores ``prev``.
         """
-        x = np.concatenate((state.u, state.v, state.w))
-        if self.scheme == "bdf2" and prev is not None:
-            k, lu, Q = self._bdf
-            x = (4.0 * x - np.concatenate((prev.u, prev.v, prev.w))) / 3.0
-            gu, gv, _ = np.split(x, 3)
-            t_f, weight = state.t + self.dt, k
-        else:
-            k, lu, Q = self._mid
-            gu, gv = state.u + k * state.v, state.v + k * state.w
-            t_f, weight = state.t + 0.5 * self.dt, self.dt
-        rhs = Q @ x
-        if self.source is not None:
-            rhs += weight * (self._M @ self.source(t_f))
-        w = lu.solve(rhs)
-        v = gv + k * w
-        return State(gu + k * v, v, w, state.t + self.dt)
+        stage, gu, gv, rhs = self._stage_rhs(state, prev)
+        w = stage.solve(rhs)
+        v = gv + stage.k * w
+        return State(gu + stage.k * v, v, w, state.t + self.dt)
+
+    def health(self, state):
+        """``stage_solver`` and ``stage_factor_nnz`` of the stage most steps use, and the
+        ``stage_residual`` |S w - rhs|_inf / |rhs|_inf of the first solve from ``state``."""
+        stage, _, _, rhs = self._stage_rhs(state, None)
+        res = float(np.abs(stage.S @ stage.solve(rhs) - rhs).max() / (np.abs(rhs).max() or 1.0))
+        main = self._bdf if self.scheme == "bdf2" else self._mid
+        return dict(stage_solver=main.solver, stage_factor_nnz=main.factor_nnz, stage_residual=res)
 
 
 # -- simulation ---------------------------------------------------------------
@@ -300,11 +341,6 @@ class Trajectory:
     def csv_rows(self):
         cols = [self.times] + [getattr(self, name) for name in self.CSV_COLUMNS[1:]]
         return list(self.CSV_COLUMNS), np.column_stack(cols)
-
-
-# Recorded values per state component held before the trajectory columns
-# of a chunk of samples are evaluated together.
-_CHUNK_ELEMENTS = 65536
 
 
 def _observables(U, V, W, times, bundle, params, source, gamma_negative):
@@ -396,7 +432,7 @@ def simulate(
     times = np.empty(n_rec)
     cols = np.empty((9, n_rec))
     fields = (initial.u, initial.v, initial.w)
-    state = State(*(np.asarray(a, float) for a in fields), float(initial.t))
+    state = start = State(*(np.asarray(a, float) for a in fields), float(initial.t))
     prev, i = None, 0
     for k in range(n_steps + 1):
         if k:
@@ -426,6 +462,7 @@ def simulate(
             "output_stride": int(output_stride),
             "gamma_negative": gamma_negative,
             "stability_classification": params.stability_classification(),
+            **stepper.health(start),
         },
     )
     return traj

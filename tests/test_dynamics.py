@@ -258,6 +258,14 @@ def test_single_step_is_linear():
     np.testing.assert_allclose(sab.w, sa.w + sb.w, rtol=1e-11, atol=1e-12)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-2, float("nan"), float("inf")])
+def test_non_positive_or_non_finite_dt_rejected(dt):
+    scen = make_scenario(mesh={"resolution": 8})
+    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    with pytest.raises(ValueError, match="dt must be positive"):
+        M.Stepper(gen, dt)
+
+
 def test_z_form_generator_rejected():
     scen = make_scenario(mesh={"resolution": 8})
     gen = M.assemble_generator(scen.bundle, scen.params, form="z")
@@ -303,10 +311,11 @@ def pencil_reference(gen, x0, t0, dt, scheme, source):
 
 
 @pytest.mark.parametrize("scheme", ["implicit-midpoint", "bdf2"])
-@pytest.mark.parametrize("name", ["interval-1d-damped", "half-disk-2d"])
+@pytest.mark.parametrize("name", ["interval-1d-damped", "half-disk-2d", "transducer-2d"])
 def test_condensed_step_matches_full_pencil_solve(name, scheme):
     cfg = M.preset(name)
-    cfg["mesh"]["resolution"] = 6
+    # transducer-2d at resolution 3 (n = 85) is a 2D stage with a dense LU
+    cfg["mesh"]["resolution"] = 3 if name == "transducer-2d" else 6
     cfg["params"]["tau"] = 0.8  # so that E's third block is not the mass matrix
     scen = M.Scenario(M.load_config(cfg))
     gen = M.assemble_generator(scen.bundle, scen.params, form="u")
@@ -324,6 +333,55 @@ def test_condensed_step_matches_full_pencil_solve(name, scheme):
     ref = pencil_reference(gen, np.concatenate([s0.u, s0.v, s0.w]), s0.t, dt, scheme, src)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     assert new.t == pytest.approx(s0.t + (1 if scheme == "implicit-midpoint" else 2) * dt)
+
+
+@pytest.mark.parametrize("resolution, solver", [(127, "dense-lu"), (128, "sparse-lu")])
+def test_stage_storage_switches_above_n_128(resolution, solver):
+    # n = resolution + 1: the dense S and Q hold 4 n^2 values, 65 536 at n = 128
+    scen = make_scenario(mesh={"resolution": resolution})
+    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    for scheme in ("implicit-midpoint", "bdf2"):
+        health = M.Stepper(gen, 1e-2, scheme).health(scen.initial)
+        assert health["stage_solver"] == solver
+        n = scen.mesh.n_nodes
+        assert (health["stage_factor_nnz"] == n * n) == (solver == "dense-lu")
+        assert health["stage_residual"] <= 1e-12
+
+
+def _force_stage_solver(monkeypatch, n, solver):
+    # move the working-set budget the stage storage is chosen against
+    budget = 4 * n * n if solver == "dense-lu" else 4 * n * n - 1
+    monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", budget)
+
+
+@pytest.mark.parametrize("scheme, T", [("implicit-midpoint", 20.0), ("bdf2", 4.0)])
+def test_dense_and_sparse_stages_give_the_same_trajectory(monkeypatch, scheme, T):
+    # 10 000 midpoint or 2 000 BDF2 steps at n = 65, with a forcing
+    scen = M.Scenario(M.load_config({"preset": "interval-1d-damped"}))
+    n, x = scen.mesh.n_nodes, scen.mesh.nodes[:, 0]
+    src = lambda t: np.cos(2.0 * x) * (np.sin(3.0 * t) + 0.5)
+    run = dict(T=T, dt=2e-3, source=src, scheme=scheme, store_states=False)
+    trajs = {}
+    for solver in ("dense-lu", "sparse-lu"):
+        _force_stage_solver(monkeypatch, n, solver)
+        trajs[solver] = M.simulate(scen.bundle, scen.params, scen.initial, **run)
+        assert trajs[solver].meta["stage_solver"] == solver
+    assert len(trajs["dense-lu"].times) == int(round(T / 2e-3)) + 1
+    names = ("times", "E0", "E1", "E", "D_boundary", "D_interior", "work_rate")
+    for name in names + ("u_L2", "z_L2", "zt_L2"):
+        a, b = (getattr(trajs[solver], name) for solver in ("dense-lu", "sparse-lu"))
+        assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max(), name
+
+
+@pytest.mark.parametrize("solver", ["dense-lu", "sparse-lu"])
+def test_both_stage_forms_conserve_the_critical_energy(monkeypatch, solver):
+    scen = M.Scenario(M.load_config({"preset": "interval-1d-conserved"}))
+    _force_stage_solver(monkeypatch, scen.mesh.n_nodes, solver)
+    traj = M.simulate(
+        scen.bundle, scen.params, scen.initial, T=10.0, dt=1e-3, store_states=False
+    )
+    assert traj.meta["stage_solver"] == solver
+    assert np.abs(traj.E1 - traj.E1[0]).max() <= 1e-12 * traj.E1[0]
 
 
 def per_sample_columns(traj, bundle, params, source):

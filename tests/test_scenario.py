@@ -228,6 +228,25 @@ def test_cli_spectrum_and_full_name_the_critical_eigensolve(tmp_path):
     assert summary["spectral"]["n_eigenvalues"] == 3 * 17
 
 
+@pytest.mark.parametrize(
+    "preset, mesh, solver",
+    [("interval-1d-damped", {}, "dense-lu"), ("transducer-2d", {"resolution": 5}, "sparse-lu")],
+    ids=["interval-1d-damped", "transducer-2d-resolution-5"],
+)
+def test_cli_full_reports_the_stage_solver_health(tmp_path, preset, mesh, solver):
+    # the health figures do not depend on T, which is cut to keep the run short
+    cfg = {"preset": preset, "mesh": mesh, "time": {"T": 0.5}}
+    cfg_path = write_config(tmp_path, cfg)
+    out = str(tmp_path / "out")
+    assert cli.main(["full", "--config", cfg_path, "--out", out]) == cli.EXIT_OK
+    meta = json.loads(Path(out, "summary.json").read_text())["meta"]
+    n = {"dense-lu": 65, "sparse-lu": 211}[solver]
+    assert meta["stage_solver"] == solver
+    assert (meta["stage_factor_nnz"] == n * n) == (solver == "dense-lu")
+    assert meta["stage_factor_nnz"] >= n
+    assert 0.0 <= meta["stage_residual"] <= 1e-12
+
+
 def test_cli_certify_geometry(tmp_path):
     cfg_path = write_config(tmp_path, tiny_config())
     out = str(tmp_path / "out")
