@@ -65,7 +65,6 @@ from .geometry import (
 from .multiplier import (
     ManufacturedField,
     bc_satisfying_1d,
-    reconstruction_diagnostic,
     refinement_slope,
     residual_hgradz,
     residual_zdivh,
@@ -143,7 +142,6 @@ __all__ = [
     "preset",
     "preset_names",
     "reconstruct_u_from_z",
-    "reconstruction_diagnostic",
     "refinement_slope",
     "residual_hgradz",
     "residual_zdivh",

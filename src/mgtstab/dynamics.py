@@ -197,8 +197,8 @@ def assemble_generator(bundle, params, form="u"):
 # -- time stepping -----------------------------------------------------------
 
 
-# Values held in one working set: a chunk of recorded state components or
-# of quadrature values, or a dense stage's ``S`` and n x 3n map ``Q``.
+# Values held in one working set: a chunk of recorded state components,
+# or a dense stage's ``S`` and n x 3n map ``Q``.
 _CHUNK_ELEMENTS = 65536
 
 

@@ -10,56 +10,56 @@ converge at second order under joint space/time refinement.  Boundary
 terms are kept in their raw form with the normal derivative explicit,
 except for the ``z``-multiplier identity which substitutes both boundary
 conditions and therefore needs boundary-condition-satisfying fields.
+
+The fields are separable, ``z = a(t) phi(x)`` and ``u_tt = p(t) psi(x)``,
+so every term is one trapezoid integral (or end-time jump) of a product
+of time factors times one weighted sum over the space quadrature.
 """
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
 
-from .dynamics import _CHUNK_ELEMENTS
 from .errors import CertificationError
 from .geometry import VectorFieldH
 
 
 @dataclass
 class ManufacturedField:
-    """Closed-form space-time fields for identity checks.
+    """Separable closed-form fields ``z = a(t) phi(x)``, ``u_tt = p(t) psi(x)``.
 
-    All callables are vectorized and broadcast over a leading time axis:
-    time-dependent ones take ``(t, x)`` with ``t`` of shape ``(nt, 1)``
-    (or a scalar) and ``x`` of shape ``(nq, dim)``, and return values of
-    shape ``(nt, nq)`` and gradients of shape ``(nt, nq, dim)``; a field
-    that does not depend on time may return ``(nq,)`` (``(nq, dim)``).
-    ``gamma`` takes ``x`` only.  The forcing consistent with the
-    z-equation is ``f = z_tt - b lap_z + gamma u_tt``.
+    The time factors ``a``, ``at`` (``a'``), ``att`` (``a''``) and ``p``
+    map an array of times to an array of the same shape.  The spatial
+    factors take points ``(nq, dim)``: ``phi``, ``lap_phi``, ``psi`` and
+    the coefficient ``gamma`` return ``(nq,)``, ``grad_phi`` returns
+    ``(nq, dim)``.  The forcing consistent with the z-equation is
+    ``f = a'' phi - b a lap_phi + p gamma psi``.
     """
 
-    z: callable
-    zt: callable
-    ztt: callable
-    grad_z: callable
-    lap_z: callable
+    a: callable
+    at: callable
+    att: callable
+    p: callable
+    phi: callable
+    grad_phi: callable
+    lap_phi: callable
+    psi: callable
     gamma: callable
-    utt: callable
     family: str = "generic"
     meta: dict = field(default_factory=dict)
-
-    def f(self, t, x, b):
-        return self.ztt(t, x) - b * self.lap_z(t, x) + self.gamma(x) * self.utt(t, x)
 
 
 def trig_1d():
     """Smooth 1D family z = cos(pi x) sin(t) (does not satisfy the BCs)."""
     pi = np.pi
     return ManufacturedField(
-        z=lambda t, x: np.cos(pi * x[:, 0]) * np.sin(t),
-        zt=lambda t, x: np.cos(pi * x[:, 0]) * np.cos(t),
-        ztt=lambda t, x: -np.cos(pi * x[:, 0]) * np.sin(t),
-        grad_z=lambda t, x: (-pi * np.sin(pi * x[:, 0]) * np.sin(t))[..., None],
-        lap_z=lambda t, x: -(pi**2) * np.cos(pi * x[:, 0]) * np.sin(t),
+        a=np.sin, at=np.cos, att=lambda t: -np.sin(t), p=lambda t: np.sin(2.0 * t),
+        phi=lambda x: np.cos(pi * x[:, 0]),
+        grad_phi=lambda x: (-pi * np.sin(pi * x[:, 0]))[:, None],
+        lap_phi=lambda x: -(pi**2) * np.cos(pi * x[:, 0]),
+        psi=lambda x: 1.0 + x[:, 0],
         gamma=lambda x: 0.3 + 0.1 * x[:, 0],
-        utt=lambda t, x: (1.0 + x[:, 0]) * np.sin(2.0 * t),
         family="trig-1d",
     )
 
@@ -68,23 +68,17 @@ def trig_2d():
     """Smooth 2D family z = cos(pi x) cos(pi y) sin(t)."""
     pi = np.pi
 
-    def gz(t, x):
-        return np.stack(
-            [
-                -pi * np.sin(pi * x[:, 0]) * np.cos(pi * x[:, 1]) * np.sin(t),
-                -pi * np.cos(pi * x[:, 0]) * np.sin(pi * x[:, 1]) * np.sin(t),
-            ],
-            axis=-1,
-        )
+    def grad_phi(x):
+        (cx, cy), (sx, sy) = np.cos(pi * x.T), np.sin(pi * x.T)
+        return np.stack([-pi * sx * cy, -pi * cx * sy], axis=1)
 
     return ManufacturedField(
-        z=lambda t, x: np.cos(pi * x[:, 0]) * np.cos(pi * x[:, 1]) * np.sin(t),
-        zt=lambda t, x: np.cos(pi * x[:, 0]) * np.cos(pi * x[:, 1]) * np.cos(t),
-        ztt=lambda t, x: -np.cos(pi * x[:, 0]) * np.cos(pi * x[:, 1]) * np.sin(t),
-        grad_z=gz,
-        lap_z=lambda t, x: -2 * pi**2 * np.cos(pi * x[:, 0]) * np.cos(pi * x[:, 1]) * np.sin(t),
+        a=np.sin, at=np.cos, att=lambda t: -np.sin(t), p=np.cos,
+        phi=lambda x: np.cos(pi * x[:, 0]) * np.cos(pi * x[:, 1]),
+        grad_phi=grad_phi,
+        lap_phi=lambda x: -2 * pi**2 * np.cos(pi * x[:, 0]) * np.cos(pi * x[:, 1]),
+        psi=lambda x: 1.0 + x[:, 0] * x[:, 1],
         gamma=lambda x: 0.2 + 0.1 * x[:, 1],
-        utt=lambda t, x: (1.0 + x[:, 0] * x[:, 1]) * np.cos(t),
         family="trig-2d",
     )
 
@@ -108,18 +102,17 @@ def bc_satisfying_1d(omega=1.3, kappa0=1.0, kappa1=1.0):
     if abs(X1) < 1e-8:
         raise ValueError("degenerate family: X(1) ~ 0, pick another omega")
     s = -Xp1 / (kappa1 * X1)
-    fld = ManufacturedField(
-        z=lambda t, x: X(x[:, 0]) * np.exp(s * t),
-        zt=lambda t, x: s * X(x[:, 0]) * np.exp(s * t),
-        ztt=lambda t, x: s**2 * X(x[:, 0]) * np.exp(s * t),
-        grad_z=lambda t, x: (Xp(x[:, 0]) * np.exp(s * t))[..., None],
-        lap_z=lambda t, x: -(omega**2) * X(x[:, 0]) * np.exp(s * t),
+    e = lambda t: np.exp(s * t)
+    return ManufacturedField(
+        a=e, at=lambda t: s * e(t), att=lambda t: s**2 * e(t), p=e,
+        phi=lambda x: X(x[:, 0]),
+        grad_phi=lambda x: Xp(x[:, 0])[:, None],
+        lap_phi=lambda x: -(omega**2) * X(x[:, 0]),
+        psi=lambda x: 1.0 - x[:, 0] ** 2,
         gamma=lambda x: 0.2 * (1.0 + x[:, 0]),
-        utt=lambda t, x: (1.0 - x[:, 0] ** 2) * np.exp(s * t),
         family="bc-1d",
+        meta={"s": float(s), "omega": omega, "kappa0": kappa0, "kappa1": kappa1},
     )
-    fld.meta.update({"s": float(s), "omega": omega, "kappa0": kappa0, "kappa1": kappa1})
-    return fld
 
 
 def static_poly_1d(b=1.0, kappa0=2.0):
@@ -128,48 +121,44 @@ def static_poly_1d(b=1.0, kappa0=2.0):
     Time-independent, so the z-multiplier identity collapses to the
     elliptic balance; with Simpson quadrature every integral is exact.
     """
-    zero = lambda t, x: np.zeros(len(x))
     return ManufacturedField(
-        z=lambda t, x: -x[:, 0] ** 2 + 2 * x[:, 0] + 1.0,
-        zt=zero,
-        ztt=zero,
-        grad_z=lambda t, x: (2.0 - 2.0 * x[:, 0])[..., None],
-        lap_z=lambda t, x: np.full(len(x), -2.0),
+        a=np.ones_like, at=np.zeros_like, att=np.zeros_like, p=np.ones_like,
+        phi=lambda x: -x[:, 0] ** 2 + 2 * x[:, 0] + 1.0,
+        grad_phi=lambda x: (2.0 - 2.0 * x[:, 0])[:, None],
+        lap_phi=lambda x: np.full(len(x), -2.0),
+        psi=lambda x: x[:, 0] + 0.5,
         gamma=lambda x: np.full(len(x), 0.5),
-        utt=lambda t, x: x[:, 0] + 0.5,
         family="static-poly-1d",
         meta={"kappa0": kappa0, "b": b},
     )
 
 
-# -- the space-time quadrature kernel ---------------------------------------
+# -- the separable quadrature -------------------------------------------------
 
 
-def _kernel(x, w, times):
-    """The space-time quadrature kernel on one flat point set ``(x, w)``.
+def _in_time(fields, times):
+    """The time factor of every term: trapezoid integrals over ``times`` of
+    ``a'^2``, ``a^2``, ``a''a`` and ``pa`` and the end-time jumps of ``a'a``
+    and ``a^2``."""
+    times = np.asarray(times, float)
+    a, at, att, p = (g(times) for g in (fields.a, fields.at, fields.att, fields.p))
+    trap = lambda g: np.trapezoid(g, times)
+    return SimpleNamespace(
+        at2=trap(at * at), a2=trap(a * a), atta=trap(att * a), pa=trap(p * a),
+        jump_ata=at[-1] * a[-1] - at[0] * a[0], jump_a2=a[-1] ** 2 - a[0] ** 2,
+    )
 
-    For a closure ``g(t, x) -> (nt, nq)`` (see :class:`ManufacturedField`),
-    ``integral(g)`` is the trapezoid-in-time integral over ``times`` of
-    the series ``S(t) = sum_q w_q g(t, x_q)`` and ``jump(g)`` is its
-    end-time difference ``S(times[-1]) - S(times[0])``.  ``g`` is called
-    once per chunk of at most ``_CHUNK_ELEMENTS // nq`` times (at least
-    one), given as a column; a static ``g`` is summed once per chunk.
+
+def _source_terms(fields, x, wm, b, ti):
+    """The ``vol_gamma`` and ``vol_f`` terms, ``int int gamma u_tt m`` and
+    ``-int int f m``, for a multiplier with time factor ``a`` whose spatial
+    factor times the quadrature weights at the points ``x`` is ``wm``.
+    Integrated in time, ``f`` is the rank-3 sum ``a''a phi - b a^2 lap_phi
+    + pa gamma psi``.
     """
-    rows = max(1, _CHUNK_ELEMENTS // len(w))
-
-    def series(g, at):
-        chunks = np.split(at[:, None], range(rows, len(at), rows))
-        sums = [np.broadcast_to(np.sum(g(t, x) * w, axis=-1), len(t)) for t in chunks]
-        return np.concatenate(sums)
-
-    def integral(g):
-        return np.trapezoid(series(g, times), times)
-
-    def jump(g):
-        end, start = series(g, times[[-1, 0]])
-        return end - start
-
-    return integral, jump
+    gpsi = fields.gamma(x) * fields.psi(x)
+    f = ti.atta * fields.phi(x) - b * ti.a2 * fields.lap_phi(x) + ti.pa * gpsi
+    return ti.pa * np.sum(wm * gpsi), -np.sum(wm * f)
 
 
 def _element_points(mesh, rule):
@@ -208,9 +197,13 @@ def _closed_form(h, allow_uncertified):
 
 
 def _normalized(terms):
+    """``|sum of terms| / max |term|``, reported as 0 at or below
+    ``len(terms) * eps``: the rounding bound of the float sum, under
+    which the residual has no digits and so no rate."""
     total = sum(terms.values())
     scale = max(max(abs(v) for v in terms.values()), 1e-300)
-    return abs(total) / scale
+    residual = abs(total) / scale
+    return 0.0 if residual <= len(terms) * np.finfo(float).eps else residual
 
 
 def residual_hgradz(fields, h, mesh, b, times, space_rule=None, allow_uncertified=False):
@@ -222,12 +215,13 @@ def residual_hgradz(fields, h, mesh, b, times, space_rule=None, allow_uncertifie
     (h . nu)``, which must sit at the certification tolerance.
     """
     fld = _closed_form(h, allow_uncertified)
-    times = np.asarray(times, float)
+    ti = _in_time(fields, times)
     xv, wv = _element_points(mesh, space_rule)
-    vol, vol_jump = _kernel(xv, wv, times)
-    hv, div, gam = fld(xv), fld.divergence(xv), fields.gamma(xv)
+    phi, gphi = fields.phi(xv), fields.grad_phi(xv)
+    hgp = np.sum(fld(xv) * gphi, axis=1)
+    div, grad2 = fld.divergence(xv), np.sum(gphi**2, axis=1)
     J = fld.jacobian(xv)
-    Jsym2 = J + np.transpose(J, (0, 2, 1))
+    jac = np.einsum("ni,nik,nk->n", gphi, J + np.transpose(J, (0, 2, 1)), gphi)
 
     facets, xb, wb, nu, n0 = _boundary_points(mesh)
     hb = fld(xb).reshape(len(facets), -1, mesh.dim)
@@ -236,34 +230,24 @@ def residual_hgradz(fields, h, mesh, b, times, space_rule=None, allow_uncertifie
         row, k = np.nonzero(facets[:, None] == h.gamma0_facet_index)
         hb[row] = h.gamma0_facet_values[k]
     hb = hb.reshape(-1, mesh.dim)
-    hnu = np.sum(hb * nu, axis=1)
-    bdy, _ = _kernel(xb, wb, times)
-    gamma0, _ = _kernel(xb[:n0], wb[:n0], times)
-
-    hgz = lambda t, x: np.sum(hv * fields.grad_z(t, x), axis=-1)
-    grad2 = lambda t, x: np.sum(fields.grad_z(t, x) ** 2, axis=-1)
+    gphib = fields.grad_phi(xb)
+    whnu = wb * np.sum(hb * nu, axis=1)
+    phi2_b = whnu * fields.phi(xb) ** 2
+    grad2_b = whnu * np.sum(gphib**2, axis=1)
 
     terms = {}
-    terms["time_boundary"] = vol_jump(lambda t, x: fields.zt(t, x) * hgz(t, x))
-    terms["vol_div_zt2"] = 0.5 * vol(lambda t, x: div * fields.zt(t, x) ** 2)
-    terms["bdy_hnu_zt2"] = -0.5 * bdy(lambda t, x: hnu * fields.zt(t, x) ** 2)
-    terms["vol_jacobian"] = (b / 2.0) * vol(
-        lambda t, x: np.einsum(
-            "...ni,nik,...nk->...n", fields.grad_z(t, x), Jsym2, fields.grad_z(t, x)
-        )
+    terms["time_boundary"] = ti.jump_ata * np.sum(wv * phi * hgp)
+    terms["vol_div_zt2"] = 0.5 * ti.at2 * np.sum(wv * div * phi**2)
+    terms["bdy_hnu_zt2"] = -0.5 * ti.at2 * np.sum(phi2_b)
+    terms["vol_jacobian"] = (b / 2.0) * ti.a2 * np.sum(wv * jac)
+    terms["vol_div_grad2"] = -(b / 2.0) * ti.a2 * np.sum(wv * div * grad2)
+    terms["bdy_hnu_grad2"] = (b / 2.0) * ti.a2 * np.sum(grad2_b)
+    terms["bdy_dnu"] = -b * ti.a2 * np.sum(
+        wb * np.sum(gphib * nu, axis=1) * np.sum(hb * gphib, axis=1)
     )
-    terms["vol_div_grad2"] = -(b / 2.0) * vol(lambda t, x: div * grad2(t, x))
-    terms["bdy_hnu_grad2"] = (b / 2.0) * bdy(lambda t, x: hnu * grad2(t, x))
-    terms["bdy_dnu"] = -b * bdy(
-        lambda t, x: np.sum(fields.grad_z(t, x) * nu, axis=-1)
-        * np.sum(hb * fields.grad_z(t, x), axis=-1)
-    )
-    terms["vol_gamma"] = vol(lambda t, x: gam * fields.utt(t, x) * hgz(t, x))
-    terms["vol_f"] = -vol(lambda t, x: fields.f(t, x, b) * hgz(t, x))
+    terms["vol_gamma"], terms["vol_f"] = _source_terms(fields, xv, wv * hgp, b, ti)
 
-    gamma0_term = abs(
-        gamma0(lambda t, x: (fields.zt(t, x) ** 2 - b * grad2(t, x)) * hnu[:n0])
-    )
+    gamma0_term = abs(ti.at2 * np.sum(phi2_b[:n0]) - b * ti.a2 * np.sum(grad2_b[:n0]))
     return {"residual": _normalized(terms), "terms": terms, "gamma0_term": gamma0_term}
 
 
@@ -274,33 +258,23 @@ def residual_zdivh(fields, h, mesh, b, times, space_rule=None, allow_uncertified
     vanishes identically for fields with constant divergence).
     """
     fld = _closed_form(h, allow_uncertified)
-    times = np.asarray(times, float)
+    ti = _in_time(fields, times)
     xv, wv = _element_points(mesh, space_rule)
-    vol, vol_jump = _kernel(xv, wv, times)
-    div, gdiv, gam = fld.divergence(xv), fld.grad_divergence(xv), fields.gamma(xv)
+    phi, gphi = fields.phi(xv), fields.grad_phi(xv)
+    wdiv = wv * fld.divergence(xv)
+    gdiv = np.sum(gphi * fld.grad_divergence(xv), axis=1)
     _, xb, wb, nu, _ = _boundary_points(mesh)
-    bdy, _ = _kernel(xb, wb, times)
-    div_b = fld.divergence(xb)
+    dnu_b = wb * np.sum(fields.grad_phi(xb) * nu, axis=1) * fields.phi(xb) * fld.divergence(xb)
 
     terms = {}
-    terms["time_boundary"] = 0.5 * vol_jump(lambda t, x: fields.zt(t, x) * fields.z(t, x) * div)
-    terms["vol_zt2"] = -0.5 * vol(lambda t, x: fields.zt(t, x) ** 2 * div)
-    terms["vol_grad2"] = (b / 2.0) * vol(
-        lambda t, x: np.sum(fields.grad_z(t, x) ** 2, axis=-1) * div
-    )
-    terms["vol_graddiv"] = (b / 2.0) * vol(
-        lambda t, x: fields.z(t, x) * np.sum(fields.grad_z(t, x) * gdiv, axis=-1)
-    )
-    terms["bdy_dnu"] = -(b / 2.0) * bdy(
-        lambda t, x: np.sum(fields.grad_z(t, x) * nu, axis=-1) * fields.z(t, x) * div_b
-    )
-    terms["vol_gamma"] = 0.5 * vol(lambda t, x: gam * fields.utt(t, x) * fields.z(t, x) * div)
-    terms["vol_f"] = -0.5 * vol(lambda t, x: fields.f(t, x, b) * fields.z(t, x) * div)
-    return {
-        "residual": _normalized(terms),
-        "terms": terms,
-        "graddiv_term": abs(terms["vol_graddiv"]),
-    }
+    terms["time_boundary"] = 0.5 * ti.jump_ata * np.sum(wdiv * phi**2)
+    terms["vol_zt2"] = -0.5 * ti.at2 * np.sum(wdiv * phi**2)
+    terms["vol_grad2"] = (b / 2.0) * ti.a2 * np.sum(wdiv * np.sum(gphi**2, axis=1))
+    terms["vol_graddiv"] = (b / 2.0) * ti.a2 * np.sum(wv * phi * gdiv)
+    terms["bdy_dnu"] = -(b / 2.0) * ti.a2 * np.sum(dnu_b)
+    terms["vol_gamma"], terms["vol_f"] = _source_terms(fields, xv, 0.5 * wdiv * phi, b, ti)
+    graddiv = abs(terms["vol_graddiv"])
+    return {"residual": _normalized(terms), "terms": terms, "graddiv_term": graddiv}
 
 
 def residual_zmul(fields, mesh, b, kappa0, kappa1, times, space_rule=None):
@@ -311,24 +285,21 @@ def residual_zmul(fields, mesh, b, kappa0, kappa1, times, space_rule=None):
     boundary terms then appear as ``b int_{gamma0} kappa0 z^2`` and the
     time-boundary gamma1 term ``(b/2) [int_{gamma1} kappa1 z^2]``.
     """
-    times = np.asarray(times, float)
+    ti = _in_time(fields, times)
     xv, wv = _element_points(mesh, space_rule)
-    vol, vol_jump = _kernel(xv, wv, times)
-    gam = fields.gamma(xv)
+    phi = fields.phi(xv)
     _, xb, wb, _, n0 = _boundary_points(mesh)
-    robin, _ = _kernel(xb[:n0], wb[:n0], times)
-    _, feedback = _kernel(xb[n0:], wb[n0:], times)
     k0 = kappa0(xb[:n0]) if callable(kappa0) else float(kappa0)
     k1 = kappa1(xb[n0:]) if callable(kappa1) else float(kappa1)
+    phi2_b = wb * fields.phi(xb) ** 2
 
     terms = {}
-    terms["time_boundary"] = vol_jump(lambda t, x: fields.zt(t, x) * fields.z(t, x))
-    terms["vol_zt2"] = -vol(lambda t, x: fields.zt(t, x) ** 2)
-    terms["vol_grad2"] = b * vol(lambda t, x: np.sum(fields.grad_z(t, x) ** 2, axis=-1))
-    terms["gamma0_robin"] = b * robin(lambda t, x: k0 * fields.z(t, x) ** 2)
-    terms["gamma1_feedback"] = (b / 2.0) * feedback(lambda t, x: k1 * fields.z(t, x) ** 2)
-    terms["vol_gamma"] = vol(lambda t, x: gam * fields.utt(t, x) * fields.z(t, x))
-    terms["vol_f"] = -vol(lambda t, x: fields.f(t, x, b) * fields.z(t, x))
+    terms["time_boundary"] = ti.jump_ata * np.sum(wv * phi**2)
+    terms["vol_zt2"] = -ti.at2 * np.sum(wv * phi**2)
+    terms["vol_grad2"] = b * ti.a2 * np.sum(wv * np.sum(fields.grad_phi(xv) ** 2, axis=1))
+    terms["gamma0_robin"] = b * ti.a2 * np.sum(k0 * phi2_b[:n0])
+    terms["gamma1_feedback"] = (b / 2.0) * ti.jump_a2 * np.sum(k1 * phi2_b[n0:])
+    terms["vol_gamma"], terms["vol_f"] = _source_terms(fields, xv, wv * phi, b, ti)
     return {"residual": _normalized(terms), "terms": terms}
 
 
@@ -346,58 +317,3 @@ def refinement_slope(residuals, factors=None):
     A = np.column_stack([np.ones(n), x])
     coef, *_ = np.linalg.lstsq(A, np.log(r), rcond=None)
     return -float(coef[1])
-
-
-def reconstruction_diagnostic(trajectory, bundle, params, window, delta=0.25, source=None):
-    """Observability-style diagnostic: integrated energy vs its bounders.
-
-    Computes ``int_s^{T-s} E1 dt`` and the terms that dominate it
-    (endpoint energies, integrated boundary/interior dissipation,
-    integrated forcing, and a lower-order term surrogate: the
-    time-integrated spectral fractional norm ``||z||^2_{1-delta}`` built
-    from the generalized eigenpairs of (Ktilde, M)).  Reports the
-    smallest constant making the inequality hold for this run.
-    """
-    t = trajectory.times
-    s, te = window
-    i0 = int(np.searchsorted(t, s))
-    i1 = min(int(np.searchsorted(t, te)), len(t) - 1)
-    if i1 <= i0 + 1:
-        raise ValueError("window too narrow for the stored samples")
-    sl = slice(i0, i1 + 1)
-
-    lhs = float(np.trapezoid(trajectory.E1[sl], t[sl]))
-    terms = {
-        "E1_start": float(trajectory.E1[i0]),
-        "E1_end": float(trajectory.E1[i1]),
-        "boundary_dissipation": float(np.trapezoid(trajectory.D_boundary[sl], t[sl])),
-        "interior_dissipation": float(np.trapezoid(trajectory.D_interior[sl], t[sl])),
-    }
-    if source is None:
-        terms["forcing"] = 0.0
-    else:
-        M = bundle.Mmat
-        f2 = [float(source(ti) @ (M @ source(ti))) for ti in t[sl]]
-        terms["forcing"] = float(np.trapezoid(f2, t[sl]))
-
-    if trajectory.states is None:
-        raise ValueError("reconstruction diagnostic needs stored state snapshots")
-    K = bundle.Ktilde.toarray()
-    M = bundle.Mmat.toarray()
-    lam, V = scipy.linalg.eigh(K, M)
-    lam = np.maximum(lam, 0.0)
-    q = params.q
-    z_samples = trajectory.states[1, sl] + q * trajectory.states[0, sl]
-    coords = z_samples @ (M @ V)
-    frac = (coords**2) @ (lam ** (1.0 - delta))
-    terms["lot_surrogate"] = float(np.trapezoid(frac, t[sl]))
-
-    rhs_total = sum(terms.values())
-    implied_C = lhs / rhs_total if rhs_total > 0 else np.inf
-    return {
-        "lhs": lhs,
-        "rhs_terms": terms,
-        "implied_C": float(implied_C),
-        "delta": float(delta),
-        "lot_definition": "time-integrated spectral fractional norm of z (own surrogate)",
-    }

@@ -7,14 +7,13 @@ annihilation term uses the certified tangential trace and has to vanish
 identically, not just converge.
 """
 
-import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import mgtstab as M
 from mgtstab import multiplier
-from mgtstab.dynamics import _CHUNK_ELEMENTS
 from mgtstab.errors import CertificationError
 from mgtstab.geometry import RadialField, VectorFieldH
 
@@ -112,7 +111,7 @@ def test_identities_second_order_2d():
     assert M.refinement_slope(res_z) >= 1.8, res_z
 
 
-# ------------------------------------------------- the space-time kernel
+# ------------------------------------------- the per-sample reference
 
 
 def per_sample_kernel(x, w, times):
@@ -131,19 +130,82 @@ def per_sample_kernel(x, w, times):
     return integral, jump
 
 
-def element_points(dim):
-    """A small 1D or 2D geometry, its mesh and the element point set."""
-    if dim == 1:
-        geo, mesh = interval_mesh(64)
-    else:
-        geo = M.named_geometry("half-disk")
-        mesh = M.build_mesh(geo, 4)
-    return geo, mesh, multiplier._element_points(mesh, None)
+def pointwise(fld):
+    """``(t, x)`` closures of the full fields, built from the factors of a
+    separable family; ``t`` is one time sample."""
+    z = lambda t, x: fld.a(t) * fld.phi(x)
+    zt = lambda t, x: fld.at(t) * fld.phi(x)
+    ztt = lambda t, x: fld.att(t) * fld.phi(x)
+    lap_z = lambda t, x: fld.a(t) * fld.lap_phi(x)
+    utt = lambda t, x: fld.p(t) * fld.psi(x)
+    return SimpleNamespace(
+        z=z,
+        zt=zt,
+        grad_z=lambda t, x: fld.a(t) * fld.grad_phi(x),
+        gamma=fld.gamma,
+        utt=utt,
+        f=lambda t, x, b: ztt(t, x) - b * lap_z(t, x) + fld.gamma(x) * utt(t, x),
+    )
 
 
-def multi_chunk_times(nq):
-    """Times spanning more than three kernel chunks on ``nq`` points."""
-    return np.linspace(0.0, 2.0, 3 * max(1, _CHUNK_ELEMENTS // nq) + 5)
+def reference_terms(fld, h, mesh, b, times):
+    """Every term of the three identities in closure form, summed by the
+    per-sample kernel: the quadrature the separable one must reproduce."""
+    fields, ana = pointwise(fld), h.analytic
+    xv, wv = multiplier._element_points(mesh, None)
+    vol, vol_jump = per_sample_kernel(xv, wv, times)
+    hv, div, gam = ana(xv), ana.divergence(xv), fields.gamma(xv)
+    gdiv, J = ana.grad_divergence(xv), ana.jacobian(xv)
+    Jsym2 = J + np.transpose(J, (0, 2, 1))
+    facets, xb, wb, nu, n0 = multiplier._boundary_points(mesh)
+    hb = ana(xb).reshape(len(facets), -1, mesh.dim)
+    row, k = np.nonzero(facets[:, None] == h.gamma0_facet_index)
+    hb[row] = h.gamma0_facet_values[k]
+    hb = hb.reshape(-1, mesh.dim)
+    hnu, div_b = np.sum(hb * nu, axis=1), ana.divergence(xb)
+    bdy, _ = per_sample_kernel(xb, wb, times)
+    gamma0, _ = per_sample_kernel(xb[:n0], wb[:n0], times)
+    _, feedback = per_sample_kernel(xb[n0:], wb[n0:], times)
+    z, zt, gz, utt, f = fields.z, fields.zt, fields.grad_z, fields.utt, fields.f
+    hgz = lambda t, x: np.sum(hv * gz(t, x), axis=-1)
+    grad2 = lambda t, x: np.sum(gz(t, x) ** 2, axis=-1)
+    dnu = lambda t, x: np.sum(gz(t, x) * nu, axis=-1)
+
+    hgradz = {
+        "time_boundary": vol_jump(lambda t, x: zt(t, x) * hgz(t, x)),
+        "vol_div_zt2": 0.5 * vol(lambda t, x: div * zt(t, x) ** 2),
+        "bdy_hnu_zt2": -0.5 * bdy(lambda t, x: hnu * zt(t, x) ** 2),
+        "vol_jacobian": (b / 2.0) * vol(
+            lambda t, x: np.einsum("...ni,nik,...nk->...n", gz(t, x), Jsym2, gz(t, x))
+        ),
+        "vol_div_grad2": -(b / 2.0) * vol(lambda t, x: div * grad2(t, x)),
+        "bdy_hnu_grad2": (b / 2.0) * bdy(lambda t, x: hnu * grad2(t, x)),
+        "bdy_dnu": -b * bdy(lambda t, x: dnu(t, x) * np.sum(hb * gz(t, x), axis=-1)),
+        "vol_gamma": vol(lambda t, x: gam * utt(t, x) * hgz(t, x)),
+        "vol_f": -vol(lambda t, x: f(t, x, b) * hgz(t, x)),
+    }
+    gamma0_term = abs(gamma0(lambda t, x: (zt(t, x) ** 2 - b * grad2(t, x)) * hnu[:n0]))
+    zdivh = {
+        "time_boundary": 0.5 * vol_jump(lambda t, x: zt(t, x) * z(t, x) * div),
+        "vol_zt2": -0.5 * vol(lambda t, x: zt(t, x) ** 2 * div),
+        "vol_grad2": (b / 2.0) * vol(lambda t, x: grad2(t, x) * div),
+        "vol_graddiv": (b / 2.0) * vol(
+            lambda t, x: z(t, x) * np.sum(gz(t, x) * gdiv, axis=-1)
+        ),
+        "bdy_dnu": -(b / 2.0) * bdy(lambda t, x: dnu(t, x) * z(t, x) * div_b),
+        "vol_gamma": 0.5 * vol(lambda t, x: gam * utt(t, x) * z(t, x) * div),
+        "vol_f": -0.5 * vol(lambda t, x: f(t, x, b) * z(t, x) * div),
+    }
+    zmul = {
+        "time_boundary": vol_jump(lambda t, x: zt(t, x) * z(t, x)),
+        "vol_zt2": -vol(lambda t, x: zt(t, x) ** 2),
+        "vol_grad2": b * vol(grad2),
+        "gamma0_robin": b * gamma0(lambda t, x: 1.1 * z(t, x) ** 2),
+        "gamma1_feedback": (b / 2.0) * feedback(lambda t, x: 0.7 * z(t, x) ** 2),
+        "vol_gamma": vol(lambda t, x: gam * utt(t, x) * z(t, x)),
+        "vol_f": -vol(lambda t, x: f(t, x, b) * z(t, x)),
+    }
+    return hgradz, gamma0_term, zdivh, zmul
 
 
 FAMILIES = {
@@ -154,91 +216,62 @@ FAMILIES = {
 }
 
 
-@pytest.mark.parametrize(
-    "family, dim",
-    [(name, dim) for name, (_, dims) in FAMILIES.items() for dim in dims],
-)
-def test_time_vectorized_kernel_equals_the_per_sample_kernel(family, dim):
-    # every row sum is the same pairwise sum as the per-sample one, so the
-    # chunked kernel is bitwise equal to it, across chunk boundaries too
-    fld = FAMILIES[family][0]()
-    b = 1.3
-    integrands = {
-        "z": fld.z,
-        "zt": fld.zt,
-        "ztt": fld.ztt,
-        "lap_z": fld.lap_z,
-        "utt": fld.utt,
-        "grad2": lambda t, x: np.sum(fld.grad_z(t, x) ** 2, axis=-1),
-        "f_z": lambda t, x: fld.f(t, x, b) * fld.z(t, x),
-    }
-    _, _, (x, w) = element_points(dim)
-    times = multi_chunk_times(len(w))
-    new, new_jump = multiplier._kernel(x, w, times)
-    ref, ref_jump = per_sample_kernel(x, w, times)
-    for name, g in integrands.items():
-        assert new(g) == ref(g), name
-        assert new_jump(g) == ref_jump(g), name
-
-
 @pytest.mark.parametrize("dim", [1, 2])
-def test_residuals_equal_the_per_sample_kernel(monkeypatch, dim):
-    # the full identities, einsum Jacobian term and certified gamma0
-    # trace included, over times spanning several volume chunks
-    geo, mesh, (_, w) = element_points(dim)
+def test_residuals_equal_the_per_sample_kernel(dim):
+    # every family on a 1D or 2D mesh: the separable quadrature is the same
+    # discrete quantity as the closure-form one with a different rounding,
+    # so every term agrees to 1e-14 of the largest term of its identity,
+    # the einsum Jacobian term and the certified gamma0 trace included
+    if dim == 1:
+        geo, mesh = interval_mesh(64)
+    else:
+        geo = M.named_geometry("half-disk")
+        mesh = M.build_mesh(geo, 4)
     h = M.build_vector_field_h(geo, mesh, 0.3)
-    times = multi_chunk_times(len(w))
-    fld = M.trig_1d() if dim == 1 else M.trig_2d()
-    bcf = M.bc_satisfying_1d()
-
-    def run():
-        out = [
-            M.residual_hgradz(fld, h, mesh, 1.0, times),
-            M.residual_zdivh(fld, h, mesh, 1.0, times),
-        ]
-        if dim == 1:
-            out.append(M.residual_zmul(bcf, mesh, 1.0, 1.0, 1.0, times))
-        return out
-
-    new = run()
-    monkeypatch.setattr(multiplier, "_kernel", per_sample_kernel)
-    assert new == run()
-
-
-def recording(fld, rows):
-    """``fld`` with every time-dependent closure logging its time rows
-    and point count."""
-
-    def wrap(g):
-        def rec(t, x):
-            rows.append((np.shape(t)[0], len(x)))
-            return g(t, x)
-
-        return rec
-
-    names = ("z", "zt", "ztt", "grad_z", "lap_z", "utt")
-    return dataclasses.replace(fld, **{k: wrap(getattr(fld, k)) for k in names})
+    b, times = 1.3, np.linspace(0.0, 2.0, 41)
+    families = [make() for make, dims in FAMILIES.values() if dim in dims]
+    assert len(families) == (3 if dim == 1 else 4)
+    for fld in families:
+        ref_h, ref_gamma0, ref_z, ref_m = reference_terms(fld, h, mesh, b, times)
+        out_h = M.residual_hgradz(fld, h, mesh, b, times)
+        out_z = M.residual_zdivh(fld, h, mesh, b, times)
+        out_m = M.residual_zmul(fld, mesh, b, 1.1, 0.7, times)
+        for ref, out in ((ref_h, out_h), (ref_z, out_z), (ref_m, out_m)):
+            assert list(out["terms"]) == list(ref)
+            scale = max(abs(v) for v in ref.values())
+            for key, val in ref.items():
+                assert abs(out["terms"][key] - val) <= 1e-14 * scale, (fld.family, key)
+            assert abs(out["residual"] - multiplier._normalized(ref)) <= 1e-14, fld.family
+        assert abs(out_h["gamma0_term"] - ref_gamma0) <= 1e-14 * max(map(abs, ref_h.values()))
 
 
-def test_kernel_calls_stay_within_the_chunk_budget():
-    # half-disk-2d's third multiplier level (resolution 8 * 2**2) has
-    # 52 224 volume points, so the budget allows one time row per call
-    geo = M.named_geometry("half-disk")
-    mesh = M.build_mesh(geo, 32)
-    h = M.build_vector_field_h(geo, mesh, 0.3)
-    rows = []
-    fld = recording(M.trig_2d(), rows)
-    times = np.linspace(0.0, 2.0, 4)
-    M.residual_hgradz(fld, h, mesh, 1.0, times)
-    M.residual_zdivh(fld, h, mesh, 1.0, times)
-    # and a 1D level whose volume times span several chunks
-    _, mesh1 = interval_mesh(512)
-    fld1 = recording(M.bc_satisfying_1d(), rows)
-    M.residual_zmul(fld1, mesh1, 1.0, 1.0, 1.0, np.linspace(0.0, 2.0, 321))
-    assert max(nq for _, nq in rows) > _CHUNK_ELEMENTS // 2
-    assert any(nt > 1 for nt, _ in rows)
-    for nt, nq in rows:
-        assert nt <= max(1, _CHUNK_ELEMENTS // nq), (nt, nq)
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_family_factors_are_derivatives_of_each_other(family):
+    # a', a'' and grad phi, lap phi against central differences: the
+    # factors define every term, so a wrong one would bend the identities
+    fld = FAMILIES[family][0]()
+    t, dt = np.linspace(0.1, 1.9, 7), 1e-5
+    for g, dg in ((fld.a, fld.at), (fld.at, fld.att)):
+        np.testing.assert_allclose((g(t + dt) - g(t - dt)) / (2 * dt), dg(t), atol=1e-8)
+    x = np.random.default_rng(3).uniform(0.05, 0.95, (9, 2))
+    grad = fld.grad_phi(x)
+    dx, lap = 1e-4, np.zeros(len(x))
+    for i in range(grad.shape[1]):
+        e = np.zeros(2)
+        e[i] = dx
+        up, mid, down = fld.phi(x + e), fld.phi(x), fld.phi(x - e)
+        np.testing.assert_allclose((up - down) / (2 * dx), grad[:, i], atol=1e-7)
+        lap += (up - 2 * mid + down) / dx**2
+    np.testing.assert_allclose(lap, fld.lap_phi(x), atol=1e-5)
+
+
+def test_residual_within_the_rounding_bound_of_its_sum_is_zero():
+    # |sum| / max|term| at or below len(terms) * eps carries no digits
+    eps = np.finfo(float).eps
+    terms = {"a": 1.0, "b": -1.0, "c": 3 * eps}
+    assert multiplier._normalized(terms) == 0.0
+    terms["c"] = 4 * eps
+    assert multiplier._normalized(terms) == 4 * eps
 
 
 # ----------------------------------------------------------- gatekeeping
@@ -298,24 +331,3 @@ def test_refinement_slope_recovers_exact_order():
 def test_refinement_slope_rejects_undefined_rates(bad):
     with pytest.raises(ValueError):
         M.refinement_slope([1e-2, bad, 1e-4])
-
-
-def test_reconstruction_diagnostic_structure():
-    scen = M.Scenario(interval_config(mesh={"resolution": 32}, initial={"kind": "robin-mode"}))
-    traj = M.simulate(
-        scen.bundle, scen.params, scen.initial, T=4.0, dt=2e-3, store_states=True
-    )
-    out = M.reconstruction_diagnostic(traj, scen.bundle, scen.params, window=(0.0, 4.0))
-    rhs = out["rhs_terms"]
-    for key in (
-        "E1_start",
-        "E1_end",
-        "boundary_dissipation",
-        "interior_dissipation",
-        "lot_surrogate",
-    ):
-        assert key in rhs
-    assert out["lhs"] > 0
-    assert rhs["lot_surrogate"] > 0
-    assert np.isfinite(out["implied_C"]) and out["implied_C"] > 0
-    assert out["delta"] == 0.25

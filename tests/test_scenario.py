@@ -269,6 +269,20 @@ def test_cli_multiplier_check(tmp_path):
     assert rep["gamma0_term_max"] <= 1e-9
 
 
+def test_cli_multiplier_check_on_the_half_disk(tmp_path):
+    # the paper's HIFU-like geometry at its preset's three levels (up to
+    # 52 224 volume points and 321 times); the slopes are pinned to their
+    # values before the separable quadrature, which rounds differently
+    cfg_path = write_config(tmp_path, {"preset": "half-disk-2d"})
+    out = str(tmp_path / "out")
+    assert cli.main(["multiplier-check", "--config", cfg_path, "--out", out]) == cli.EXIT_OK
+    rep = json.loads(Path(out, "multiplier.json").read_text())["multiplier"]
+    assert rep["gamma0_term_max"] == 0.0
+    assert set(rep["slopes"]) == {"hgradz", "zdivh"}
+    assert rep["slopes"]["hgradz"] == pytest.approx(1.8304427598255264, abs=1e-9)
+    assert rep["slopes"]["zdivh"] == pytest.approx(1.985359186739652, abs=1e-9)
+
+
 def test_cli_config_error_exit_and_artifact(tmp_path):
     cfg = tiny_config()
     del cfg["time"]
@@ -429,14 +443,18 @@ def test_load_config_bounds_the_step_count():
     assert round(cfg["time"]["T"] / cfg["time"]["dt"]) == MAX_STEPS
 
 
-def test_cli_full_reports_undefined_multiplier_slope_as_null(tmp_path):
-    # with b = 1e300 the zdivh residuals sit at roundoff and one is exactly
-    # zero, so that identity has no rate; the other two keep theirs
+@pytest.mark.parametrize(
+    "resolution, b", [(16, 1e300), (16, 1e200), (24, 1e300), (32, 1e100)]
+)
+def test_cli_full_reports_undefined_multiplier_slope_as_null(tmp_path, resolution, b):
+    # with a huge b the zdivh residuals sit at roundoff (about 1.3e-16 of
+    # the largest term, under the float sum's rounding bound), so that
+    # identity has no rate; the other two keep theirs
     cfg = {
         "preset": "interval-1d-damped",
-        "mesh": {"resolution": 16},
+        "mesh": {"resolution": resolution},
         "time": {"T": 0.5, "dt": 0.01},
-        "params": {"b": 1e300},
+        "params": {"b": b},
     }
     cfg_path = write_config(tmp_path, cfg)
     out = str(tmp_path / "out")
