@@ -20,10 +20,7 @@ def main():
     print("initial data: Robin-compatible boundary mode, omega = %.6f"
           % M.robin_mode_frequency(1.0))
 
-    traj = M.simulate(
-        scen.bundle, scen.params, scen.initial,
-        T=10.0, dt=1e-3, output_stride=10, store_states=False,
-    )
+    traj = M.simulate(scen.bundle, scen.initial, T=10.0, dt=1e-3, output_stride=10)
 
     print("\n   t        E1              E1/E1(0) - 1")
     for k in range(0, len(traj.times), len(traj.times) // 10):
@@ -36,10 +33,7 @@ def main():
           % M.energy_identity_residual(traj))
 
     # contrast: the same run with BDF2, which damps numerically
-    bdf = M.simulate(
-        scen.bundle, scen.params, scen.initial,
-        T=10.0, dt=1e-3, output_stride=10, store_states=False, scheme="bdf2",
-    )
+    bdf = M.simulate(scen.bundle, scen.initial, T=10.0, dt=1e-3, output_stride=10, scheme="bdf2")
     print("same run under BDF2 (numerically dissipative): relative E1 loss %.3e"
           % (1.0 - bdf.E1[-1] / bdf.E1[0]))
 

@@ -23,16 +23,13 @@ def main():
     print("damped interval: alpha = 2, kappa0 = kappa1 = 1, n_nodes = %d"
           % scen.mesh.n_nodes)
 
-    traj = M.simulate(
-        scen.bundle, scen.params, scen.initial,
-        T=20.0, dt=1e-3, output_stride=10, store_states=False,
-    )
+    traj = M.simulate(scen.bundle, scen.initial, T=20.0, dt=1e-3, output_stride=10)
     fit = M.fit_decay_rate(traj.times, traj.E1)
     print("E1(0) = %.4e  ->  E1(20) = %.4e" % (traj.E1[0], traj.E1[-1]))
     print("tail fit: E1 ~ M exp(-omega t) with omega = %.4f, M = %.3f "
           "(rms log residual %.2e)" % (fit["omega"], fit["M"], fit["fit_residual"]))
 
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     rep = M.spectrum(gen)
     dom = rep.eigenvalues[np.argmax(rep.eigenvalues.real)]
     print("\ngenerator spectrum: %d eigenvalues, abscissa %.5f" % (

@@ -40,15 +40,12 @@ def main():
 
     scen = M.Scenario(M.load_config({"preset": "transducer-2d"}))
     print("\ncritical simulation (gamma = 0, kappa1 = 1, Gaussian pulse):")
-    traj = M.simulate(
-        scen.bundle, scen.params, scen.initial,
-        T=8.0, dt=4e-3, output_stride=4, store_states=False,
-    )
+    traj = M.simulate(scen.bundle, scen.initial, T=8.0, dt=4e-3, output_stride=4)
     fit = M.fit_decay_rate(traj.times, traj.E1)
     print("E1: %.3e -> %.3e over T = 8" % (traj.E1[0], traj.E1[-1]))
     print("fitted decay rate omega = %.4f (positive: boundary absorption "
           "alone drains the energy)" % fit["omega"])
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     print("spectral abscissa: %.3e" % M.spectrum(gen).abscissa)
 
 

@@ -32,15 +32,13 @@ def main():
     worst = max(
         (M.modal_cubic_roots(mu, p).real.max() for mu in mus[:8]),
     )
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     rep = M.spectrum(gen)
     print("max Re over the first 8 modal cubics: %.5f" % worst)
     print("generator abscissa:                   %.5f" % rep.abscissa)
 
     traj = M.simulate(
-        scen.bundle, scen.params, scen.initial,
-        T=50.0, dt=5e-3, output_stride=10, store_states=False,
-        compat_tol=np.inf,
+        scen.bundle, scen.initial, T=50.0, dt=5e-3, output_stride=10, compat_tol=np.inf,
     )
     crossing = traj.times[np.nonzero(traj.E > 10 * traj.E[0])[0][0]]
     print("\ntime domain: E(t) first exceeds 10 E(0) at t = %.2f" % crossing)

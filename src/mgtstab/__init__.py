@@ -29,7 +29,6 @@ from .dynamics import (
     Trajectory,
     assemble_generator,
     check_compatibility,
-    m_inverse,
     m_transform,
     reconstruct_u_from_z,
     simulate,
@@ -133,7 +132,6 @@ __all__ = [
     "gamma_parameter",
     "load_config",
     "load_config_file",
-    "m_inverse",
     "m_transform",
     "match_spectra",
     "modal_cubic_roots",

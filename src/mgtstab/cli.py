@@ -94,7 +94,6 @@ def _simulate(scen):
     t = scen.time
     traj = simulate(
         scen.bundle,
-        scen.params,
         scen.initial,
         t["T"],
         t["dt"],
@@ -129,7 +128,7 @@ def _simulate(scen):
 
 def _spectrum(scen):
     # the schema admits only the dense_cap / n_partial keyword arguments here
-    gen = assemble_generator(scen.bundle, scen.params, form="u")
+    gen = assemble_generator(scen.bundle, form="u")
     return spectrum(gen, **scen.config.get("spectrum", {}))
 
 

@@ -250,9 +250,8 @@ class Scenario:
             spec = self.config.get("initial", {"kind": "zero"})
             state = presets.initial_state(spec, self.mesh, self.params)
             with np.errstate(over="ignore", invalid="ignore"):
-                E0 = energy_E0(state, self.bundle, self.params)
-                zstate = m_transform(state, self.params)
-                E1 = energy_E1(zstate, self.bundle, self.params, allow_indefinite=True)
+                E0 = energy_E0(state, self.bundle)
+                E1 = energy_E1(m_transform(state, self.params), self.bundle, allow_indefinite=True)
             if not np.isfinite(E0 + E1):
                 raise ConfigError("the energy of the initial data is not finite")
             self._initial = state

@@ -135,7 +135,7 @@ class Mesh:
         """Element quadrature points/weights for closed-form integrands.
 
         1D rules: ``trapezoid`` (order 2) and ``simpson`` (order 4).
-        2D rules: ``vertex`` (order 2) and ``centroid`` (order 2).
+        2D rule: ``vertex`` (order 2).
         """
         x = self.nodes[self.elements]
         vol = self.element_volumes
@@ -150,8 +150,6 @@ class Mesh:
             raise ValueError("unknown 1D rule %r" % rule)
         if rule == "vertex":
             return x, np.repeat(vol[:, None] / 3.0, 3, axis=1)
-        if rule == "centroid":
-            return x.mean(axis=1)[:, None, :], vol[:, None]
         raise ValueError("unknown 2D rule %r" % rule)
 
 

@@ -53,14 +53,6 @@ def m_transform(state, params):
     return State(state.u.copy(), state.v + q * state.u, state.w + q * state.v, state.t)
 
 
-def m_inverse(state, params):
-    """Inverse change of variables: u_t = z - q u, u_tt = z_t - q z + q^2 u."""
-    q = params.q
-    ut = state.v - q * state.u
-    utt = state.w - q * state.v + q**2 * state.u
-    return State(state.u.copy(), ut, utt, state.t)
-
-
 # -- compatibility of initial data ------------------------------------------
 
 
@@ -173,13 +165,14 @@ class Generator:
         return A
 
 
-def assemble_generator(bundle, params, form="u"):
+def assemble_generator(bundle, form="u"):
     """Assemble the first-order pencil in u- or z-variables.
 
     The two pencils are exactly conjugate under the nodal transform
     matrix; that identity is validated numerically in the tests rather
     than assumed here.
     """
+    params = bundle.params
     tau, b, c2 = params.tau, params.b, params.c**2
     if form == "u":
         shift, Ew = 0.0, tau * bundle.Mmat
@@ -343,18 +336,19 @@ class Trajectory:
         return list(self.CSV_COLUMNS), np.column_stack(cols)
 
 
-def _observables(U, V, W, times, bundle, params, source, gamma_negative):
+def _observables(U, V, W, times, bundle, source, gamma_negative):
     """The nine trajectory columns (after ``t``) of a chunk of recorded
     states, one row per sample in ``U, V, W = u, u_t, u_tt``.
 
     Raises :class:`NumericalError` at the first sample whose ``z_t`` or
     energy is not finite; a blow-up overflows silently up to that check.
     """
+    params = bundle.params
     q, tau = params.q, params.tau
     with np.errstate(over="ignore", invalid="ignore"):
         Z, Zt = V + q * U, W + q * V
-        E1 = _energy.energy_E1(State(U, Z, Zt), bundle, params, allow_indefinite=gamma_negative)
-        E0 = _energy.energy_E0(State(U, V, W), bundle, params)
+        E1 = _energy.energy_E1(State(U, Z, Zt), bundle, allow_indefinite=gamma_negative)
+        E0 = _energy.energy_E0(State(U, V, W), bundle)
     bad_state = ~np.isfinite(Zt).all(axis=1)
     bad = bad_state | ~np.isfinite(E0 + E1)
     if bad.any():
@@ -382,14 +376,13 @@ def _observables(U, V, W, times, bundle, params, source, gamma_negative):
 
 def simulate(
     bundle,
-    params,
     initial,
     T,
     dt,
     source=None,
     scheme="implicit-midpoint",
     output_stride=1,
-    store_states=True,
+    store_states=False,
     compat_tol=0.1,
 ):
     """Advance the u-form system and record energy/dissipation series.
@@ -418,13 +411,14 @@ def simulate(
             compat["r1"],
         )
 
-    gen = assemble_generator(bundle, params, form="u")
+    gen = assemble_generator(bundle, form="u")
     stepper = Stepper(gen, dt, scheme, source)
     n_steps = int(round(T / dt))
     record_at = sorted(set(range(0, n_steps + 1, int(output_stride))) | {n_steps})
     n_rec = len(record_at)
     chunk = max(1, _CHUNK_ELEMENTS // n)
-    gamma_negative = bool(np.any(params.gamma_field < 0))
+    classification = bundle.params.stability_classification()
+    gamma_negative = classification == "unstable"
 
     # (u, u_t, u_tt) of the recorded states: every sample when they are
     # kept, else one chunk that is overwritten after its evaluation
@@ -446,9 +440,7 @@ def simulate(
         i += 1
         if i % chunk == 0 or i == n_rec:
             rows = slice(lo, i) if store_states else slice(0, i - lo)
-            cols[:, lo:i] = _observables(
-                *X[:, rows], times[lo:i], bundle, params, source, gamma_negative
-            )
+            cols[:, lo:i] = _observables(*X[:, rows], times[lo:i], bundle, source, gamma_negative)
 
     traj = Trajectory(
         times,
@@ -461,7 +453,7 @@ def simulate(
             "scheme": scheme,
             "output_stride": int(output_stride),
             "gamma_negative": gamma_negative,
-            "stability_classification": params.stability_classification(),
+            "stability_classification": classification,
             **stepper.health(start),
         },
     )

@@ -27,17 +27,17 @@ def _quad(A, x):
     return np.einsum("...i,i...->...", x, A @ x.T)
 
 
-def energy_E1(state, bundle, params, allow_indefinite=False):
+def energy_E1(state, bundle, allow_indefinite=False):
     """First-order (z-level) energy of a z-form state ``(u, z, z_t)``.
 
     The fields may be ``(m, n)`` stacks of m states, which gives one
-    energy per row.  Requires ``gamma >= 0`` nodewise; pass
-    ``allow_indefinite=True`` to evaluate the (then sign-indefinite)
-    quadratic form anyway, which is how instability scenarios report
-    their growth.
+    energy per row.  Requires that ``bundle.params`` is not classified
+    ``"unstable"`` (no ``gamma < -1e-12``); pass ``allow_indefinite=True``
+    to evaluate the (then sign-indefinite) quadratic form anyway, which
+    is how instability scenarios report their growth.
     """
-    gamma = params.gamma_field
-    if not allow_indefinite and np.any(gamma < -1e-14):
+    params = bundle.params
+    if not allow_indefinite and params.stability_classification() == "unstable":
         raise UndefinedWeightError(
             "gamma is negative somewhere; E1's weighted term is undefined "
             "(pass allow_indefinite=True to evaluate the indefinite form)"
@@ -51,8 +51,9 @@ def energy_E1(state, bundle, params, allow_indefinite=False):
     return val
 
 
-def energy_E0(state, bundle, params):
+def energy_E0(state, bundle):
     """Zeroth-order energy of a u-form state ``(u, u_t, u_tt)`` (or row-wise stack)."""
+    params = bundle.params
     if np.any(params.alpha_field < 0):
         raise UndefinedWeightError("alpha is negative somewhere; E0 is undefined")
     tau = params.tau
@@ -115,9 +116,9 @@ def fit_decay_rate(times, E, tail_fraction=0.5, floor_rel=1e-13):
     return {"omega": omega, "M": M, "fit_residual": resid, "n_points": int(len(e_f))}
 
 
-def energy_quadratic_form(bundle, params):
+def energy_quadratic_form(bundle):
     """Dense matrix Q with E0 + E1 = Phi^T Q Phi on stacked (u, u_t, u_tt)."""
-    n = bundle.mesh.n_nodes
+    n, params = bundle.mesh.n_nodes, bundle.params
     tau, b, q = params.tau, params.b, params.q
     K = bundle.Ktilde.toarray()
     M = bundle.Mmat.toarray()
@@ -136,7 +137,7 @@ def energy_quadratic_form(bundle, params):
     return 0.5 * (Q + Q.T)
 
 
-def norm_equivalence_constants(bundle, params):
+def norm_equivalence_constants(bundle):
     """Extremal generalized eigenvalues of the energy vs the state norm.
 
     The reference squared norm is ``u^T Ktilde u + u_t^T Ktilde u_t +
@@ -149,6 +150,6 @@ def norm_equivalence_constants(bundle, params):
     M = bundle.Mmat.toarray()
     Z = np.zeros((n, n))
     H = np.block([[K, Z, Z], [Z, K, Z], [Z, Z, M]])
-    Q = energy_quadratic_form(bundle, params)
+    Q = energy_quadratic_form(bundle)
     lam = scipy.linalg.eigh(Q, H, eigvals_only=True)
     return float(lam[0]), float(lam[-1])

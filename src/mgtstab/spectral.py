@@ -34,6 +34,9 @@ DENSE_EIG_CAP = 6000
 class SpectrumReport:
     """Eigenvalues of a generator with the derived stability flags.
 
+    ``stable`` holds when the abscissa lies below ``-len(eigenvalues) eps
+    max|lambda|``, so an abscissa within rounding of zero (a conservative
+    generator) is not stable whatever its sign.
     ``meta`` holds the eigensolver ``method`` and, when the iterative
     eigensolver stopped early, the number of ``converged`` eigenvalues;
     ``health()`` returns those of them that are present.
@@ -96,7 +99,7 @@ def spectrum(generator, dense_cap=DENSE_EIG_CAP, n_partial=40):
         if bundle.Mgamma.count_nonzero() == 0:
             gen = generator
             if gen.form != "z":
-                gen = assemble_generator(bundle, bundle.params, "z")
+                gen = assemble_generator(bundle, "z")
             wave = scipy.linalg.eigvals(gen.dense_vw())
             vals = _sorted_eigs(np.concatenate((np.full(n // 3, gen.shift), wave)))
             meta["method"] = "dense-wave-block"
@@ -128,10 +131,11 @@ def spectrum(generator, dense_cap=DENSE_EIG_CAP, n_partial=40):
         meta["method"] = "sparse-shift-invert"
         meta["target"] = "smallest modulus"
     abscissa = float(vals.real.max())
+    tol = float(len(vals) * np.finfo(float).eps * np.abs(vals).max())
     return SpectrumReport(
         eigenvalues=vals,
         abscissa=abscissa,
-        stable=abscissa < 0,
+        stable=abscissa < -tol,
         partial=partial,
         form=generator.form,
         meta=meta,
@@ -197,8 +201,8 @@ def abscissa_vs_decay(rep, times, E1, tail_fraction=0.5):
     ``exp(2 * abscissa * t)``, so the fitted omega over the tail should
     match ``2 |abscissa|``.  Returns the ratio together with both
     numbers; flagged not applicable when the spectrum is partial (its
-    abscissa is not the global one), the generator is not strictly
-    stable, or the fit degenerates.
+    abscissa is not the global one), the report is not ``stable``, or
+    the fit degenerates.
     """
     out = {
         "abscissa": rep.abscissa,
@@ -206,7 +210,7 @@ def abscissa_vs_decay(rep, times, E1, tail_fraction=0.5):
         "ratio": None,
         "applicable": False,
     }
-    if rep.partial or rep.abscissa >= -1e-12:
+    if rep.partial or not rep.stable:
         return out
     try:
         fit = _energy.fit_decay_rate(times, E1, tail_fraction=tail_fraction)

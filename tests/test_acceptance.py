@@ -38,10 +38,7 @@ def _scenario(preset_name, **over):
 def test_c01_critical_case_conserves_energy():
     scen = _scenario("interval-1d-conserved")
     t0 = time.perf_counter()
-    traj = M.simulate(
-        scen.bundle, scen.params, scen.initial, T=10.0, dt=1e-3,
-        output_stride=1, store_states=False,
-    )
+    traj = M.simulate(scen.bundle, scen.initial, T=10.0, dt=1e-3, output_stride=1)
     elapsed = time.perf_counter() - t0
     drift = float(np.abs(traj.E1 - traj.E1[0]).max() / traj.E1[0])
     ok = drift <= 1e-8 and elapsed <= 10.0
@@ -58,10 +55,7 @@ def test_c02_energy_identity_second_order():
     scen = _scenario("interval-1d-damped")
     residuals = []
     for div in (1, 2, 4):
-        traj = M.simulate(
-            scen.bundle, scen.params, scen.initial, T=20.0, dt=1e-3 / div,
-            output_stride=1, store_states=False,
-        )
+        traj = M.simulate(scen.bundle, scen.initial, T=20.0, dt=1e-3 / div, output_stride=1)
         residuals.append(M.energy_identity_residual(traj))
     slope = M.refinement_slope(residuals)
     ok = residuals[0] <= 1e-4 and slope >= 1.9
@@ -76,20 +70,14 @@ def test_c02_energy_identity_second_order():
 
 def test_c03_critical_decay_and_rate_crosscheck():
     scen2d = _scenario("transducer-2d")
-    traj2d = M.simulate(
-        scen2d.bundle, scen2d.params, scen2d.initial, T=8.0, dt=4e-3,
-        output_stride=4, store_states=False,
-    )
+    traj2d = M.simulate(scen2d.bundle, scen2d.initial, T=8.0, dt=4e-3, output_stride=4)
     fit = M.fit_decay_rate(traj2d.times, traj2d.E1)
-    gen2d = M.assemble_generator(scen2d.bundle, scen2d.params, form="u")
+    gen2d = M.assemble_generator(scen2d.bundle, form="u")
     absc2d = M.spectrum(gen2d).abscissa
 
     scen1d = _scenario("interval-1d-damped")
-    traj1d = M.simulate(
-        scen1d.bundle, scen1d.params, scen1d.initial, T=20.0, dt=1e-3,
-        output_stride=10, store_states=False,
-    )
-    gen1d = M.assemble_generator(scen1d.bundle, scen1d.params, form="u")
+    traj1d = M.simulate(scen1d.bundle, scen1d.initial, T=20.0, dt=1e-3, output_stride=10)
+    gen1d = M.assemble_generator(scen1d.bundle, form="u")
     versus = M.abscissa_vs_decay(M.spectrum(gen1d), traj1d.times, traj1d.E1)
 
     ok = (
@@ -109,12 +97,9 @@ def test_c03_critical_decay_and_rate_crosscheck():
 
 def test_c04_instability_for_negative_gamma():
     scen = _scenario("interval-1d-unstable")
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     absc = M.spectrum(gen).abscissa
-    traj = M.simulate(
-        scen.bundle, scen.params, scen.initial, T=50.0, dt=5e-3,
-        output_stride=10, store_states=False,
-    )
+    traj = M.simulate(scen.bundle, scen.initial, T=50.0, dt=5e-3, output_stride=10)
     crossed = np.nonzero(traj.E > 10.0 * traj.E[0])[0]
     t_cross = float(traj.times[crossed[0]]) if len(crossed) else math.inf
     ok = absc > 0 and t_cross < 50.0
@@ -181,8 +166,8 @@ def test_c06_adjoint_identity():
 
 def test_c07_transform_conjugacy():
     scen = _scenario("interval-1d-damped", mesh={"resolution": 8})
-    gen_u = M.assemble_generator(scen.bundle, scen.params, form="u")
-    gen_z = M.assemble_generator(scen.bundle, scen.params, form="z")
+    gen_u = M.assemble_generator(scen.bundle, form="u")
+    gen_z = M.assemble_generator(scen.bundle, form="z")
     n = scen.mesh.n_nodes
     Au = np.linalg.solve(gen_u.E.toarray(), gen_u.L.toarray())
     Az = np.linalg.solve(gen_z.E.toarray(), gen_z.L.toarray())
@@ -266,8 +251,7 @@ def test_c10_reconstruction_second_order_in_dt():
     errors = []
     for div in (1, 2, 4):
         traj = M.simulate(
-            scen.bundle, scen.params, scen.initial, T=2.0, dt=1e-3 / div,
-            output_stride=1, store_states=True,
+            scen.bundle, scen.initial, T=2.0, dt=1e-3 / div, output_stride=1, store_states=True,
         )
         u, ut, _ = traj.states
         z = ut + scen.params.q * u

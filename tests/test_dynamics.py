@@ -30,17 +30,6 @@ def random_state(n, rng):
 # ---------------------------------------------------------- m-transform
 
 
-def test_m_transform_roundtrip():
-    rng = np.random.default_rng(0)
-    scen = make_scenario(params={"tau": 0.7, "c": 1.4, "b": 2.2})
-    s = random_state(scen.mesh.n_nodes, rng)
-    z = M.m_transform(s, scen.params)
-    back = M.m_inverse(z, scen.params)
-    np.testing.assert_allclose(back.u, s.u, rtol=1e-14)
-    np.testing.assert_allclose(back.v, s.v, rtol=1e-13)
-    np.testing.assert_allclose(back.w, s.w, rtol=1e-13)
-
-
 def test_m_transform_definition():
     rng = np.random.default_rng(1)
     scen = make_scenario(params={"tau": 0.7, "c": 1.4, "b": 2.2})
@@ -62,18 +51,14 @@ def test_midpoint_conserves_critical_energy():
         params={"alpha": 1.0, "kappa1": 0.0},
         initial={"kind": "robin-mode"},
     )
-    traj = M.simulate(
-        scen.bundle, scen.params, scen.initial, T=2.0, dt=1e-3, store_states=False
-    )
+    traj = M.simulate(scen.bundle, scen.initial, T=2.0, dt=1e-3)
     drift = np.abs(traj.E1 - traj.E1[0]).max() / traj.E1[0]
     assert drift <= 1e-10, drift
 
 
 def test_damped_energy_decreases():
     scen = make_scenario(mesh={"resolution": 32}, initial={"kind": "robin-mode"})
-    traj = M.simulate(
-        scen.bundle, scen.params, scen.initial, T=3.0, dt=2e-3, store_states=False
-    )
+    traj = M.simulate(scen.bundle, scen.initial, T=3.0, dt=2e-3)
     assert traj.E1[-1] < 0.5 * traj.E1[0]
     assert (np.diff(traj.E1) <= 1e-12).all()
 
@@ -84,10 +69,7 @@ def test_unstable_energy_grows():
         params={"alpha": 0.5, "kappa1": 0.0},
         initial={"kind": "robin-mode"},
     )
-    traj = M.simulate(
-        scen.bundle, scen.params, scen.initial, T=20.0, dt=5e-3,
-        store_states=False, compat_tol=np.inf,
-    )
+    traj = M.simulate(scen.bundle, scen.initial, T=20.0, dt=5e-3, compat_tol=np.inf)
     assert traj.E[-1] > 10 * traj.E[0]
 
 
@@ -98,9 +80,7 @@ def test_energy_identity_residual_second_order():
     scen = make_scenario(mesh={"resolution": 32}, initial={"kind": "robin-mode"})
     residuals = []
     for dt in (4e-3, 2e-3, 1e-3):
-        traj = M.simulate(
-            scen.bundle, scen.params, scen.initial, T=1.0, dt=dt, store_states=False
-        )
+        traj = M.simulate(scen.bundle, scen.initial, T=1.0, dt=dt)
         residuals.append(M.energy_identity_residual(traj))
     slope = M.refinement_slope(residuals)
     assert residuals[-1] <= 1e-4
@@ -111,25 +91,20 @@ def test_energy_identity_with_forcing():
     scen = make_scenario(mesh={"resolution": 32}, initial={"kind": "robin-mode"})
     x = scen.mesh.nodes[:, 0]
     src = lambda t: np.sin(np.pi * x) * np.cos(3.0 * t)
-    traj = M.simulate(
-        scen.bundle, scen.params, scen.initial, T=1.0, dt=1e-3,
-        source=src, store_states=False,
-    )
+    traj = M.simulate(scen.bundle, scen.initial, T=1.0, dt=1e-3, source=src)
     assert np.abs(traj.work_rate).max() > 1e-3  # forcing actually acts
     assert M.energy_identity_residual(traj) <= 1e-4
 
 
 def test_energy_identity_windowing():
     scen = make_scenario(mesh={"resolution": 16}, initial={"kind": "robin-mode"})
-    traj = M.simulate(
-        scen.bundle, scen.params, scen.initial, T=2.0, dt=1e-3, store_states=False
-    )
+    traj = M.simulate(scen.bundle, scen.initial, T=2.0, dt=1e-3)
     assert M.energy_identity_residual(traj, t_start=0.5, t_end=1.5) <= 1e-4
 
 
 def test_energy_identity_window_end_past_the_last_sample_is_clamped():
     scen = M.Scenario(interval_config())
-    traj = M.simulate(scen.bundle, scen.params, scen.initial, T=1.0, dt=1e-2, store_states=False)
+    traj = M.simulate(scen.bundle, scen.initial, T=1.0, dt=1e-2)
     whole = M.energy_identity_residual(traj)
     for t_end in (1.0 + 1e-9, 2.0):
         assert M.energy_identity_residual(traj, t_end=t_end) == whole
@@ -156,9 +131,7 @@ def test_incompatible_data_flagged(caplog):
     rep = M.check_compatibility(bad, scen.bundle)
     assert max(rep.values()) > 0.1
     with caplog.at_level(logging.WARNING, logger="mgtstab.dynamics"):
-        traj = M.simulate(
-            scen.bundle, scen.params, bad, T=0.05, dt=1e-2, store_states=False
-        )
+        traj = M.simulate(scen.bundle, bad, T=0.05, dt=1e-2)
     assert any("compatibility" in r.getMessage() for r in caplog.records)
     assert traj.compat["r1"] == pytest.approx(rep["r1"])
 
@@ -233,22 +206,22 @@ def test_compatibility_matches_facet_loop(name):
 
 def test_bdf2_tracks_midpoint():
     scen = make_scenario(mesh={"resolution": 32}, initial={"kind": "robin-mode"})
-    kw = dict(T=1.0, dt=5e-4, store_states=False)
-    mid = M.simulate(scen.bundle, scen.params, scen.initial, scheme="implicit-midpoint", **kw)
-    bdf = M.simulate(scen.bundle, scen.params, scen.initial, scheme="bdf2", **kw)
+    kw = dict(T=1.0, dt=5e-4)
+    mid = M.simulate(scen.bundle, scen.initial, scheme="implicit-midpoint", **kw)
+    bdf = M.simulate(scen.bundle, scen.initial, scheme="bdf2", **kw)
     assert abs(mid.E1[-1] - bdf.E1[-1]) / mid.E1[0] < 1e-4
 
 
 def test_unknown_scheme_rejected():
     scen = make_scenario(mesh={"resolution": 8})
     with pytest.raises(ValueError):
-        M.simulate(scen.bundle, scen.params, scen.initial, T=0.1, dt=1e-2, scheme="euler")
+        M.simulate(scen.bundle, scen.initial, T=0.1, dt=1e-2, scheme="euler")
 
 
 def test_single_step_is_linear():
     rng = np.random.default_rng(3)
     scen = make_scenario(mesh={"resolution": 16})
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     a = random_state(scen.mesh.n_nodes, rng)
     b = random_state(scen.mesh.n_nodes, rng)
     ab = State(a.u + b.u, a.v + b.v, a.w + b.w, 0.0)
@@ -261,14 +234,14 @@ def test_single_step_is_linear():
 @pytest.mark.parametrize("dt", [0.0, -1e-2, float("nan"), float("inf")])
 def test_non_positive_or_non_finite_dt_rejected(dt):
     scen = make_scenario(mesh={"resolution": 8})
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     with pytest.raises(ValueError, match="dt must be positive"):
         M.Stepper(gen, dt)
 
 
 def test_z_form_generator_rejected():
     scen = make_scenario(mesh={"resolution": 8})
-    gen = M.assemble_generator(scen.bundle, scen.params, form="z")
+    gen = M.assemble_generator(scen.bundle, form="z")
     with pytest.raises(ValueError, match="u-form"):
         M.Stepper(gen, 1e-2)
 
@@ -276,7 +249,7 @@ def test_z_form_generator_rejected():
 def test_bdf2_history_is_per_trajectory():
     rng = np.random.default_rng(5)
     scen = make_scenario(mesh={"resolution": 16})
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     n = scen.mesh.n_nodes
 
     def advance(stepper, trajs, n_steps=3):
@@ -318,7 +291,7 @@ def test_condensed_step_matches_full_pencil_solve(name, scheme):
     cfg["mesh"]["resolution"] = 3 if name == "transducer-2d" else 6
     cfg["params"]["tau"] = 0.8  # so that E's third block is not the mass matrix
     scen = M.Scenario(M.load_config(cfg))
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     nodes = scen.mesh.nodes
     profile = np.cos(2.0 * nodes[:, 0]) + nodes[:, -1]
     src = lambda t: profile * (np.sin(3.0 * t) + 0.5)
@@ -339,7 +312,7 @@ def test_condensed_step_matches_full_pencil_solve(name, scheme):
 def test_stage_storage_switches_above_n_128(resolution, solver):
     # n = resolution + 1: the dense S and Q hold 4 n^2 values, 65 536 at n = 128
     scen = make_scenario(mesh={"resolution": resolution})
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     for scheme in ("implicit-midpoint", "bdf2"):
         health = M.Stepper(gen, 1e-2, scheme).health(scen.initial)
         assert health["stage_solver"] == solver
@@ -360,11 +333,11 @@ def test_dense_and_sparse_stages_give_the_same_trajectory(monkeypatch, scheme, T
     scen = M.Scenario(M.load_config({"preset": "interval-1d-damped"}))
     n, x = scen.mesh.n_nodes, scen.mesh.nodes[:, 0]
     src = lambda t: np.cos(2.0 * x) * (np.sin(3.0 * t) + 0.5)
-    run = dict(T=T, dt=2e-3, source=src, scheme=scheme, store_states=False)
+    run = dict(T=T, dt=2e-3, source=src, scheme=scheme)
     trajs = {}
     for solver in ("dense-lu", "sparse-lu"):
         _force_stage_solver(monkeypatch, n, solver)
-        trajs[solver] = M.simulate(scen.bundle, scen.params, scen.initial, **run)
+        trajs[solver] = M.simulate(scen.bundle, scen.initial, **run)
         assert trajs[solver].meta["stage_solver"] == solver
     assert len(trajs["dense-lu"].times) == int(round(T / 2e-3)) + 1
     names = ("times", "E0", "E1", "E", "D_boundary", "D_interior", "work_rate")
@@ -377,22 +350,21 @@ def test_dense_and_sparse_stages_give_the_same_trajectory(monkeypatch, scheme, T
 def test_both_stage_forms_conserve_the_critical_energy(monkeypatch, solver):
     scen = M.Scenario(M.load_config({"preset": "interval-1d-conserved"}))
     _force_stage_solver(monkeypatch, scen.mesh.n_nodes, solver)
-    traj = M.simulate(
-        scen.bundle, scen.params, scen.initial, T=10.0, dt=1e-3, store_states=False
-    )
+    traj = M.simulate(scen.bundle, scen.initial, T=10.0, dt=1e-3)
     assert traj.meta["stage_solver"] == solver
     assert np.abs(traj.E1 - traj.E1[0]).max() <= 1e-12 * traj.E1[0]
 
 
-def per_sample_columns(traj, bundle, params, source):
+def per_sample_columns(traj, bundle, source):
     """Trajectory columns evaluated one recorded state at a time."""
+    params = bundle.params
     q, tau = params.q, params.tau
     rows = []
     for k in range(len(traj.times)):
         s = traj.state(k)
         z, zt = s.v + q * s.u, s.w + q * s.v
-        e1 = M.energy_E1(M.m_transform(s, params), bundle, params)
-        e0 = M.energy_E0(s, bundle, params)
+        e1 = M.energy_E1(M.m_transform(s, params), bundle)
+        e0 = M.energy_E0(s, bundle)
         rows.append(
             [
                 e0,
@@ -420,12 +392,12 @@ def test_chunked_recording_matches_per_sample(offset):
     src = lambda t: np.sin(np.pi * x) * np.cos(3.0 * t)
     dt = 1e-3
     run = dict(T=(n_samples - 1) * dt, dt=dt, source=src)
-    kept = M.simulate(scen.bundle, scen.params, scen.initial, store_states=True, **run)
-    bare = M.simulate(scen.bundle, scen.params, scen.initial, store_states=False, **run)
+    kept = M.simulate(scen.bundle, scen.initial, store_states=True, **run)
+    bare = M.simulate(scen.bundle, scen.initial, store_states=False, **run)
     assert len(kept.times) == len(bare.times) == n_samples
     assert bare.states is None and kept.states.shape == (3, n_samples, scen.mesh.n_nodes)
     names = ("E0", "E1", "E", "D_boundary", "D_interior", "work_rate", "u_L2", "z_L2", "zt_L2")
-    ref = per_sample_columns(kept, scen.bundle, scen.params, src)
+    ref = per_sample_columns(kept, scen.bundle, src)
     for name, col in zip(names, ref):
         for traj in (kept, bare):
             got = getattr(traj, name)
@@ -438,7 +410,7 @@ def test_chunked_recording_matches_per_sample(offset):
 def test_reconstruction_matches_simulated_u():
     scen = make_scenario(mesh={"resolution": 32}, initial={"kind": "robin-mode"})
     dt = 5e-4
-    traj = M.simulate(scen.bundle, scen.params, scen.initial, T=1.0, dt=dt)
+    traj = M.simulate(scen.bundle, scen.initial, T=1.0, dt=dt, store_states=True)
     u, ut, _ = traj.states
     z = ut + scen.params.q * u
     u_rec = M.reconstruct_u_from_z(traj.times, z, u[0], scen.params)
@@ -448,8 +420,5 @@ def test_reconstruction_matches_simulated_u():
 
 def test_output_stride_subsamples():
     scen = make_scenario(mesh={"resolution": 16})
-    traj = M.simulate(
-        scen.bundle, scen.params, scen.initial, T=0.2, dt=1e-2,
-        output_stride=4, store_states=False,
-    )
+    traj = M.simulate(scen.bundle, scen.initial, T=0.2, dt=1e-2, output_stride=4)
     np.testing.assert_allclose(np.diff(traj.times), 4e-2, rtol=1e-12)

@@ -21,13 +21,13 @@ def random_z_state(n, rng):
 def test_total_energy_matches_quadratic_form():
     rng = np.random.default_rng(11)
     scen = make_scenario(params={"tau": 0.8, "c": 1.1, "b": 1.7, "alpha": 2.3})
-    Q = M.energy_quadratic_form(scen.bundle, scen.params)
+    Q = M.energy_quadratic_form(scen.bundle)
     n = scen.mesh.n_nodes
     for _ in range(5):
         s = State(rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n), 0.0)
         phi = np.concatenate([s.u, s.v, s.w])
-        direct = M.energy_E0(s, scen.bundle, scen.params) + M.energy_E1(
-            M.m_transform(s, scen.params), scen.bundle, scen.params
+        direct = M.energy_E0(s, scen.bundle) + M.energy_E1(
+            M.m_transform(s, scen.params), scen.bundle
         )
         np.testing.assert_allclose(phi @ (Q @ phi), direct, rtol=1e-12)
 
@@ -37,7 +37,7 @@ def test_e1_nonnegative_for_stable_weights():
     scen = make_scenario()
     for _ in range(20):
         s = random_z_state(scen.mesh.n_nodes, rng)
-        assert M.energy_E1(s, scen.bundle, scen.params) >= 0.0
+        assert M.energy_E1(s, scen.bundle) >= 0.0
 
 
 def test_e1_rejects_negative_gamma_unless_asked():
@@ -45,9 +45,23 @@ def test_e1_rejects_negative_gamma_unless_asked():
     scen = make_scenario(params={"alpha": 0.5})  # gamma = -0.5
     s = random_z_state(scen.mesh.n_nodes, rng)
     with pytest.raises(UndefinedWeightError):
-        M.energy_E1(s, scen.bundle, scen.params)
-    val = M.energy_E1(s, scen.bundle, scen.params, allow_indefinite=True)
+        M.energy_E1(s, scen.bundle)
+    val = M.energy_E1(s, scen.bundle, allow_indefinite=True)
     assert np.isfinite(val)
+
+
+def test_gamma_rounding_below_zero_is_not_negative():
+    # gamma = -5e-13 is within the 1e-12 band that stability_classification
+    # calls critical: the run and E1 both treat it as gamma = 0
+    over = {"params": {"alpha": 1.0 - 5e-13}, "mesh": {"resolution": 16}, "time": {"T": 0.1}}
+    scen = M.Scenario(M.load_config({"preset": "interval-1d-conserved", **over}))
+    assert scen.params.gamma_field.max() < 0.0
+    assert scen.params.stability_classification() == "critical"
+    traj = M.simulate(scen.bundle, scen.initial, T=0.1, dt=1e-2)
+    assert traj.meta["gamma_negative"] is False
+    assert traj.meta["stability_classification"] == "critical"
+    e1 = M.energy_E1(M.m_transform(scen.initial, scen.params), scen.bundle)
+    assert e1 == pytest.approx(traj.E1[0], rel=1e-14)
 
 
 def test_e0_is_positive_definite():
@@ -56,9 +70,9 @@ def test_e0_is_positive_definite():
     n = scen.mesh.n_nodes
     for _ in range(10):
         s = State(rng.standard_normal(n), rng.standard_normal(n), np.zeros(n), 0.0)
-        assert M.energy_E0(s, scen.bundle, scen.params) > 0.0
+        assert M.energy_E0(s, scen.bundle) > 0.0
     zero = State(np.zeros(n), np.zeros(n), np.zeros(n), 0.0)
-    assert M.energy_E0(zero, scen.bundle, scen.params) == 0.0
+    assert M.energy_E0(zero, scen.bundle) == 0.0
 
 
 def weighted_norm2(s, bundle):
@@ -69,14 +83,14 @@ def weighted_norm2(s, bundle):
 def test_norm_equivalence_sandwich():
     rng = np.random.default_rng(15)
     scen = make_scenario(params={"tau": 0.9, "b": 1.3})
-    c_low, c_high = M.norm_equivalence_constants(scen.bundle, scen.params)
+    c_low, c_high = M.norm_equivalence_constants(scen.bundle)
     assert 0 < c_low <= c_high
     n = scen.mesh.n_nodes
     for _ in range(25):
         s = State(rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n), 0.0)
         norm2 = weighted_norm2(s, scen.bundle)
-        e = M.energy_E0(s, scen.bundle, scen.params) + M.energy_E1(
-            M.m_transform(s, scen.params), scen.bundle, scen.params
+        e = M.energy_E0(s, scen.bundle) + M.energy_E1(
+            M.m_transform(s, scen.params), scen.bundle
         )
         assert c_low * norm2 <= e * (1 + 1e-12)
         assert e <= c_high * norm2 * (1 + 1e-12)
@@ -88,28 +102,26 @@ def test_norm_equivalence_is_attained():
     import scipy.linalg
 
     scen = make_scenario(mesh={"resolution": 8})
-    c_low, c_high = M.norm_equivalence_constants(scen.bundle, scen.params)
+    c_low, c_high = M.norm_equivalence_constants(scen.bundle)
     n = scen.mesh.n_nodes
     K = scen.bundle.Ktilde.toarray()
     Mm = scen.bundle.Mmat.toarray()
     Z = np.zeros((n, n))
     H = np.block([[K, Z, Z], [Z, K, Z], [Z, Z, Mm]])
-    Q = M.energy_quadratic_form(scen.bundle, scen.params)
+    Q = M.energy_quadratic_form(scen.bundle)
     lam, vec = scipy.linalg.eigh(Q, H)
     for idx, target in ((0, c_low), (-1, c_high)):
         phi = vec[:, idx]
         s = State(phi[:n], phi[n : 2 * n], phi[2 * n :], 0.0)
-        e = M.energy_E0(s, scen.bundle, scen.params) + M.energy_E1(
-            M.m_transform(s, scen.params), scen.bundle, scen.params
+        e = M.energy_E0(s, scen.bundle) + M.energy_E1(
+            M.m_transform(s, scen.params), scen.bundle
         )
         np.testing.assert_allclose(e / weighted_norm2(s, scen.bundle), target, rtol=1e-9)
 
 
 def test_trajectory_total_energy_is_sum():
     scen = make_scenario(mesh={"resolution": 16}, initial={"kind": "robin-mode"})
-    traj = M.simulate(
-        scen.bundle, scen.params, scen.initial, T=0.5, dt=1e-2, store_states=False
-    )
+    traj = M.simulate(scen.bundle, scen.initial, T=0.5, dt=1e-2)
     np.testing.assert_allclose(traj.E, traj.E0 + traj.E1, rtol=1e-12)
 
 

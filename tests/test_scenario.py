@@ -1,5 +1,6 @@
 """Configuration handling, artifact serialization, CLI exit behavior."""
 
+import inspect
 import json
 import os
 from pathlib import Path
@@ -171,9 +172,7 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
 
 def test_trajectory_csv_columns(tmp_path):
     scen = M.Scenario(interval_config(initial={"kind": "robin-mode"}))
-    traj = M.simulate(
-        scen.bundle, scen.params, scen.initial, T=0.2, dt=1e-2, store_states=False
-    )
+    traj = M.simulate(scen.bundle, scen.initial, T=0.2, dt=1e-2)
     path = str(tmp_path / "traj.csv")
     from mgtstab.reporting import write_trajectory_csv
 
@@ -503,6 +502,24 @@ def test_cli_repeat_runs_are_byte_identical(tmp_path):
         b1 = Path(out1, name).read_bytes()
         b2 = Path(out2, name).read_bytes()
         assert b1 == b2, name
+
+
+def test_no_public_callable_takes_both_a_bundle_and_params():
+    # the material parameters of an operator bundle are ``bundle.params``
+    both = []
+    for name in M.__all__:
+        obj = getattr(M, name)
+        targets = [obj] if callable(obj) else []
+        if isinstance(obj, type):
+            targets += [f for f in vars(obj).values() if inspect.isfunction(f)]
+        for f in targets:
+            try:
+                names = inspect.signature(f).parameters
+            except (TypeError, ValueError):
+                continue
+            if "bundle" in names and "params" in names:
+                both.append("%s.%s" % (name, f.__name__))
+    assert both == []
 
 
 def test_run_accepts_preset_dict():

@@ -76,7 +76,7 @@ def test_spectrum_is_union_of_modal_triples():
     # lambda^2 + b mu), an exact oracle for the damped-wave block path.
     for alpha, method in ((2.0, "dense"), (1.0, "dense-wave-block")):
         scen = make_scenario(mesh={"resolution": 16}, params={"kappa1": 0.0, "alpha": alpha})
-        gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+        gen = M.assemble_generator(scen.bundle, form="u")
         rep = M.spectrum(gen)
         assert rep.meta["method"] == method
         mus = scipy.linalg.eigh(
@@ -104,7 +104,7 @@ def test_critical_wave_block_spectrum_matches_the_full_eigensolve(cfg):
     scen = M.Scenario(M.load_config(cfg))
     assert scen.config["params"]["kappa1"] > 0 and scen.bundle.Mgamma.count_nonzero() == 0
     n = scen.mesh.n_nodes
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     rep = M.spectrum(gen)
     ref = _reference_eigs(gen)
     assert rep.meta["method"] == "dense-wave-block"
@@ -113,7 +113,7 @@ def test_critical_wave_block_spectrum_matches_the_full_eigensolve(cfg):
     assert abs(rep.abscissa - ref.real.max()) <= 1e-10
     assert np.count_nonzero(rep.eigenvalues == -scen.params.q) == n
     # a z-form input takes the same block and keeps its own form
-    rep_z = M.spectrum(M.assemble_generator(scen.bundle, scen.params, form="z"))
+    rep_z = M.spectrum(M.assemble_generator(scen.bundle, form="z"))
     assert rep_z.form == "z" and rep_z.meta == rep.meta
     np.testing.assert_array_equal(rep_z.eigenvalues, rep.eigenvalues)
 
@@ -122,7 +122,7 @@ def test_nearly_critical_gamma_takes_the_full_eigensolve():
     # gamma = 2**-50 is classified critical, but Mgamma is not exactly zero
     scen = make_scenario(mesh={"resolution": 8}, params={"alpha": 1.0 + 2.0**-50})
     assert scen.params.stability_classification() == "critical"
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     rep = M.spectrum(gen)
     assert rep.meta["method"] == "dense"
     np.testing.assert_array_equal(rep.eigenvalues, _reference_eigs(gen))
@@ -139,7 +139,7 @@ def test_noncritical_spectrum_assembles_no_z_form(monkeypatch):
     monkeypatch.setattr(spectral, "assemble_generator", recording)
     monkeypatch.setattr(dynamics, "assemble_generator", recording)
     scen = make_scenario(mesh={"resolution": 8})  # gamma = 1
-    rep = M.spectrum(assemble(scen.bundle, scen.params, form="u"))
+    rep = M.spectrum(assemble(scen.bundle, form="u"))
     assert rep.meta["method"] == "dense"
     assert calls == []
 
@@ -157,7 +157,7 @@ def test_report_dict_carries_the_eigensolver_health():
 
 def test_dense_spectrum_report_shape():
     scen = make_scenario(mesh={"resolution": 12})
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     rep = M.spectrum(gen)
     n = scen.mesh.n_nodes
     assert len(rep.eigenvalues) == 3 * n
@@ -170,7 +170,7 @@ def test_dense_spectrum_report_shape():
 
 def test_eigenvalues_satisfy_pencil():
     scen = make_scenario(mesh={"resolution": 8})
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     rep = M.spectrum(gen)
     E = gen.E.toarray()
     L = gen.L.toarray()
@@ -182,7 +182,7 @@ def test_eigenvalues_satisfy_pencil():
 
 def test_unstable_spectrum_has_positive_abscissa():
     scen = make_scenario(mesh={"resolution": 16}, params={"alpha": 0.5, "kappa1": 0.0})
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     rep = M.spectrum(gen)
     assert rep.abscissa > 0
     assert not rep.stable
@@ -190,7 +190,7 @@ def test_unstable_spectrum_has_positive_abscissa():
 
 def test_sparse_shift_invert_matches_dense_tail():
     scen = make_scenario(mesh={"resolution": 48})
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     dense = M.spectrum(gen)
     sparse = M.spectrum(gen, dense_cap=10, n_partial=12)
     assert sparse.partial
@@ -207,8 +207,8 @@ def test_sparse_shift_invert_matches_dense_tail():
 
 def test_m_transform_conjugates_generators():
     scen = make_scenario(mesh={"resolution": 8}, params={"tau": 0.8, "c": 1.2, "b": 1.5})
-    gen_u = M.assemble_generator(scen.bundle, scen.params, form="u")
-    gen_z = M.assemble_generator(scen.bundle, scen.params, form="z")
+    gen_u = M.assemble_generator(scen.bundle, form="u")
+    gen_z = M.assemble_generator(scen.bundle, form="z")
     n = scen.mesh.n_nodes
     Au = np.linalg.solve(gen_u.E.toarray(), gen_u.L.toarray())
     Az = np.linalg.solve(gen_z.E.toarray(), gen_z.L.toarray())
@@ -222,8 +222,8 @@ def test_m_transform_conjugates_generators():
 
 def test_u_and_z_spectra_agree():
     scen = make_scenario(mesh={"resolution": 8})
-    gen_u = M.assemble_generator(scen.bundle, scen.params, form="u")
-    gen_z = M.assemble_generator(scen.bundle, scen.params, form="z")
+    gen_u = M.assemble_generator(scen.bundle, form="u")
+    gen_z = M.assemble_generator(scen.bundle, form="z")
     dist = M.match_spectra(M.spectrum(gen_u).eigenvalues, M.spectrum(gen_z).eigenvalues)
     assert dist <= 1e-8, dist
 
@@ -233,7 +233,7 @@ def test_u_and_z_spectra_agree():
 
 def test_abscissa_vs_decay_on_exact_exponential():
     scen = make_scenario(mesh={"resolution": 8})
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     rep = M.spectrum(gen)
     t = np.linspace(0.0, 10.0, 500)
     out = M.abscissa_vs_decay(rep, t, np.exp(2.0 * rep.abscissa * t))
@@ -243,11 +243,29 @@ def test_abscissa_vs_decay_on_exact_exponential():
 
 def test_abscissa_vs_decay_not_applicable_when_unstable():
     scen = make_scenario(mesh={"resolution": 8}, params={"alpha": 0.5, "kappa1": 0.0})
-    gen = M.assemble_generator(scen.bundle, scen.params, form="u")
+    gen = M.assemble_generator(scen.bundle, form="u")
     t = np.linspace(0.0, 5.0, 100)
     out = M.abscissa_vs_decay(M.spectrum(gen), t, np.exp(t))
     assert not out["applicable"]
     assert out["ratio"] is None
+
+
+@pytest.mark.parametrize("factor, stable", [(-0.5, False), (-2.0, True)])
+def test_stability_needs_the_abscissa_below_the_rounding_tolerance(monkeypatch, factor, stable):
+    # a spectrum whose abscissa is within len * eps * max|lambda| of zero
+    # is decided by rounding, so it is not reported stable
+    scen = make_scenario(mesh={"resolution": 4})
+    gen = M.assemble_generator(scen.bundle, form="u")
+    vals = np.resize(np.array([-4.0e4, -3.0 - 20.0j, -3.0 + 20.0j, -1.0]), gen.size)
+    tol = gen.size * np.finfo(float).eps * 4.0e4  # 1.3e-10, above a fixed 1e-12 cutoff
+    vals[3] = factor * tol
+    monkeypatch.setattr(spectral, "_sorted_eigs", lambda _: vals)
+    rep = M.spectrum(gen)
+    assert rep.abscissa == factor * tol
+    assert rep.stable is stable
+    t = np.linspace(0.0, 10.0, 500)
+    out = M.abscissa_vs_decay(rep, t, np.exp(-t))
+    assert out["applicable"] is stable
 
 
 def test_match_spectra_detects_permuted_noise():
