@@ -83,7 +83,6 @@ from .spectral import (
     SpectrumReport,
     abscissa_vs_decay,
     gamma_parameter,
-    match_spectra,
     modal_cubic_roots,
     routh_hurwitz_stable,
     spectrum,
@@ -133,7 +132,6 @@ __all__ = [
     "load_config",
     "load_config_file",
     "m_transform",
-    "match_spectra",
     "modal_cubic_roots",
     "named_geometry",
     "norm_equivalence_constants",

@@ -8,8 +8,9 @@ tuning ``gamma < 0``, and a curved-cap 2D domain shaped like a
 transducer cross-section whose Robin part is a circular arc.
 """
 
+import math
+
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError
 from .geometry import Geometry
@@ -29,8 +30,12 @@ def robin_mode_frequency(kappa0):
     kappa0 = float(kappa0)
     if kappa0 <= 0:
         raise ValueError("robin mode needs kappa0 > 0")
-    g = lambda w: w * np.sin(w) - kappa0 * np.cos(w)
-    return float(brentq(g, 1e-12, np.pi / 2 - 1e-12))
+    # g increases on [0, pi/2] from -kappa0; bisect down to adjacent doubles.
+    g = lambda w: w * math.sin(w) - kappa0 * math.cos(w)
+    lo, hi = 0.0, math.pi / 2
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+    return min((lo, hi), key=lambda w: abs(g(w)))
 
 
 def robin_mode_profile(x, kappa0, amplitude=1.0):

@@ -180,19 +180,6 @@ def gamma_parameter(tau, alpha, b, c):
     return alpha - tau * c**2 / b
 
 
-def match_spectra(vals_a, vals_b):
-    """Greatest pairwise distance under optimal multiset matching."""
-    from scipy.optimize import linear_sum_assignment
-
-    A = np.asarray(vals_a, complex)
-    B = np.asarray(vals_b, complex)
-    if A.shape != B.shape:
-        raise ValueError("spectra have different sizes")
-    cost = np.abs(A[:, None] - B[None, :])
-    r, cidx = linear_sum_assignment(cost)
-    return float(cost[r, cidx].max())
-
-
 def abscissa_vs_decay(rep, times, E1, tail_fraction=0.5):
     """Cross-check: fitted energy decay rate vs twice the abscissa.
 

@@ -1,8 +1,21 @@
 """Shared fixtures: small scenarios that assemble in milliseconds."""
 
+import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import mgtstab as M
+
+
+def match_spectra(vals_a, vals_b):
+    """Greatest pairwise distance under optimal multiset matching."""
+    A = np.asarray(vals_a, complex)
+    B = np.asarray(vals_b, complex)
+    if A.shape != B.shape:
+        raise ValueError("spectra have different sizes")
+    cost = np.abs(A[:, None] - B[None, :])
+    r, cidx = linear_sum_assignment(cost)
+    return float(cost[r, cidx].max())
 
 
 def interval_config(**over):

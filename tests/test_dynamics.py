@@ -7,9 +7,11 @@ error regardless of parameter regime.
 """
 
 import logging
+import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 import mgtstab as M
@@ -121,6 +123,20 @@ def test_robin_mode_is_compatible():
     # residuals are recovered from element gradients, so they carry O(h)
     # noise; at n = 64 they sit well under the order-one default threshold
     assert max(rep.values()) < 0.02
+
+
+def test_robin_mode_frequency_brackets_the_root_for_every_kappa0():
+    # w sin w - kappa0 cos w rises from -kappa0 at 0 and changes sign within
+    # one double of the result, for tiny and huge kappa0 alike
+    for kappa0 in np.logspace(-300, 300, 121):
+        g = lambda w: w * math.sin(w) - kappa0 * math.cos(w)
+        w = M.robin_mode_frequency(kappa0)
+        assert 0 < w <= math.pi / 2
+        assert any(np.sign(g(w)) * np.sign(g(math.nextafter(w, to))) <= 0 for to in (0, 2))
+        lo, hi = 1e-12, math.pi / 2 - 1e-12
+        if g(lo) < 0 < g(hi):
+            assert w == pytest.approx(brentq(g, lo, hi), rel=0, abs=2e-12)
+    assert M.robin_mode_frequency(1.0) == 0.8603335890193797
 
 
 def test_incompatible_data_flagged(caplog):

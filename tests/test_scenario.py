@@ -4,6 +4,8 @@ import inspect
 import json
 import os
 from pathlib import Path
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -479,6 +481,54 @@ def test_cli_energy_overflow_is_a_numerical_error(tmp_path):
         assert err["message"] == "non-finite energy at t=" + t_bad
         assert err["exit_code"] == cli.EXIT_NUMERICAL
         assert not os.path.exists(os.path.join(out, "summary.json"))
+
+
+@pytest.mark.parametrize(
+    "kappa0, expected, message",
+    [
+        (1e-300, cli.EXIT_OK, None),
+        (1e-30, cli.EXIT_OK, None),
+        (1e13, cli.EXIT_OK, None),
+        (1e300, cli.EXIT_CONFIG, "the energy of the initial data is not finite"),
+    ],
+)
+def test_cli_robin_mode_accepts_every_positive_kappa0(tmp_path, kappa0, expected, message):
+    # the mode frequency is found for any kappa0 > 0; with kappa0 = 1e300
+    # the profile's kappa0/omega sin(omega x) term makes E0 overflow
+    cfg = {
+        "preset": "interval-1d-damped",
+        "mesh": {"resolution": 16},
+        "time": {"T": 0.5, "dt": 0.01},
+        "params": {"kappa0": kappa0},
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", cfg_path, "--out", out]) == expected
+    if message is None:
+        assert Path(out, "summary.json").exists()
+    else:
+        err = json.loads(Path(out, "error.json").read_text())
+        assert (err["error"], err["message"]) == ("ConfigError", message)
+
+
+def test_import_and_presets_do_not_load_scipy_optimize():
+    # a fresh interpreter: other tests may have imported scipy.optimize here
+    code = (
+        "import sys, mgtstab as M\n"
+        "for name in M.preset_names():\n"
+        "    M.Scenario(M.load_config({'preset': name})).initial\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    src = str(Path(M.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
 
 
 def test_cli_rejects_curved_geometry_for_identities(tmp_path):
