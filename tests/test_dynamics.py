@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
@@ -150,6 +152,27 @@ def test_incompatible_data_flagged(caplog):
         traj = M.simulate(scen.bundle, bad, T=0.05, dt=1e-2)
     assert any("compatibility" in r.getMessage() for r in caplog.records)
     assert traj.compat["r1"] == pytest.approx(rep["r1"])
+
+
+def test_compatibility_warning_does_not_scale_with_the_data(caplog):
+    # the exact Robin mode logs nothing at any amplitude, and u0' = 1 at the
+    # gamma1 end with u1 = 0 warns at any amplitude
+    scen = M.Scenario(M.load_config({"preset": "interval-1d-damped"}))
+    n = scen.mesh.n_nodes
+    bad = State(np.linspace(1.0, 2.0, n), np.zeros(n), np.zeros(n), 0.0)
+    r1 = {}
+    for data, warns in ((scen.initial, False), (bad, True)):
+        for amplitude in (1e-3, 1.0, 100.0):
+            scaled = State(amplitude * data.u, amplitude * data.v, amplitude * data.w, 0.0)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="mgtstab.dynamics"):
+                traj = M.simulate(scen.bundle, scaled, T=0.02, dt=1e-2)
+            assert any("compatibility" in r.getMessage() for r in caplog.records) == warns
+            assert traj.compat == M.check_compatibility(scaled, scen.bundle)
+            r1[warns, amplitude] = traj.compat["r1"]
+    # the reported residuals scale with the data: an absolute threshold of
+    # 0.1 would flag the large Robin mode and pass the small bad datum
+    assert r1[False, 100.0] > 0.1 > r1[True, 1e-3]
 
 
 def named_scenario(name, resolution, kappa0, kappa1):
@@ -337,6 +360,46 @@ def test_stage_storage_switches_above_n_128(resolution, solver):
         assert health["stage_residual"] <= 1e-12
 
 
+def stage_matrix(gen, k):
+    """The condensed stage matrix of length k, from the generator blocks."""
+    return gen.Ew - k * gen.Lw - k**2 * gen.Lv - k**3 * gen.Lu
+
+
+def test_bdf2_health_measures_the_bdf2_stage():
+    # n = 17: a dense stage, so the test's LAPACK LU repeats the stepper's bit for bit
+    scen = make_scenario(mesh={"resolution": 16}, initial={"kind": "robin-mode"})
+    gen = M.assemble_generator(scen.bundle, form="u")
+    n, dt = scen.mesh.n_nodes, 1e-2
+    x = np.concatenate([scen.initial.u, scen.initial.v, scen.initial.w])
+    residual = {}
+    for k, G in ((0.5 * dt, gen.E + 0.5 * dt * gen.L), (2.0 / 3.0 * dt, gen.E)):
+        S = stage_matrix(gen, k)
+        rhs = (sp.hstack([k * gen.Lu, k**2 * gen.Lu + k * gen.Lv, sp.identity(n)]) @ G).toarray() @ x
+        w = lu_solve(lu_factor(S.toarray()), rhs)
+        residual[k] = np.abs(S @ w - rhs).max() / np.abs(rhs).max()
+    for scheme, k in (("implicit-midpoint", 0.5 * dt), ("bdf2", 2.0 / 3.0 * dt)):
+        health = M.Stepper(gen, dt, scheme).health(scen.initial)
+        assert health["stage_residual"] == residual[k], scheme
+    assert residual[0.5 * dt] != residual[2.0 / 3.0 * dt]
+
+
+def test_sparse_stages_store_less_fill_than_the_default_ordering():
+    # half-disk-2d at resolution 24, n = 5101, the halfdisk-bdf2 benchmark size
+    cfg = M.preset("half-disk-2d")
+    cfg["mesh"]["resolution"] = 24
+    scen = M.Scenario(M.load_config(cfg))
+    assert scen.mesh.n_nodes == 5101
+    gen = M.assemble_generator(scen.bundle, form="u")
+    dt = cfg["time"]["dt"]
+    for scheme, k in (("implicit-midpoint", 0.5 * dt), ("bdf2", 2.0 / 3.0 * dt)):
+        S = stage_matrix(gen, k)
+        assert (S != S.T).nnz == 0, scheme  # the premise of the symmetric ordering
+        health = M.Stepper(gen, dt, scheme).health(scen.initial)
+        assert health["stage_solver"] == "sparse-lu"
+        assert health["stage_factor_nnz"] < splu(S.tocsc()).nnz, scheme
+        assert health["stage_residual"] <= 1e-12, scheme
+
+
 def _force_stage_solver(monkeypatch, n, solver):
     # move the working-set budget the stage storage is chosen against
     budget = 4 * n * n if solver == "dense-lu" else 4 * n * n - 1
@@ -369,6 +432,9 @@ def test_both_stage_forms_conserve_the_critical_energy(monkeypatch, solver):
     traj = M.simulate(scen.bundle, scen.initial, T=10.0, dt=1e-3)
     assert traj.meta["stage_solver"] == solver
     assert np.abs(traj.E1 - traj.E1[0]).max() <= 1e-12 * traj.E1[0]
+
+
+COLUMNS = ("E0", "E1", "E", "D_boundary", "D_interior", "work_rate", "u_L2", "z_L2", "zt_L2")
 
 
 def per_sample_columns(traj, bundle, source):
@@ -412,12 +478,45 @@ def test_chunked_recording_matches_per_sample(offset):
     bare = M.simulate(scen.bundle, scen.initial, store_states=False, **run)
     assert len(kept.times) == len(bare.times) == n_samples
     assert bare.states is None and kept.states.shape == (3, n_samples, scen.mesh.n_nodes)
-    names = ("E0", "E1", "E", "D_boundary", "D_interior", "work_rate", "u_L2", "z_L2", "zt_L2")
     ref = per_sample_columns(kept, scen.bundle, src)
-    for name, col in zip(names, ref):
+    for name, col in zip(COLUMNS, ref):
         for traj in (kept, bare):
             got = getattr(traj, name)
             np.testing.assert_allclose(got, col, rtol=1e-12, atol=1e-300, err_msg=name)
+
+
+@pytest.mark.parametrize("solver", ["dense-lu", "sparse-lu"])
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("scheme", ["implicit-midpoint", "bdf2"])
+def test_simulate_matches_chained_steps_bit_for_bit(monkeypatch, scheme, stride, solver):
+    # n = 17 and 500 steps; the budget gives chunks of 68 (dense) or 67
+    # (sparse) samples, so both strides record across chunk boundaries
+    scen = make_scenario(mesh={"resolution": 16}, initial={"kind": "robin-mode"})
+    n, x = scen.mesh.n_nodes, scen.mesh.nodes[:, 0]
+    _force_stage_solver(monkeypatch, n, solver)
+    chunk = dynamics._CHUNK_ELEMENTS // n
+    src = lambda t: np.cos(2.0 * x) * (np.sin(3.0 * t) + 0.5)
+    dt, n_steps = 2e-3, 500
+    stepper = M.Stepper(M.assemble_generator(scen.bundle, form="u"), dt, scheme, src)
+    states = [scen.initial]
+    for _ in range(n_steps):
+        states.append(stepper.step(states[-1], states[-2] if len(states) > 1 else None))
+    ref = [states[k] for k in sorted(set(range(0, n_steps + 1, stride)) | {n_steps})]
+    assert len(ref) > chunk
+    U, V, W = (np.array([getattr(s, name) for s in ref]) for name in "uvw")
+    times = np.array([s.t for s in ref])
+    # the columns of the same states, evaluated chunk by chunk as simulate does
+    chunks = [slice(lo, lo + chunk) for lo in range(0, len(ref), chunk)]
+    cols = np.hstack([dynamics._observables(U[c], V[c], W[c], times[c], scen.bundle, src, False) for c in chunks])
+    run = dict(T=n_steps * dt, dt=dt, source=src, scheme=scheme, output_stride=stride)
+    for store_states in (True, False):
+        traj = M.simulate(scen.bundle, scen.initial, store_states=store_states, **run)
+        assert traj.meta["stage_solver"] == solver
+        assert np.array_equal(traj.times, times)
+        for name, col in zip(COLUMNS, cols):
+            assert np.array_equal(getattr(traj, name), col), name
+        if store_states:
+            assert np.array_equal(traj.states, np.array([U, V, W]))
 
 
 # ---------------------------------------------------------- reconstruction
