@@ -41,14 +41,6 @@ def main():
     print("fitted omega / (2 |abscissa|) = %.4f  (1.0 means the two "
           "measurements agree)" % versus["ratio"])
 
-    # the sparse path only asks for the eigenvalues nearest the origin,
-    # which is where the dominant pair of this pencil lives
-    sparse = M.spectrum(gen, dense_cap=10, n_partial=12)
-    print("\nsparse shift-invert cross-check (%d of %d eigenvalues): "
-          "abscissa %.5f, partial = %s"
-          % (len(sparse.eigenvalues), len(rep.eigenvalues),
-             sparse.abscissa, sparse.partial))
-
 
 if __name__ == "__main__":
     main()

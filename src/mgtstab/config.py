@@ -120,14 +120,6 @@ SCHEMA = {
                 "levels": {"type": "integer", "minimum": 1},
             },
         },
-        "spectrum": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dense_cap": {"type": "integer", "minimum": 0},
-                "n_partial": {"type": "integer", "minimum": 1},
-            },
-        },
     },
 }
 

@@ -18,14 +18,14 @@ diagonal next to the 2n damped-wave block in ``(z, z_t)``.
 ``spectrum`` then solves only that block.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 
 from . import energy as _energy
 from .dynamics import assemble_generator
+from .errors import ConfigError
 
 DENSE_EIG_CAP = 6000
 
@@ -36,109 +36,76 @@ class SpectrumReport:
 
     ``stable`` holds when the abscissa lies below ``-len(eigenvalues) eps
     max|lambda|``, so an abscissa within rounding of zero (a conservative
-    generator) is not stable whatever its sign.
-    ``meta`` holds the eigensolver ``method`` and, when the iterative
-    eigensolver stopped early, the number of ``converged`` eigenvalues;
-    ``health()`` returns those of them that are present.
+    generator) is not stable whatever its sign.  ``method`` names the
+    dense eigensolve that produced the eigenvalues.
     """
 
     eigenvalues: np.ndarray
     abscissa: float
     stable: bool
-    partial: bool = False
+    method: str
     form: str = "u"
-    meta: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
             "eigenvalues": [[float(v.real), float(v.imag)] for v in self.eigenvalues],
             "abscissa": self.abscissa,
             "stable": self.stable,
-            "partial": self.partial,
+            # constant, kept so that spectrum.json stays byte-identical
+            "partial": False,
             "form": self.form,
-            **self.health(),
+            "method": self.method,
         }
 
-    def health(self):
-        return {k: self.meta[k] for k in ("method", "converged") if k in self.meta}
 
-
-def _sorted_eigs(vals):
+def _sorted_eigvals(vals):
     vals = np.asarray(vals, complex)
     order = np.lexsort((vals.imag, vals.real))
     return vals[order]
 
 
-def spectrum(generator, dense_cap=DENSE_EIG_CAP, n_partial=40):
-    """Eigenvalues of the generator pencil ``L x = lambda E x``.
+def spectrum(generator):
+    """All eigenvalues of the generator pencil ``L x = lambda E x``.
 
-    Up to ``dense_cap`` (total first-order size 3n) the full spectrum
-    comes from one standard dense eigensolve; ``E`` (``diag(I, I, tau M)``
-    in u-form) is block-diagonal SPD, so the generator matrix
-    ``E^{-1} L`` costs one sparse factorization of its third block.
-    When the bundle's ``Mgamma`` holds no nonzero entry (gamma == 0
-    exactly) the eigensolve runs on the 2n damped-wave block of the
-    z-form generator (``Generator.dense_vw``) and ``-c^2/b`` is added n
-    times (method ``dense-wave-block``); the z-form is assembled from
-    the bundle's parameters unless ``generator`` already is one.  u- and
-    z-form are exactly conjugate, so either way the report keeps the
-    ``form`` and size of the generator it was given.  Otherwise the
-    eigensolve runs on the 3n generator matrix (method ``dense``).
-    Above the cap the report is flagged ``partial``: only the
-    ``n_partial`` eigenvalues of smallest modulus are computed
-    (shift-invert at zero with a fixed start vector, the only target
-    that converges reliably for this stiff pencil), so the reported
-    abscissa is then a lower bound over that subset, not a certified
-    global abscissa, and ``abscissa_vs_decay`` reports the cross-check
-    as not applicable.
+    The full spectrum comes from one standard dense eigensolve; ``E``
+    (``diag(I, I, tau M)`` in u-form) is block-diagonal SPD, so the
+    generator matrix ``E^{-1} L`` costs one sparse factorization of its
+    third block (method ``dense``).  When the bundle's ``Mgamma`` holds
+    no nonzero entry (gamma == 0 exactly) the eigensolve runs on the 2n
+    damped-wave block of the z-form generator (``Generator.dense_vw``)
+    and ``-c^2/b`` is added n times (method ``dense-wave-block``); the
+    z-form is assembled from the bundle's parameters unless
+    ``generator`` already is one.  u- and z-form are exactly conjugate,
+    so either way the report keeps the ``form`` and size of the
+    generator it was given.  A generator of first-order size 3n above
+    ``DENSE_EIG_CAP`` raises ``ConfigError`` before any dense matrix is
+    built.
     """
     n = generator.size
-    meta = {}
-    if n <= dense_cap:
-        bundle = generator.bundle
-        if bundle.Mgamma.count_nonzero() == 0:
-            gen = generator
-            if gen.form != "z":
-                gen = assemble_generator(bundle, "z")
-            wave = scipy.linalg.eigvals(gen.dense_vw())
-            vals = _sorted_eigs(np.concatenate((np.full(n // 3, gen.shift), wave)))
-            meta["method"] = "dense-wave-block"
-        else:
-            vals = _sorted_eigs(scipy.linalg.eigvals(generator.dense()))
-            meta["method"] = "dense"
-        partial = False
+    if n > DENSE_EIG_CAP:
+        raise ConfigError(
+            "generator size 3n = %d exceeds the dense eigensolver cap %d"
+            % (n, DENSE_EIG_CAP)
+        )
+    bundle = generator.bundle
+    if bundle.Mgamma.count_nonzero() == 0:
+        gen = generator
+        if gen.form != "z":
+            gen = assemble_generator(bundle, "z")
+        wave = scipy.linalg.eigvals(gen.dense_vw())
+        vals = _sorted_eigvals(np.concatenate((np.full(n // 3, gen.shift), wave)))
+        method = "dense-wave-block"
     else:
-        from .errors import NumericalError
-
-        try:
-            lu = splu(generator.L.tocsc())
-        except RuntimeError as exc:
-            raise NumericalError("shift-invert factorization failed: %s" % exc)
-        E = generator.E.tocsr()
-        # L x = lambda E x  <=>  (L^{-1} E) x = (1/lambda) x
-        op = LinearOperator((n, n), matvec=lambda x: lu.solve(E @ x))
-        v0 = np.full(n, 1.0 / np.sqrt(n))
-        k = min(n_partial, n - 2)
-        try:
-            inv_vals = eigs(op, k=k, which="LM", v0=v0, return_eigenvectors=False)
-        except ArpackNoConvergence as exc:
-            if len(exc.eigenvalues) == 0:
-                raise NumericalError("iterative eigensolver did not converge")
-            inv_vals = exc.eigenvalues
-            meta["converged"] = int(len(inv_vals))
-        vals = _sorted_eigs(1.0 / inv_vals)
-        partial = True
-        meta["method"] = "sparse-shift-invert"
-        meta["target"] = "smallest modulus"
+        vals = _sorted_eigvals(scipy.linalg.eigvals(generator.dense()))
+        method = "dense"
     abscissa = float(vals.real.max())
     tol = float(len(vals) * np.finfo(float).eps * np.abs(vals).max())
     return SpectrumReport(
         eigenvalues=vals,
         abscissa=abscissa,
         stable=abscissa < -tol,
-        partial=partial,
+        method=method,
         form=generator.form,
-        meta=meta,
     )
 
 
@@ -166,7 +133,7 @@ def modal_cubic_roots(mu, params):
         raise ValueError("mu must be positive")
     tau, alpha, b, c = _cubic_coeffs(params)
     roots = np.roots([tau, alpha, b * mu, c**2 * mu])
-    return _sorted_eigs(roots)
+    return _sorted_eigvals(roots)
 
 
 def routh_hurwitz_stable(tau, alpha, b, c, mu=1.0):
@@ -187,9 +154,8 @@ def abscissa_vs_decay(rep, times, E1, tail_fraction=0.5):
     generator the energy of the dominant mode decays like
     ``exp(2 * abscissa * t)``, so the fitted omega over the tail should
     match ``2 |abscissa|``.  Returns the ratio together with both
-    numbers; flagged not applicable when the spectrum is partial (its
-    abscissa is not the global one), the report is not ``stable``, or
-    the fit degenerates.
+    numbers; flagged not applicable when the report is not ``stable``
+    or the fit degenerates.
     """
     out = {
         "abscissa": rep.abscissa,
@@ -197,7 +163,7 @@ def abscissa_vs_decay(rep, times, E1, tail_fraction=0.5):
         "ratio": None,
         "applicable": False,
     }
-    if rep.partial or not rep.stable:
+    if not rep.stable:
         return out
     try:
         fit = _energy.fit_decay_rate(times, E1, tail_fraction=tail_fraction)

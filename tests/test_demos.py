@@ -1,10 +1,12 @@
-"""Smoke test: the demos that use the geometry and spectrum APIs run clean.
+"""Smoke test: every demo runs clean.
 
 ``transducer_certification.py`` reads the boundary segments and tags,
 ``multiplier_identities.py`` evaluates the collar fields,
-``damped_decay.py`` runs the dense and the partial spectrum and
-``unstable_growth.py`` reports a positive abscissa; each runs in a fresh
-interpreter with every warning turned into an error.
+``damped_decay.py`` compares the spectral abscissa with the fitted decay,
+``unstable_growth.py`` reports a positive abscissa,
+``conserved_interval.py`` tracks the conserved energy and
+``harmonic_extension.py`` checks the Neumann map; each runs in
+a fresh interpreter with every warning turned into an error.
 """
 
 import os
@@ -26,6 +28,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
         "multiplier_identities.py",
         "damped_decay.py",
         "unstable_growth.py",
+        "conserved_interval.py",
+        "harmonic_extension.py",
     ],
 )
 def test_demo_exits_cleanly_under_warnings_as_errors(demo):

@@ -309,35 +309,44 @@ def test_cli_geometry_error_exit(tmp_path):
     assert cert["certified"] is False
 
 
-def test_cli_numerical_error_exit(tmp_path):
-    # kappa0 = kappa1 = 0 leaves the stiffness pencil singular; the
-    # sparse eigensolve (forced via a tiny dense cap) cannot factorize it
-    cfg = tiny_config(
-        params={"kappa0": 0.0, "kappa1": 0.0},
-        spectrum={"dense_cap": 1, "n_partial": 6},
-    )
+def test_cli_spectrum_of_a_conservative_pencil_is_not_stable(tmp_path):
+    # kappa0 = kappa1 = 0 leaves the stiffness pencil singular: zero is an
+    # eigenvalue, so the dense eigensolve gives an abscissa at rounding
+    # level and the spectrum is not reported stable
+    cfg = tiny_config(params={"kappa0": 0.0, "kappa1": 0.0})
     cfg["initial"] = {"kind": "zero"}
     cfg_path = write_config(tmp_path, cfg)
     out = str(tmp_path / "out")
     code = cli.main(["spectrum", "--config", cfg_path, "--out", out])
-    assert code == cli.EXIT_NUMERICAL
-    err = json.loads(Path(out, "error.json").read_text())
-    assert err["exit_code"] == cli.EXIT_NUMERICAL
+    assert code == cli.EXIT_OK
+    rep = json.loads(Path(out, "spectrum.json").read_text())["spectrum"]
+    assert rep["stable"] is False
+    assert abs(rep["abscissa"]) <= 1e-12
 
 
-def test_cli_full_partial_spectrum_is_not_applicable(tmp_path):
-    # a partial spectrum's abscissa is not the global one, so the
-    # decay cross-check must not produce a ratio from it
-    cfg_path = write_config(tmp_path, tiny_config(spectrum={"dense_cap": 1, "n_partial": 6}))
+@pytest.mark.parametrize("subcommand", ["spectrum", "full"])
+def test_cli_spectrum_above_the_eigensolver_cap_is_a_config_error(
+    tmp_path, monkeypatch, subcommand
+):
+    # tiny_config has 3n = 51; the cap is read when spectrum is called
+    monkeypatch.setattr(spectral, "DENSE_EIG_CAP", 50)
+    cfg_path = write_config(tmp_path, tiny_config())
     out = str(tmp_path / "out")
-    assert cli.main(["full", "--config", cfg_path, "--out", out]) == cli.EXIT_OK
-    summary = json.loads(Path(out, "summary.json").read_text())
-    assert summary["spectral"]["partial"] is True
-    assert summary["spectral"]["method"] == "sparse-shift-invert"
-    spec = json.loads(Path(out, "spectrum.json").read_text())["spectrum"]
-    assert spec["method"] == "sparse-shift-invert"
-    assert summary["abscissa_vs_decay"]["applicable"] is False
-    assert summary["abscissa_vs_decay"]["ratio"] is None
+    assert cli.main([subcommand, "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
+    err = json.loads(Path(out, "error.json").read_text())
+    assert err["error"] == "ConfigError"
+    assert "51" in err["message"] and "50" in err["message"]
+    assert not os.path.exists(os.path.join(out, "spectrum.json"))
+    assert not os.path.exists(os.path.join(out, "summary.json"))
+
+
+def test_cli_rejects_the_removed_spectrum_section(tmp_path):
+    cfg_path = write_config(tmp_path, tiny_config(spectrum={"dense_cap": 600}))
+    out = str(tmp_path / "out")
+    assert cli.main(["spectrum", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
+    err = json.loads(Path(out, "error.json").read_text())
+    assert err["error"] == "ConfigError"
+    assert "spectrum" in err["message"]
 
 
 def test_cli_full_solves_the_spectrum_once(monkeypatch):

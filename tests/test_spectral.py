@@ -78,7 +78,7 @@ def test_spectrum_is_union_of_modal_triples():
         scen = make_scenario(mesh={"resolution": 16}, params={"kappa1": 0.0, "alpha": alpha})
         gen = M.assemble_generator(scen.bundle, form="u")
         rep = M.spectrum(gen)
-        assert rep.meta["method"] == method
+        assert rep.method == method
         mus = scipy.linalg.eigh(
             scen.bundle.Ktilde.toarray(), scen.bundle.Mmat.toarray(), eigvals_only=True
         )
@@ -88,7 +88,7 @@ def test_spectrum_is_union_of_modal_triples():
 
 def _reference_eigs(gen):
     # the 3n dense eigensolve every gamma takes outside the critical case
-    return spectral._sorted_eigs(scipy.linalg.eigvals(gen.dense()))
+    return spectral._sorted_eigvals(scipy.linalg.eigvals(gen.dense()))
 
 
 @pytest.mark.parametrize(
@@ -107,14 +107,14 @@ def test_critical_wave_block_spectrum_matches_the_full_eigensolve(cfg):
     gen = M.assemble_generator(scen.bundle, form="u")
     rep = M.spectrum(gen)
     ref = _reference_eigs(gen)
-    assert rep.meta["method"] == "dense-wave-block"
-    assert (rep.form, len(rep.eigenvalues), rep.partial) == ("u", 3 * n, False)
+    assert rep.method == "dense-wave-block"
+    assert (rep.form, len(rep.eigenvalues)) == ("u", 3 * n)
     assert match_spectra(rep.eigenvalues, ref) <= 1e-8
     assert abs(rep.abscissa - ref.real.max()) <= 1e-10
     assert np.count_nonzero(rep.eigenvalues == -scen.params.q) == n
     # a z-form input takes the same block and keeps its own form
     rep_z = M.spectrum(M.assemble_generator(scen.bundle, form="z"))
-    assert rep_z.form == "z" and rep_z.meta == rep.meta
+    assert rep_z.form == "z" and rep_z.method == rep.method
     np.testing.assert_array_equal(rep_z.eigenvalues, rep.eigenvalues)
 
 
@@ -124,7 +124,7 @@ def test_nearly_critical_gamma_takes_the_full_eigensolve():
     assert scen.params.stability_classification() == "critical"
     gen = M.assemble_generator(scen.bundle, form="u")
     rep = M.spectrum(gen)
-    assert rep.meta["method"] == "dense"
+    assert rep.method == "dense"
     np.testing.assert_array_equal(rep.eigenvalues, _reference_eigs(gen))
 
 
@@ -140,19 +140,29 @@ def test_noncritical_spectrum_assembles_no_z_form(monkeypatch):
     monkeypatch.setattr(dynamics, "assemble_generator", recording)
     scen = make_scenario(mesh={"resolution": 8})  # gamma = 1
     rep = M.spectrum(assemble(scen.bundle, form="u"))
-    assert rep.meta["method"] == "dense"
+    assert rep.method == "dense"
     assert calls == []
 
 
-def test_report_dict_carries_the_eigensolver_health():
+def test_report_dict_carries_the_eigensolver_method():
     vals = np.array([-1.0 + 0j])
-    meta = {"method": "sparse-shift-invert", "target": "smallest modulus", "converged": 3}
-    rep = spectral.SpectrumReport(vals, -1.0, True, partial=True, meta=meta)
-    out = rep.to_dict()
-    assert (out["method"], out["converged"]) == ("sparse-shift-invert", 3)
-    assert "target" not in out
-    dense = spectral.SpectrumReport(vals, -1.0, True, meta={"method": "dense"})
-    assert "converged" not in dense.to_dict()
+    out = spectral.SpectrumReport(vals, -1.0, True, method="dense").to_dict()
+    assert (out["method"], out["partial"]) == ("dense", False)
+    assert "converged" not in out
+
+
+def test_spectrum_above_the_cap_is_a_config_error(monkeypatch):
+    # the cap is read at call time, and nothing dense is built above it
+    scen = make_scenario(mesh={"resolution": 8})
+    gen = M.assemble_generator(scen.bundle, form="u")
+    assert gen.size == 27
+    monkeypatch.setattr(spectral, "DENSE_EIG_CAP", 26)
+    monkeypatch.setattr(type(gen), "dense", lambda self: pytest.fail("dense() built"))
+    with pytest.raises(M.ConfigError, match="3n = 27 exceeds the dense eigensolver cap 26"):
+        M.spectrum(gen)
+    monkeypatch.undo()
+    monkeypatch.setattr(spectral, "DENSE_EIG_CAP", 27)
+    assert len(M.spectrum(gen).eigenvalues) == 27
 
 
 def test_dense_spectrum_report_shape():
@@ -161,8 +171,7 @@ def test_dense_spectrum_report_shape():
     rep = M.spectrum(gen)
     n = scen.mesh.n_nodes
     assert len(rep.eigenvalues) == 3 * n
-    assert not rep.partial
-    assert rep.meta["method"] == "dense"
+    assert rep.method == "dense"
     assert rep.abscissa == pytest.approx(rep.eigenvalues.real.max())
     assert rep.stable == (rep.abscissa < 0)
     assert rep.abscissa < 0  # damped configuration
@@ -188,18 +197,42 @@ def test_unstable_spectrum_has_positive_abscissa():
     assert not rep.stable
 
 
-def test_sparse_shift_invert_matches_dense_tail():
-    scen = make_scenario(mesh={"resolution": 48})
-    gen = M.assemble_generator(scen.bundle, form="u")
-    dense = M.spectrum(gen)
-    sparse = M.spectrum(gen, dense_cap=10, n_partial=12)
-    assert sparse.partial
-    assert sparse.meta["method"] == "sparse-shift-invert"
-    # every reported eigenvalue belongs to the dense spectrum
-    for lam in sparse.eigenvalues:
-        assert np.abs(dense.eigenvalues - lam).min() <= 1e-7
-    # the smallest-modulus set contains the dominant (rightmost) pair here
-    assert sparse.abscissa == pytest.approx(dense.abscissa, abs=1e-7)
+def _wave_root(kappa0, kappa1, s, guess):
+    # Newton on (lam + kappa1 kappa0 s^2) sinh(lam/s) + s (kappa0 + kappa1 lam) cosh(lam/s)
+    lam = complex(guess)
+    for _ in range(50):
+        sh, ch = np.sinh(lam / s), np.cosh(lam / s)
+        f = (lam + kappa1 * kappa0 * s**2) * sh + s * (kappa0 + kappa1 * lam) * ch
+        df = (1.0 + kappa0 + kappa1 * lam) * sh
+        df += ((lam + kappa1 * kappa0 * s**2) / s + s * kappa1) * ch
+        lam -= f / df
+    return lam
+
+
+def test_critical_interval_spectrum_converges_to_the_exact_wave_roots():
+    # At gamma = 0 in 1D the z-equation is z_tt = s^2 z_xx, s = sqrt(b/tau),
+    # with -z_x + kappa0 z = 0 at x = 0 and z_x + kappa1 z_t = 0 at x = 1;
+    # the equation in _wave_root is its characteristic function.  The discrete
+    # low modes converge to its roots at O(h^2), while the plain abscissa
+    # comes from the grid's top mode, which sees no boundary damping, and
+    # collapses towards zero like h^2.
+    root = _wave_root(1.0, 0.5, 1.0, -0.35 + 0.84j)
+    assert abs(root - (-0.348164500 + 0.837917123j)) <= 1e-9
+    dist, absc, low = [], [], []
+    for res in (16, 32, 64, 128, 256):
+        cfg = {"preset": "interval-1d-conserved", "mesh": {"resolution": res},
+               "params": {"kappa1": 0.5}}
+        scen = M.Scenario(M.load_config(cfg))
+        rep = M.spectrum(M.assemble_generator(scen.bundle, form="u"))
+        assert rep.method == "dense-wave-block"
+        vals = rep.eigenvalues
+        dist.append(np.abs(vals - root).min())
+        absc.append(rep.abscissa)
+        low.append(vals[np.abs(vals.imag) < 20].real.max())
+    assert M.refinement_slope(dist) >= 1.9, dist
+    ratios = np.array(absc[:-1]) / np.array(absc[1:])
+    assert ((3.5 <= ratios) & (ratios <= 4.5)).all(), absc
+    assert np.abs(np.array(low) - root.real).max() <= 2e-4, low
 
 
 # ------------------------------------------------------------- conjugacy
@@ -259,7 +292,7 @@ def test_stability_needs_the_abscissa_below_the_rounding_tolerance(monkeypatch, 
     vals = np.resize(np.array([-4.0e4, -3.0 - 20.0j, -3.0 + 20.0j, -1.0]), gen.size)
     tol = gen.size * np.finfo(float).eps * 4.0e4  # 1.3e-10, above a fixed 1e-12 cutoff
     vals[3] = factor * tol
-    monkeypatch.setattr(spectral, "_sorted_eigs", lambda _: vals)
+    monkeypatch.setattr(spectral, "_sorted_eigvals", lambda _: vals)
     rep = M.spectrum(gen)
     assert rep.abscissa == factor * tol
     assert rep.stable is stable
