@@ -14,6 +14,8 @@ multiplier-check
     refinement (``multiplier.json``).
 full
     All of the above that apply, plus an adjoint-identity spot check.
+    The eigensolve runs in a forked worker process while the parent
+    certifies and time-steps (inline where ``os.fork`` does not exist).
 
 Exit codes: 0 success, 2 configuration/schema error, 3 geometry
 precondition failure, 4 numerical failure.  On failure an ``error.json``
@@ -23,7 +25,10 @@ with the category and message is left in the output directory.
 import argparse
 import logging
 import os
+import pickle
+import signal
 import sys
+import time
 
 import numpy as np
 
@@ -42,7 +47,7 @@ from .errors import (
 )
 from .geometry import build_vector_field_h, check_convex_gamma0, check_star_shaped
 from .reporting import write_json, write_trajectory_csv
-from .spectral import abscissa_vs_decay, spectrum
+from .spectral import abscissa_vs_decay, check_dense_cap, spectrum
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -194,6 +199,69 @@ def _multiplier_check(scen):
     }
 
 
+def _forked(func):
+    """Start ``func()`` in a forked worker; return its ``collect(kill=False)``.
+
+    ``collect()`` waits for the worker and returns ``(result, seconds)``,
+    the value and wall time of ``func()``, or re-raises the exception it
+    raised.  A worker that exits without sending either is a
+    ``RuntimeError`` naming its exit status.  ``collect(kill=True)``
+    kills the worker and discards its outcome, for a parent that failed
+    first, as does an exception (an interrupt) raised while ``collect()``
+    waits.  Either way the worker is reaped.  Where ``os.fork`` does not
+    exist, ``func`` runs inline when collected.
+    """
+
+    def timed():
+        start = time.perf_counter()
+        return func(), time.perf_counter() - start
+
+    if not hasattr(os, "fork"):
+        return lambda kill=False: None if kill else timed()
+
+    read_fd, write_fd = os.pipe()
+    # the only other threads are OpenBLAS's pool, which OpenBLAS joins
+    # before a fork (pthread_atfork): no thread runs while memory is copied
+    pid = os.fork()
+    if pid == 0:  # the worker: send ("ok", value) or ("err", exception), never return
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = ("ok", timed())
+            except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+                outcome = ("err", exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+
+    def collect(kill=False):
+        pipe = os.fdopen(read_fd, "rb")
+        try:
+            data = b"" if kill else pipe.read()
+        except BaseException:  # interrupted while waiting: stop the worker too
+            kill = True
+            raise
+        finally:
+            pipe.close()
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if kill:
+            return None
+        if status != 0 or not data:
+            raise RuntimeError("worker exited without a result (exit status %d)" % status)
+        kind, value = pickle.loads(data)
+        if kind == "err":
+            raise value
+        return value
+
+    return collect
+
+
 def run(config, subcommand, out_dir=None, seed=0):
     """Execute one subcommand; writes artifacts when ``out_dir`` is given.
 
@@ -231,8 +299,10 @@ def run(config, subcommand, out_dir=None, seed=0):
             write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
         return traj, sim
 
-    def spectral():
-        rep = spectrum(assemble_generator(scen.bundle, form="u"))
+    def solve():
+        return spectrum(assemble_generator(scen.bundle, form="u"))
+
+    def spectral(rep):
         emit("spectrum.json", {**base, "spectrum": rep.to_dict()})
         return rep
 
@@ -250,15 +320,28 @@ def run(config, subcommand, out_dir=None, seed=0):
         return payload
 
     if subcommand == "spectrum":
-        return {**base, "spectrum": spectral().to_dict()}
+        return {**base, "spectrum": spectral(solve()).to_dict()}
 
     if subcommand == "multiplier-check":
         return {**base, "multiplier": identities()}
 
     if subcommand == "full":
-        info, h = certified()
-        traj, sim = simulated()
-        rep = spectral()
+        # the cap depends on n alone, so it is checked before any stage;
+        # the eigensolve then overlaps certification and stepping
+        check_dense_cap(3 * scen.mesh.n_nodes)
+        collect = _forked(solve)
+        try:
+            info, h = certified()
+            traj, sim = simulated()
+        except BaseException:
+            collect(kill=True)
+            raise
+        rep, seconds = collect()
+        _LOGGER.info(
+            "spectral stage: generator size %d, method %s, %.3f s",
+            len(rep.eigenvalues), rep.method, seconds,
+        )
+        spectral(rep)
         adj = _adjoint_spot_check(scen, seed)
         versus = abscissa_vs_decay(rep, traj.times, traj.E1)
         payload = {

@@ -64,6 +64,16 @@ def _sorted_eigvals(vals):
     return vals[order]
 
 
+def check_dense_cap(size):
+    """Raise ``ConfigError`` when a generator of first-order size ``size``
+    (3n) is above ``DENSE_EIG_CAP``, the largest the dense eigensolve takes."""
+    if size > DENSE_EIG_CAP:
+        raise ConfigError(
+            "generator size 3n = %d exceeds the dense eigensolver cap %d"
+            % (size, DENSE_EIG_CAP)
+        )
+
+
 def spectrum(generator):
     """All eigenvalues of the generator pencil ``L x = lambda E x``.
 
@@ -82,11 +92,7 @@ def spectrum(generator):
     built.
     """
     n = generator.size
-    if n > DENSE_EIG_CAP:
-        raise ConfigError(
-            "generator size 3n = %d exceeds the dense eigensolver cap %d"
-            % (n, DENSE_EIG_CAP)
-        )
+    check_dense_cap(n)
     bundle = generator.bundle
     if bundle.Mgamma.count_nonzero() == 0:
         gen = generator

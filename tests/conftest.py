@@ -1,5 +1,7 @@
 """Shared fixtures: small scenarios that assemble in milliseconds."""
 
+import os
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -16,6 +18,19 @@ def match_spectra(vals_a, vals_b):
     cost = np.abs(A[:, None] - B[None, :])
     r, cidx = linear_sum_assignment(cost)
     return float(cost[r, cidx].max())
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process, running or unreaped."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process behind (waitpid returned pid %d)" % pid)
 
 
 def interval_config(**over):

@@ -2,10 +2,14 @@
 
 import inspect
 import json
+import logging
 import os
 from pathlib import Path
+import re
+import signal
 import subprocess
 import sys
+import time
 
 import jsonschema
 import numpy as np
@@ -328,7 +332,7 @@ def test_cli_spectrum_of_a_conservative_pencil_is_not_stable(tmp_path):
 def test_cli_spectrum_above_the_eigensolver_cap_is_a_config_error(
     tmp_path, monkeypatch, subcommand
 ):
-    # tiny_config has 3n = 51; the cap is read when spectrum is called
+    # tiny_config has 3n = 51; the cap is read when the size is checked
     monkeypatch.setattr(spectral, "DENSE_EIG_CAP", 50)
     cfg_path = write_config(tmp_path, tiny_config())
     out = str(tmp_path / "out")
@@ -338,6 +342,9 @@ def test_cli_spectrum_above_the_eigensolver_cap_is_a_config_error(
     assert "51" in err["message"] and "50" in err["message"]
     assert not os.path.exists(os.path.join(out, "spectrum.json"))
     assert not os.path.exists(os.path.join(out, "summary.json"))
+    # `full` checks the cap before any stage, so none leaves an artifact
+    assert not os.path.exists(os.path.join(out, "certification.json"))
+    assert not os.path.exists(os.path.join(out, "trajectory.csv"))
 
 
 def test_cli_rejects_the_removed_spectrum_section(tmp_path):
@@ -349,21 +356,115 @@ def test_cli_rejects_the_removed_spectrum_section(tmp_path):
     assert "spectrum" in err["message"]
 
 
-def test_cli_full_solves_the_spectrum_once(monkeypatch):
-    calls = []
+def test_cli_full_solves_the_spectrum_once(tmp_path, monkeypatch):
+    # one line per call, appended to a file, so that calls made in the
+    # forked spectrum worker are counted too
+    calls = tmp_path / "calls"
+    calls.touch()
     solve = spectral.spectrum
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        with open(calls, "a") as f:
+            f.write("spectrum\n")
         return solve(*args, **kwargs)
 
     # patch every module-level name the full run could reach it through
     monkeypatch.setattr(cli, "spectrum", counting)
     monkeypatch.setattr(spectral, "spectrum", counting)
     payload = cli.run(tiny_config(), "full")
-    assert len(calls) == 1
+    assert len(calls.read_text().splitlines()) == 1
     assert payload["abscissa_vs_decay"]["applicable"] is True
     assert payload["spectral"]["method"] == "dense"
+
+
+def test_cli_full_worker_error_matches_the_inline_path(tmp_path, monkeypatch):
+    # an error in the forked eigensolve is re-raised where the inline
+    # solve raises it: after stepping, before spectrum.json
+    def failing(generator):
+        raise M.NumericalError("eigensolve failed at size %d" % generator.size)
+
+    monkeypatch.setattr(cli, "spectrum", failing)
+    cfg_path = write_config(tmp_path, tiny_config())
+    forked, inline = str(tmp_path / "forked"), str(tmp_path / "inline")
+    assert cli.main(["full", "--config", cfg_path, "--out", forked]) == cli.EXIT_NUMERICAL
+    monkeypatch.delattr(os, "fork")
+    assert cli.main(["full", "--config", cfg_path, "--out", inline]) == cli.EXIT_NUMERICAL
+    for out in (forked, inline):
+        assert sorted(os.listdir(out)) == ["certification.json", "error.json", "trajectory.csv"]
+    err = Path(forked, "error.json").read_bytes()
+    assert err == Path(inline, "error.json").read_bytes()
+    assert json.loads(err)["message"] == "eigensolve failed at size 51"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker needs os.fork")
+def test_cli_full_worker_without_a_result_is_a_runtime_error(monkeypatch):
+    monkeypatch.setattr(cli, "spectrum", lambda generator: os._exit(7))
+    with pytest.raises(RuntimeError, match=r"^worker exited without a result \(exit status 7\)$"):
+        cli.run(tiny_config(), "full")
+
+
+@pytest.mark.parametrize(
+    "cfg, expected",
+    [
+        (tiny_config(geometry={"x0": 0.5}), cli.EXIT_GEOMETRY),
+        (
+            {"preset": "interval-1d-unstable", "time": {"T": 4000, "dt": 0.5}},
+            cli.EXIT_NUMERICAL,
+        ),
+    ],
+    ids=["certification-fails", "energy-overflows"],
+)
+def test_cli_full_reaps_the_worker_when_a_stage_fails(tmp_path, cfg, expected):
+    out = str(tmp_path / "out")
+    assert cli.main(["full", "--config", write_config(tmp_path, cfg), "--out", out]) == expected
+    assert not os.path.exists(os.path.join(out, "spectrum.json"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+def test_cli_full_interrupted_while_collecting_reaps_the_worker(monkeypatch):
+    # the parent is interrupted while it waits for a worker that would run
+    # for a minute: the worker is killed, not waited for, and the conftest
+    # fixture checks that it was reaped
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    monkeypatch.setattr(cli, "spectrum", lambda generator: time.sleep(60))
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        start = time.monotonic()
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(Interrupted):
+            cli.run(tiny_config(), "full")
+        assert time.monotonic() - start < 30
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_cli_full_inline_fallback_writes_identical_artifacts(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, tiny_config(multiplier={"levels": 2, "n_time": 21}))
+    forked, inline = str(tmp_path / "forked"), str(tmp_path / "inline")
+    assert cli.main(["full", "--config", cfg_path, "--out", forked, "--seed", "3"]) == 0
+    monkeypatch.delattr(os, "fork")
+    assert cli.main(["full", "--config", cfg_path, "--out", inline, "--seed", "3"]) == 0
+    names = sorted(os.listdir(forked))
+    assert names == sorted(os.listdir(inline))
+    assert len(names) == 5
+    for name in names:
+        assert Path(forked, name).read_bytes() == Path(inline, name).read_bytes(), name
+
+
+def test_cli_full_logs_the_spectral_stage(caplog):
+    with caplog.at_level(logging.INFO, logger="mgtstab.cli"):
+        cli.run(tiny_config(), "full")
+    lines = [r.getMessage() for r in caplog.records if "spectral stage" in r.getMessage()]
+    assert len(lines) == 1
+    assert re.fullmatch(r"spectral stage: generator size 51, method dense, \d+\.\d{3} s", lines[0])
 
 
 @pytest.mark.parametrize("subcommand", ["simulate", "full"])
