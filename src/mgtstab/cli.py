@@ -4,6 +4,12 @@ Subcommands
 -----------
 simulate
     Time-step the scenario and write ``trajectory.csv`` + ``summary.json``.
+    A table of more than ``dynamics._CHUNK_ELEMENTS`` values (rows times
+    9 columns, known before the first step) is formatted by a forked
+    writer process while the parent steps: each finished chunk of rows
+    goes to it through shared memory, and it writes the file once the
+    simulation has returned.  Smaller tables, and every table where
+    ``os.fork`` does not exist, are written inline after stepping.
 spectrum
     Eigenvalues of the first-order generator, written to ``spectrum.json``.
 certify-geometry
@@ -15,7 +21,8 @@ multiplier-check
 full
     All of the above that apply, plus an adjoint-identity spot check.
     The eigensolve runs in a forked worker process while the parent
-    certifies and time-steps (inline where ``os.fork`` does not exist).
+    certifies and time-steps (inline where ``os.fork`` does not exist);
+    the trajectory table is written as by ``simulate``.
 
 Exit codes: 0 success, 2 configuration/schema error, 3 geometry
 precondition failure, 4 numerical failure.  On failure an ``error.json``
@@ -23,7 +30,9 @@ with the category and message is left in the output directory.
 """
 
 import argparse
+import itertools
 import logging
+import mmap
 import os
 import pickle
 import signal
@@ -35,7 +44,7 @@ import numpy as np
 from . import multiplier as mult
 from .config import Scenario, config_hash, load_config, load_config_file
 from .discretization import build_mesh, check_adjoint_identity
-from .dynamics import assemble_generator, simulate
+from .dynamics import _CHUNK_ELEMENTS, Trajectory, assemble_generator, record_count, simulate
 from .energy import energy_identity_residual, fit_decay_rate
 from .errors import (
     CertificationError,
@@ -46,7 +55,7 @@ from .errors import (
     NumericalError,
 )
 from .geometry import build_vector_field_h, check_convex_gamma0, check_star_shaped
-from .reporting import write_json, write_trajectory_csv
+from .reporting import write_csv_blocks, write_json, write_trajectory_csv
 from .spectral import abscissa_vs_decay, check_dense_cap, spectrum
 
 _LOGGER = logging.getLogger(__name__)
@@ -95,7 +104,7 @@ def _certify(scen):
     return info, h, None
 
 
-def _simulate(scen):
+def _simulate(scen, on_chunk=None):
     t = scen.time
     traj = simulate(
         scen.bundle,
@@ -105,6 +114,7 @@ def _simulate(scen):
         scheme=t["scheme"],
         output_stride=t["output_stride"],
         store_states=t["store_states"],
+        on_chunk=on_chunk,
     )
     e1_0 = float(traj.E1[0])
     drift = float(np.max(np.abs(traj.E1 - e1_0)) / max(abs(e1_0), 1e-300))
@@ -199,59 +209,96 @@ def _multiplier_check(scen):
     }
 
 
-def _forked(func):
-    """Start ``func()`` in a forked worker; return its ``collect(kill=False)``.
+class _Worker:
+    """``func`` run in a forked worker process while the parent goes on.
 
     ``collect()`` waits for the worker and returns ``(result, seconds)``,
     the value and wall time of ``func()``, or re-raises the exception it
-    raised.  A worker that exits without sending either is a
-    ``RuntimeError`` naming its exit status.  ``collect(kill=True)``
-    kills the worker and discards its outcome, for a parent that failed
-    first, as does an exception (an interrupt) raised while ``collect()``
-    waits.  Either way the worker is reaped.  Where ``os.fork`` does not
-    exist, ``func`` runs inline when collected.
+    raised; a worker that exits without sending either is a
+    ``RuntimeError`` naming its exit status.  A ``fed`` worker runs
+    ``func(messages)`` instead, where ``messages`` yields the objects the
+    parent passes to ``send()``, in order, and ends when ``collect()``
+    marks the end of the input.
+
+    ``kill()`` kills the worker before its channels are closed, so a fed
+    worker never reads an end of input, and discards its outcome.  The
+    worker is killed when a ``with`` block around it raises and when the
+    parent is interrupted while ``collect()`` waits; on every path it is
+    reaped.  Where ``os.fork`` does not exist, ``func`` runs inline when
+    collected (a fed worker needs ``os.fork``).
     """
 
-    def timed():
-        start = time.perf_counter()
-        return func(), time.perf_counter() - start
-
-    if not hasattr(os, "fork"):
-        return lambda kill=False: None if kill else timed()
-
-    read_fd, write_fd = os.pipe()
-    # the only other threads are OpenBLAS's pool, which OpenBLAS joins
-    # before a fork (pthread_atfork): no thread runs while memory is copied
-    pid = os.fork()
-    if pid == 0:  # the worker: send ("ok", value) or ("err", exception), never return
-        status = 1
-        try:
-            os.close(read_fd)
+    def __init__(self, func, fed=False):
+        self._func = func
+        self._pid = self._result = self._feed = None
+        if not hasattr(os, "fork"):
+            return
+        read_fd, write_fd = os.pipe()
+        feed_read, feed_write = os.pipe() if fed else (None, None)
+        # the only other threads are OpenBLAS's pool, which OpenBLAS joins
+        # before a fork (pthread_atfork): no thread runs while memory is copied
+        pid = os.fork()
+        if pid == 0:  # the worker: send ("ok", value) or ("err", exception), never return
+            status = 1
             try:
-                outcome = ("ok", timed())
-            except Exception as exc:  # noqa: BLE001 - re-raised in the parent
-                outcome = ("err", exc)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(outcome, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
+                os.close(read_fd)
+                if fed:
+                    os.close(feed_write)
+                    args = (self._received(os.fdopen(feed_read, "rb")),)
+                else:
+                    args = ()
+                try:
+                    outcome = ("ok", self._timed(*args))
+                except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+                    outcome = ("err", exc)
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pickle.dump(outcome, pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        if fed:
+            os.close(feed_read)
+        self._pid, self._result, self._feed = pid, read_fd, feed_write
 
-    def collect(kill=False):
-        pipe = os.fdopen(read_fd, "rb")
+    def _timed(self, *args):
+        start = time.perf_counter()
+        return self._func(*args), time.perf_counter() - start
+
+    @staticmethod
+    def _received(pipe):
+        # the parent's messages up to its end marker; an end of input without
+        # it (the parent is gone) raises EOFError, so nothing is written
+        with pipe:
+            while True:
+                more, obj = pickle.load(pipe)
+                if not more:
+                    return
+                yield obj
+
+    def send(self, obj):
+        self._post(True, obj)
+
+    def _post(self, more, obj):
+        data = pickle.dumps((more, obj))
         try:
-            data = b"" if kill else pipe.read()
+            while data:
+                data = data[os.write(self._feed, data) :]
+        except BrokenPipeError:  # the worker has exited; collect() says how
+            pass
+
+    def collect(self):
+        if self._result is None:
+            return self._timed()
+        try:
+            if self._feed is not None:
+                self._post(False, None)
+            with os.fdopen(self._result, "rb", closefd=False) as pipe:
+                data = pipe.read()
         except BaseException:  # interrupted while waiting: stop the worker too
-            kill = True
+            self.kill()
             raise
-        finally:
-            pipe.close()
-            if kill:
-                os.kill(pid, signal.SIGKILL)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if kill:
-            return None
+        status = self._reap()
         if status != 0 or not data:
             raise RuntimeError("worker exited without a result (exit status %d)" % status)
         kind, value = pickle.loads(data)
@@ -259,7 +306,56 @@ def _forked(func):
             raise value
         return value
 
-    return collect
+    def kill(self):
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self):
+        # close the channels, then wait for the worker; its exit status
+        for fd in (self._result, self._feed):
+            if fd is not None:
+                os.close(fd)
+        status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        self._pid = None
+        return status
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            self.kill()
+        return False
+
+
+def _stream_csv(path, n_rows):
+    """A fed :class:`_Worker` that writes the ``n_rows``-row trajectory CSV
+    at ``path``, and the ``on_chunk`` hook of ``simulate`` that feeds it.
+
+    The hook copies each chunk's rows into an anonymous shared mapping made
+    before the fork and sends the worker the number of rows filled; the
+    worker formats the rows up to it with the inline writer's formatter,
+    and writes the file once ``collect()`` ends its input.
+    """
+    width = len(Trajectory.CSV_COLUMNS)
+    table = np.frombuffer(mmap.mmap(-1, 8 * n_rows * width), float).reshape(n_rows, width)
+
+    def write(filled):
+        blocks = (table[lo:hi] for lo, hi in itertools.pairwise(itertools.chain([0], filled)))
+        write_csv_blocks(path, Trajectory.CSV_COLUMNS, blocks)
+
+    worker = _Worker(write, fed=True)
+    filled = 0
+
+    def on_chunk(chunk):
+        nonlocal filled
+        rows = chunk.csv_rows()[1]
+        table[filled : filled + len(rows)] = rows
+        filled += len(rows)
+        worker.send(filled)
+
+    return worker, on_chunk
 
 
 def run(config, subcommand, out_dir=None, seed=0):
@@ -294,9 +390,20 @@ def run(config, subcommand, out_dir=None, seed=0):
         return info, h
 
     def simulated():
-        traj, sim = _simulate(scen)
-        if out_dir is not None:
-            write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
+        if out_dir is None:
+            return _simulate(scen)
+        path, t = os.path.join(out_dir, "trajectory.csv"), scen.time
+        n_rows = record_count(t["T"], t["dt"], t["output_stride"])
+        # a fork round trip costs about what formatting 6000 values does,
+        # so a table within the budget is written inline
+        if n_rows * len(Trajectory.CSV_COLUMNS) <= _CHUNK_ELEMENTS or not hasattr(os, "fork"):
+            traj, sim = _simulate(scen)
+            write_trajectory_csv(traj, path)
+            return traj, sim
+        writer, on_chunk = _stream_csv(path, n_rows)
+        with writer:
+            traj, sim = _simulate(scen, on_chunk)
+            writer.collect()
         return traj, sim
 
     def solve():
@@ -329,14 +436,10 @@ def run(config, subcommand, out_dir=None, seed=0):
         # the cap depends on n alone, so it is checked before any stage;
         # the eigensolve then overlaps certification and stepping
         check_dense_cap(3 * scen.mesh.n_nodes)
-        collect = _forked(solve)
-        try:
+        with _Worker(solve) as solver:
             info, h = certified()
             traj, sim = simulated()
-        except BaseException:
-            collect(kill=True)
-            raise
-        rep, seconds = collect()
+            rep, seconds = solver.collect()
         _LOGGER.info(
             "spectral stage: generator size %d, method %s, %.3f s",
             len(rep.eigenvalues), rep.method, seconds,

@@ -70,8 +70,13 @@ def check_compatibility(state, bundle):
 
 
 def _compatibility(state, bundle):
-    # check_compatibility's residuals, and the sum of the L2 norms of the
-    # terms they add up (d_nu u0 and the Robin term) over gamma0 and gamma1
+    # check_compatibility's residuals, the sum of the L2 norms of the terms
+    # they add up (d_nu u0 and the Robin term) over gamma0 and gamma1, and
+    # each residual's noise floor: the L2 norm of the greatest jump of the
+    # element gradient across an interior face of each facet's element.  A
+    # facet's d_nu u0 is its element's mean gradient, off the boundary value
+    # by about h/2 |u0''|, half the jump h |u0''| to the next element; so a
+    # residual under its floor is recovery noise at twice its expected size.
     mesh = bundle.mesh
     n, dim = mesh.n_nodes, mesh.dim
     # the element owning each boundary facet: match the sorted vertex keys
@@ -83,31 +88,43 @@ def _compatibility(state, bundle):
     owner = order[np.searchsorted(face_keys[order], facet_keys)] // (dim + 1)
     grads = np.einsum("eai,ea->ei", mesh.element_gradients, state.u[mesh.elements])
     dnu = np.einsum("fi,fi->f", grads[owner], mesh.facet_normals)
+    # an interior face is a key that two elements share, adjacent in ``order``
+    shared = np.flatnonzero(face_keys[order][1:] == face_keys[order][:-1])
+    a, b = order[shared] // (dim + 1), order[shared + 1] // (dim + 1)
+    jump = np.zeros(len(mesh.elements))
+    step = np.linalg.norm(grads[a] - grads[b], axis=1)
+    np.maximum.at(jump, a, step)
+    np.maximum.at(jump, b, step)
 
-    out, scale = {}, 0.0
+    out, scale, floor = {}, 0.0, {}
     for name, tag, bmat, MG, value in (
         ("r0", GAMMA0, bundle.B0, bundle.T0, state.u),
         ("r1", GAMMA1, bundle.B1, bundle.T1, state.v),
     ):
         on = mesh.facet_tags == tag
         if not on.any():
-            out[name] = 0.0
+            out[name] = floor[name] = 0.0
             continue
         cells, measures = mesh.facets[on], mesh.facet_measures[on]
-        flux = np.zeros(n)
-        np.add.at(flux, cells, (dnu[on] * measures / dim)[:, None])
-        robin = bmat @ value
-        # Riesz-represent each functional in L2 of the boundary part
         nodes = mesh.nodes_on(tag)
         MGr = MG[np.ix_(nodes, nodes)].toarray()
 
+        def functional(per_facet):
+            # int over the part of per_facet times each nodal basis function
+            rho = np.zeros(n)
+            np.add.at(rho, cells, (per_facet * measures / dim)[:, None])
+            return rho
+
         def norm(rho):
+            # Riesz-represent the functional in L2 of the boundary part
             w = np.linalg.solve(MGr, rho[nodes])
             return float(np.sqrt(w @ MGr @ w))
 
+        flux, robin = functional(dnu[on]), bmat @ value
         out[name] = norm(flux + robin)
         scale += norm(flux) + norm(robin)
-    return out, scale
+        floor[name] = norm(functional(jump[owner[on]]))
+    return out, scale, floor
 
 
 # -- generators --------------------------------------------------------------
@@ -401,6 +418,13 @@ def _observables(U, V, W, times, bundle, source, gamma_negative):
     )
 
 
+def record_count(T, dt, output_stride):
+    """Samples ``simulate`` records: every ``output_stride``-th of the
+    ``round(T / dt)`` steps from step 0, and the last step."""
+    n_steps = int(round(T / dt))
+    return n_steps // output_stride + 1 + (n_steps % output_stride > 0)
+
+
 def simulate(
     bundle,
     initial,
@@ -411,26 +435,33 @@ def simulate(
     output_stride=1,
     store_states=False,
     compat_tol=0.1,
+    on_chunk=None,
 ):
     """Advance the u-form system and record energy/dissipation series.
 
     ``initial`` is a u-form :class:`State` and ``source`` ``None`` or a
     callable ``t -> nodal vector``.  Compatibility residuals of the
     initial data are computed and logged but never enforced: a warning
-    when one exceeds ``compat_tol`` times the summed L2 norms of the terms
-    both add up, over the whole boundary, so it does not depend on the
-    data's scale.  (On one part alone, e.g. the Robin mode's Neumann end,
-    both terms can vanish and leave only O(h) recovery noise.)  Non-finite
-    states or recorded energies abort with :class:`NumericalError`
-    (expected for blow-up scenarios run too long).
+    when one exceeds both ``compat_tol`` times the summed L2 norms of the
+    terms both add up, over the whole boundary, so it does not depend on
+    the data's scale, and its noise floor, twice the expected O(h) error
+    of the recovered normal derivative (estimated from the jumps of the
+    element gradients next to the boundary).  Where both terms vanish,
+    e.g. at ``cos(pi x)``'s Neumann ends, only that noise is left.
+    Non-finite states or recorded energies abort with
+    :class:`NumericalError` (expected for blow-up scenarios run too long).
 
     The trajectory columns are evaluated for a chunk of recorded samples
     at once (``_CHUNK_ELEMENTS // n`` of them), so a blow-up is detected
     at the end of its chunk; the error still names its first sample.
+    ``on_chunk``, when given, is called after each chunk with a
+    :class:`Trajectory` holding only that chunk's ``times`` and columns,
+    chunk after chunk in order, so the caller can write them out while
+    the stepping goes on.
     """
     n = bundle.mesh.n_nodes
-    compat, scale = _compatibility(initial, bundle)
-    if max(compat["r0"], compat["r1"]) > compat_tol * scale:
+    compat, scale, floor = _compatibility(initial, bundle)
+    if any(compat[k] > max(compat_tol * scale, floor[k]) for k in compat):
         _LOGGER.warning(
             "initial data violate the boundary compatibility conditions "
             "(r0=%.3e, r1=%.3e); u- and z-form trajectories agree only up "
@@ -441,9 +472,8 @@ def simulate(
 
     gen = assemble_generator(bundle, form="u")
     stepper = Stepper(gen, dt, scheme, source)
-    n_steps = int(round(T / dt))
-    record_at = sorted(set(range(0, n_steps + 1, int(output_stride))) | {n_steps})
-    n_rec = len(record_at)
+    n_steps, stride = int(round(T / dt)), int(output_stride)
+    n_rec = record_count(T, dt, stride)
     chunk = max(1, _CHUNK_ELEMENTS // n)
     classification = bundle.params.stability_classification()
     gamma_negative = classification == "unstable"
@@ -462,7 +492,7 @@ def simulate(
         if k:
             t = stepper.advance(x, prev if k > 1 else None, t, out)
             x, prev, out = out, x, prev
-        if k != record_at[i]:
+        if k % stride and k != n_steps:
             continue
         lo = i - i % chunk
         X[:, i if store_states else i - lo] = x.reshape(3, n)
@@ -471,6 +501,8 @@ def simulate(
         if i % chunk == 0 or i == n_rec:
             rows = slice(lo, i) if store_states else slice(0, i - lo)
             cols[:, lo:i] = _observables(*X[:, rows], times[lo:i], bundle, source, gamma_negative)
+            if on_chunk is not None:
+                on_chunk(Trajectory(times[lo:i], *cols[:, lo:i]))
 
     traj = Trajectory(
         times,

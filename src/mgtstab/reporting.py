@@ -55,10 +55,17 @@ def write_json(path, obj):
 
 
 def write_csv(path, columns, rows):
-    rows = np.atleast_2d(np.asarray(rows, float))
-    fmt = ",".join(["%.17g"] * rows.shape[1])
-    # row by row: the whole table as Python floats would raise the peak memory
-    lines = [",".join(columns)] + [fmt % tuple(row.tolist()) for row in rows]
+    write_csv_blocks(path, columns, [np.atleast_2d(np.asarray(rows, float))])
+
+
+def write_csv_blocks(path, columns, blocks):
+    """Write a float table given as consecutive 2D blocks of rows; each block
+    is formatted as it arrives, and the file is written after the last."""
+    lines = [",".join(columns)]
+    for rows in blocks:
+        fmt = ",".join(["%.17g"] * rows.shape[1])
+        # row by row: the whole table as Python floats would raise the peak memory
+        lines += [fmt % tuple(row.tolist()) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

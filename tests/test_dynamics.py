@@ -175,6 +175,31 @@ def test_compatibility_warning_does_not_scale_with_the_data(caplog):
     assert r1[False, 100.0] > 0.1 > r1[True, 1e-3]
 
 
+@pytest.mark.parametrize("resolution", [16, 64, 256])
+def test_compatibility_recovery_noise_alone_does_not_warn(caplog, resolution):
+    # u0 = cos(pi x), u1 = 0 on an interval with gamma0 empty: d_nu u0 and
+    # kappa1 u1 vanish on the whole boundary, so r1 is the O(h) noise of
+    # the recovered d_nu u0 alone, pi^2 h / sqrt(2) over the two ends
+    scen = make_scenario(mesh={"resolution": resolution}, geometry={"gamma0_end": None})
+    x, n = scen.mesh.nodes[:, 0], scen.mesh.n_nodes
+    state = State(np.cos(np.pi * x), np.zeros(n), np.zeros(n), 0.0)
+    with caplog.at_level(logging.WARNING, logger="mgtstab.dynamics"):
+        traj = M.simulate(scen.bundle, state, T=1e-2, dt=1e-2)
+    assert not any("compatibility" in r.getMessage() for r in caplog.records)
+    h = 1.0 / resolution
+    assert traj.compat["r0"] == 0.0
+    assert traj.compat["r1"] == pytest.approx(np.pi**2 * h / np.sqrt(2), rel=0.05)
+
+
+@pytest.mark.parametrize("preset, resolution", [("transducer-2d", 5), ("half-disk-2d", 24)])
+def test_compatibility_gaussian_bumps_warn(caplog, preset, resolution):
+    # the bumps' boundary terms do not cancel: an incompatibility by construction
+    scen = M.Scenario(M.load_config({"preset": preset, "mesh": {"resolution": resolution}}))
+    with caplog.at_level(logging.WARNING, logger="mgtstab.dynamics"):
+        M.simulate(scen.bundle, scen.initial, T=1e-2, dt=1e-2)
+    assert any("compatibility" in r.getMessage() for r in caplog.records)
+
+
 def named_scenario(name, resolution, kappa0, kappa1):
     cfg = {
         "geometry": {"kind": "named", "name": name},
@@ -510,13 +535,30 @@ def test_simulate_matches_chained_steps_bit_for_bit(monkeypatch, scheme, stride,
     cols = np.hstack([dynamics._observables(U[c], V[c], W[c], times[c], scen.bundle, src, False) for c in chunks])
     run = dict(T=n_steps * dt, dt=dt, source=src, scheme=scheme, output_stride=stride)
     for store_states in (True, False):
-        traj = M.simulate(scen.bundle, scen.initial, store_states=store_states, **run)
+        got = []
+        traj = M.simulate(scen.bundle, scen.initial, store_states=store_states, on_chunk=got.append, **run)
         assert traj.meta["stage_solver"] == solver
         assert np.array_equal(traj.times, times)
         for name, col in zip(COLUMNS, cols):
             assert np.array_equal(getattr(traj, name), col), name
+        # on_chunk saw each chunk's rows once, in order
+        assert [len(c.times) for c in got] == [len(times[c]) for c in chunks]
+        for name in ("times",) + COLUMNS:
+            assert np.array_equal(np.concatenate([getattr(c, name) for c in got]), getattr(traj, name))
         if store_states:
             assert np.array_equal(traj.states, np.array([U, V, W]))
+
+
+def test_record_count_is_the_number_of_recorded_samples():
+    # every stride-th step from step 0, and the last step
+    scen = make_scenario(mesh={"resolution": 4})
+    for n_steps in (0, 1, 6, 7, 12, 500):
+        for stride in (1, 2, 7, 13, 600):
+            expected = len(set(range(0, n_steps + 1, stride)) | {n_steps})
+            assert dynamics.record_count(n_steps * 0.1, 0.1, stride) == expected
+            if n_steps:
+                run = dict(T=n_steps * 0.1, dt=0.1, output_stride=stride)
+                assert len(M.simulate(scen.bundle, scen.initial, **run).times) == expected
 
 
 # ---------------------------------------------------------- reconstruction

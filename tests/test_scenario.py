@@ -18,6 +18,7 @@ import pytest
 import mgtstab as M
 from mgtstab import cli, spectral
 from mgtstab.config import MAX_STEPS, SCHEMA, canonical_json
+from mgtstab.dynamics import _CHUNK_ELEMENTS, record_count
 from mgtstab.reporting import sanitize, write_csv, write_json
 
 from conftest import interval_config
@@ -459,6 +460,90 @@ def test_cli_full_inline_fallback_writes_identical_artifacts(tmp_path, monkeypat
         assert Path(forked, name).read_bytes() == Path(inline, name).read_bytes(), name
 
 
+def streamed_config(n_rows):
+    # n = 17 nodes and dt = 1e-3: a trajectory table of n_rows rows of 9 values
+    cfg = tiny_config(time={"T": (n_rows - 1) * 1e-3, "dt": 1e-3})
+    assert record_count(cfg["time"]["T"], cfg["time"]["dt"], 1) == n_rows
+    return cfg
+
+
+def counting_streams(monkeypatch):
+    streams, stream = [], cli._stream_csv
+    monkeypatch.setattr(cli, "_stream_csv", lambda *args: streams.append(args) or stream(*args))
+    return streams
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer needs os.fork")
+@pytest.mark.parametrize("n_rows", [7281, 7282])
+def test_cli_streamed_csv_matches_the_inline_write(tmp_path, monkeypatch, n_rows):
+    # 7282 rows of 9 values is the smallest table above the budget, and the
+    # only one here that a forked writer formats; without os.fork the
+    # table is written inline
+    streams = counting_streams(monkeypatch)
+    forked, inline = tmp_path / "forked", tmp_path / "inline"
+    cli.run(streamed_config(n_rows), "simulate", out_dir=str(forked))
+    assert len(streams) == (9 * n_rows > _CHUNK_ELEMENTS) == (n_rows == 7282)
+    monkeypatch.delattr(os, "fork")
+    cli.run(streamed_config(n_rows), "simulate", out_dir=str(inline))
+    assert len(streams) == (n_rows == 7282)
+    assert sorted(os.listdir(forked)) == sorted(os.listdir(inline)) == ["summary.json", "trajectory.csv"]
+    for name in ("summary.json", "trajectory.csv"):
+        assert (forked / name).read_bytes() == (inline / name).read_bytes(), name
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer needs os.fork")
+def test_cli_writer_without_a_result_is_a_runtime_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "write_csv_blocks", lambda *args: os._exit(7))
+    with pytest.raises(RuntimeError, match=r"^worker exited without a result \(exit status 7\)$"):
+        cli.run(streamed_config(7282), "simulate", out_dir=str(tmp_path))
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer needs os.fork")
+def test_cli_unwritable_output_raises_as_the_inline_write_does(tmp_path, monkeypatch):
+    # the output directory cannot be made under a regular file, whatever
+    # the permissions; the writer's error is re-raised in the parent
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / "out")
+    streams = counting_streams(monkeypatch)
+    with pytest.raises(OSError) as forked:
+        cli.run(streamed_config(7282), "simulate", out_dir=out)
+    assert len(streams) == 1
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(OSError) as inline:
+        cli.run(streamed_config(7282), "simulate", out_dir=out)
+    assert type(forked.value) is type(inline.value)
+    assert str(forked.value) == str(inline.value)
+
+
+@pytest.mark.skipif(
+    not (hasattr(signal, "setitimer") and hasattr(os, "fork")), reason="needs a timer and os.fork"
+)
+def test_cli_interrupted_while_stepping_kills_the_writer(tmp_path, monkeypatch):
+    # the parent is interrupted after about 0.5 s of 500 000 steps: the
+    # writer is killed before it could see the end of its input, leaves no
+    # file, and the conftest fixture checks that it was reaped
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    streams = counting_streams(monkeypatch)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        start = time.monotonic()
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(Interrupted):
+            cli.run(streamed_config(500_001), "simulate", out_dir=str(tmp_path))
+        assert time.monotonic() - start < 30
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(streams) == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_full_logs_the_spectral_stage(caplog):
     with caplog.at_level(logging.INFO, logger="mgtstab.cli"):
         cli.run(tiny_config(), "full")
@@ -590,7 +675,9 @@ def test_cli_energy_overflow_is_a_numerical_error(tmp_path):
         assert err["error"] == "NumericalError"
         assert err["message"] == "non-finite energy at t=" + t_bad
         assert err["exit_code"] == cli.EXIT_NUMERICAL
-        assert not os.path.exists(os.path.join(out, "summary.json"))
+        # at stride 1 (8001 rows) the CSV writer was forked: it is killed,
+        # so neither the file nor a temporary part of it is left
+        assert os.listdir(out) == ["error.json"]
 
 
 @pytest.mark.parametrize(
