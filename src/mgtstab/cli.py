@@ -5,11 +5,11 @@ Subcommands
 simulate
     Time-step the scenario and write ``trajectory.csv`` + ``summary.json``.
     A table of more than ``dynamics._CHUNK_ELEMENTS`` values (rows times
-    9 columns, known before the first step) is formatted by a forked
-    writer process while the parent steps: each finished chunk of rows
-    goes to it through shared memory, and it writes the file once the
-    simulation has returned.  Smaller tables, and every table where
-    ``os.fork`` does not exist, are written inline after stepping.
+    9 columns, known before the first step) is formatted by a
+    :class:`_Worker` while the parent steps: each finished chunk of rows
+    goes to it through the worker's pipe, and it writes the file once the
+    simulation has returned.  Smaller tables are written inline after
+    stepping.
 spectrum
     Eigenvalues of the first-order generator, written to ``spectrum.json``.
 certify-geometry
@@ -20,9 +20,11 @@ multiplier-check
     refinement (``multiplier.json``).
 full
     All of the above that apply, plus an adjoint-identity spot check.
-    The eigensolve runs in a forked worker process while the parent
-    certifies and time-steps (inline where ``os.fork`` does not exist);
-    the trajectory table is written as by ``simulate``.
+    The eigensolve runs in a :class:`_Worker` while the parent certifies
+    and time-steps; the trajectory table is written as by ``simulate``.
+
+A :class:`_Worker` is a forked process; where ``os.fork`` does not exist
+it runs inline when collected, so every artifact is the same either way.
 
 Exit codes: 0 success, 2 configuration/schema error, 3 geometry
 precondition failure, 4 numerical failure.  On failure an ``error.json``
@@ -30,9 +32,7 @@ with the category and message is left in the output directory.
 """
 
 import argparse
-import itertools
 import logging
-import mmap
 import os
 import pickle
 import signal
@@ -54,7 +54,7 @@ from .errors import (
     MeshError,
     NumericalError,
 )
-from .geometry import build_vector_field_h, check_convex_gamma0, check_star_shaped
+from .geometry import GAMMA0, GAMMA1, build_vector_field_h, check_convex_gamma0, check_star_shaped
 from .reporting import write_csv_blocks, write_json, write_trajectory_csv
 from .spectral import abscissa_vs_decay, check_dense_cap, spectrum
 
@@ -113,7 +113,6 @@ def _simulate(scen, on_chunk=None):
         t["dt"],
         scheme=t["scheme"],
         output_stride=t["output_stride"],
-        store_states=t["store_states"],
         on_chunk=on_chunk,
     )
     e1_0 = float(traj.E1[0])
@@ -145,12 +144,15 @@ def _adjoint_spot_check(scen, seed, n_pairs=20):
     rng = np.random.default_rng(seed)
     n = scen.mesh.n_nodes
     worst = 0.0
-    for _ in range(n_pairs):
-        xi = rng.standard_normal(n)
-        phi = rng.standard_normal(n)
-        res = check_adjoint_identity(scen.bundle, xi, phi)
-        rel = res / (np.linalg.norm(xi) * np.linalg.norm(phi))
-        worst = max(worst, rel)
+    try:
+        for _ in range(n_pairs):
+            xi = rng.standard_normal(n)
+            phi = rng.standard_normal(n)
+            res = check_adjoint_identity(scen.bundle, xi, phi)
+            rel = res / (np.linalg.norm(xi) * np.linalg.norm(phi))
+            worst = max(worst, rel)
+    except IllPosedMapError as exc:  # no Neumann map to check, e.g. gamma0 is empty
+        return {"applicable": False, "reason": str(exc), "n_pairs": 0, "max_relative_residual": None}
     return {"n_pairs": int(n_pairs), "max_relative_residual": float(worst)}
 
 
@@ -162,6 +164,13 @@ def _multiplier_check(scen):
         raise ConfigError("multiplier window_cut must lie in [0, t_final/2)")
     base_res = scen.config["mesh"]["resolution"]
     b = scen.params.b
+    # bc_satisfying_1d meets the Robin condition at x = 0 and the feedback
+    # condition at x = 1: the z-multiplier identity holds for it only there
+    zmul = (
+        geometry.dimension == 1
+        and np.array_equal(geometry.vertices, [0.0, 1.0])
+        and np.array_equal(geometry.segment_tags, [GAMMA0, GAMMA1])
+    )
 
     levels = []
     for lvl in range(mcfg["levels"]):
@@ -179,12 +188,13 @@ def _multiplier_check(scen):
         row = {"resolution": int(res), "n_time": int(nt), "mesh_size": mesh.mesh_size()}
         if geometry.dimension == 1:
             free = mult.trig_1d()
-            bcf = mult.bc_satisfying_1d()
             row["hgradz"] = mult.residual_hgradz(free, h, mesh, b, times)
             row["zdivh"] = mult.residual_zdivh(free, h, mesh, b, times)
-            row["zmul"] = mult.residual_zmul(
-                bcf, mesh, b, bcf.meta["kappa0"], bcf.meta["kappa1"], times
-            )
+            if zmul:
+                bcf = mult.bc_satisfying_1d()
+                row["zmul"] = mult.residual_zmul(
+                    bcf, mesh, b, bcf.meta["kappa0"], bcf.meta["kappa1"], times
+                )
         else:
             free = mult.trig_2d()
             row["hgradz"] = mult.residual_hgradz(free, h, mesh, b, times)
@@ -201,40 +211,56 @@ def _multiplier_check(scen):
             return None
 
     identities = [k for k in ("hgradz", "zdivh", "zmul") if k in levels[0]]
-    return {
+    report = {
         "window": [cut, t_final - cut],
         "levels": levels,
         "slopes": {key: slope(key) for key in identities},
         "gamma0_term_max": max(lv["hgradz"]["gamma0_term"] for lv in levels),
     }
+    if geometry.dimension == 1 and not zmul:
+        report["not_applicable"] = {
+            "zmul": "its manufactured field meets the Robin condition at x = 0 and the feedback "
+            "condition at x = 1, so it needs the interval (0, 1) with gamma0 at x = 0"
+        }
+    return report
 
 
 class _Worker:
-    """``func`` run in a forked worker process while the parent goes on.
+    """``func(messages)`` run in a forked worker process while the parent goes on.
 
-    ``collect()`` waits for the worker and returns ``(result, seconds)``,
-    the value and wall time of ``func()``, or re-raises the exception it
-    raised; a worker that exits without sending either is a
-    ``RuntimeError`` naming its exit status.  A ``fed`` worker runs
-    ``func(messages)`` instead, where ``messages`` yields the objects the
-    parent passes to ``send()``, in order, and ends when ``collect()``
-    marks the end of the input.
+    ``messages`` yields the objects the parent passes to ``send()``, in
+    order, and ends when ``collect()`` marks the end of the input; input
+    that ends without the mark (the parent is gone) raises ``EOFError``
+    in ``func``, so a writer writes nothing.  ``collect()`` waits for the
+    worker and returns ``(result, seconds)``, the value and wall time of
+    ``func``, or re-raises the exception it raised; a worker that exits
+    without sending either is a ``RuntimeError`` naming its exit status.
 
-    ``kill()`` kills the worker before its channels are closed, so a fed
-    worker never reads an end of input, and discards its outcome.  The
-    worker is killed when a ``with`` block around it raises and when the
-    parent is interrupted while ``collect()`` waits; on every path it is
-    reaped.  Where ``os.fork`` does not exist, ``func`` runs inline when
-    collected (a fed worker needs ``os.fork``).
+    ``kill()`` kills the worker and discards its outcome; killed before
+    ``collect()``, it never reads an end of input.  The worker is killed
+    when a ``with`` block around it raises and when the parent is
+    interrupted while ``collect()`` waits; on every path it is reaped.
+    Where ``os.fork`` does not exist, ``send()`` keeps the messages and
+    ``collect()`` runs ``func`` inline on them.
     """
 
-    def __init__(self, func, fed=False):
+    def __init__(self, func):
         self._func = func
-        self._pid = self._result = self._feed = None
+        self._pid = self._result = self._feed = self._kept = None
         if not hasattr(os, "fork"):
+            self._kept = []
             return
         read_fd, write_fd = os.pipe()
-        feed_read, feed_write = os.pipe() if fed else (None, None)
+        feed_read, feed_write = os.pipe()
+        # one chunk of rows (72 KB at n = 65) overfills the default 64 KiB
+        # pipe, and a send() that waits for the worker to drain it made runs
+        # about 5 % slower; on Linux the pipe is widened to 1 MiB
+        try:
+            import fcntl
+
+            fcntl.fcntl(feed_write, fcntl.F_SETPIPE_SZ, 1 << 20)
+        except (AttributeError, OSError):  # not Linux, or above the user's pipe limits
+            pass
         # the only other threads are OpenBLAS's pool, which OpenBLAS joins
         # before a fork (pthread_atfork): no thread runs while memory is copied
         pid = os.fork()
@@ -242,13 +268,9 @@ class _Worker:
             status = 1
             try:
                 os.close(read_fd)
-                if fed:
-                    os.close(feed_write)
-                    args = (self._received(os.fdopen(feed_read, "rb")),)
-                else:
-                    args = ()
+                os.close(feed_write)
                 try:
-                    outcome = ("ok", self._timed(*args))
+                    outcome = ("ok", self._timed(self._received(os.fdopen(feed_read, "rb"))))
                 except Exception as exc:  # noqa: BLE001 - re-raised in the parent
                     outcome = ("err", exc)
                 with os.fdopen(write_fd, "wb") as pipe:
@@ -257,13 +279,12 @@ class _Worker:
             finally:
                 os._exit(status)
         os.close(write_fd)
-        if fed:
-            os.close(feed_read)
+        os.close(feed_read)
         self._pid, self._result, self._feed = pid, read_fd, feed_write
 
-    def _timed(self, *args):
+    def _timed(self, messages):
         start = time.perf_counter()
-        return self._func(*args), time.perf_counter() - start
+        return self._func(messages), time.perf_counter() - start
 
     @staticmethod
     def _received(pipe):
@@ -277,10 +298,14 @@ class _Worker:
                 yield obj
 
     def send(self, obj):
-        self._post(True, obj)
+        if self._kept is not None:
+            self._kept.append(obj)
+        else:
+            self._post(True, obj)
 
     def _post(self, more, obj):
-        data = pickle.dumps((more, obj))
+        # protocol 5 pickles an array's buffer without the copy that 4 makes
+        data = pickle.dumps((more, obj), protocol=5)
         try:
             while data:
                 data = data[os.write(self._feed, data) :]
@@ -288,11 +313,13 @@ class _Worker:
             pass
 
     def collect(self):
-        if self._result is None:
-            return self._timed()
+        if self._kept is not None:
+            return self._timed(self._kept)
         try:
-            if self._feed is not None:
-                self._post(False, None)
+            self._post(False, None)
+            # the worker reads an end of input once no copy of this end is open
+            os.close(self._feed)
+            self._feed = None
             with os.fdopen(self._result, "rb", closefd=False) as pipe:
                 data = pipe.read()
         except BaseException:  # interrupted while waiting: stop the worker too
@@ -327,35 +354,6 @@ class _Worker:
         if exc_type is not None:
             self.kill()
         return False
-
-
-def _stream_csv(path, n_rows):
-    """A fed :class:`_Worker` that writes the ``n_rows``-row trajectory CSV
-    at ``path``, and the ``on_chunk`` hook of ``simulate`` that feeds it.
-
-    The hook copies each chunk's rows into an anonymous shared mapping made
-    before the fork and sends the worker the number of rows filled; the
-    worker formats the rows up to it with the inline writer's formatter,
-    and writes the file once ``collect()`` ends its input.
-    """
-    width = len(Trajectory.CSV_COLUMNS)
-    table = np.frombuffer(mmap.mmap(-1, 8 * n_rows * width), float).reshape(n_rows, width)
-
-    def write(filled):
-        blocks = (table[lo:hi] for lo, hi in itertools.pairwise(itertools.chain([0], filled)))
-        write_csv_blocks(path, Trajectory.CSV_COLUMNS, blocks)
-
-    worker = _Worker(write, fed=True)
-    filled = 0
-
-    def on_chunk(chunk):
-        nonlocal filled
-        rows = chunk.csv_rows()[1]
-        table[filled : filled + len(rows)] = rows
-        filled += len(rows)
-        worker.send(filled)
-
-    return worker, on_chunk
 
 
 def run(config, subcommand, out_dir=None, seed=0):
@@ -396,13 +394,12 @@ def run(config, subcommand, out_dir=None, seed=0):
         n_rows = record_count(t["T"], t["dt"], t["output_stride"])
         # a fork round trip costs about what formatting 6000 values does,
         # so a table within the budget is written inline
-        if n_rows * len(Trajectory.CSV_COLUMNS) <= _CHUNK_ELEMENTS or not hasattr(os, "fork"):
+        if n_rows * len(Trajectory.CSV_COLUMNS) <= _CHUNK_ELEMENTS:
             traj, sim = _simulate(scen)
             write_trajectory_csv(traj, path)
             return traj, sim
-        writer, on_chunk = _stream_csv(path, n_rows)
-        with writer:
-            traj, sim = _simulate(scen, on_chunk)
+        with _Worker(lambda blocks: write_csv_blocks(path, Trajectory.CSV_COLUMNS, blocks)) as writer:
+            traj, sim = _simulate(scen, lambda chunk: writer.send(chunk.csv_rows()[1]))
             writer.collect()
         return traj, sim
 
@@ -436,7 +433,7 @@ def run(config, subcommand, out_dir=None, seed=0):
         # the cap depends on n alone, so it is checked before any stage;
         # the eigensolve then overlaps certification and stepping
         check_dense_cap(3 * scen.mesh.n_nodes)
-        with _Worker(solve) as solver:
+        with _Worker(lambda _: solve()) as solver:
             info, h = certified()
             traj, sim = simulated()
             rep, seconds = solver.collect()

@@ -105,7 +105,6 @@ SCHEMA = {
                 "dt": _POSITIVE,
                 "scheme": {"enum": ["implicit-midpoint", "bdf2"]},
                 "output_stride": {"type": "integer", "minimum": 1},
-                "store_states": {"type": "boolean"},
             },
             "required": ["T", "dt"],
         },
@@ -254,7 +253,6 @@ class Scenario:
         t = dict(self.config["time"])
         t.setdefault("scheme", "implicit-midpoint")
         t.setdefault("output_stride", 1)
-        t.setdefault("store_states", False)
         return t
 
     @property

@@ -20,17 +20,31 @@ def match_spectra(vals_a, vals_b):
     return float(cost[r, cidx].max())
 
 
+def open_fds():
+    """This process's open file descriptors, or None where ``/proc/self/fd``
+    does not exist."""
+    try:
+        return {int(fd) for fd in os.listdir("/proc/self/fd")}
+    except FileNotFoundError:
+        return None
+
+
 @pytest.fixture(autouse=True)
 def no_child_left_behind():
-    """Fail a test that leaves a child process, running or unreaped."""
+    """Fail a test that leaves a child process, running or unreaped, or a
+    file descriptor open that was not open before it."""
+    before = open_fds()
     yield
-    if not hasattr(os, "WNOHANG"):
-        return
-    try:
-        pid, _ = os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return
-    pytest.fail("the test left a child process behind (waitpid returned pid %d)" % pid)
+    if hasattr(os, "WNOHANG"):
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            pass
+        else:
+            pytest.fail("the test left a child process behind (waitpid returned pid %d)" % pid)
+    left = set() if before is None else open_fds() - before
+    if left:
+        pytest.fail("the test left file descriptors open: %s" % sorted(left))
 
 
 def interval_config(**over):

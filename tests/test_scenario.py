@@ -19,7 +19,7 @@ import mgtstab as M
 from mgtstab import cli, spectral
 from mgtstab.config import MAX_STEPS, SCHEMA, canonical_json
 from mgtstab.dynamics import _CHUNK_ELEMENTS, record_count
-from mgtstab.reporting import sanitize, write_csv, write_json
+from mgtstab.reporting import sanitize, write_csv, write_json, write_trajectory_csv
 
 from conftest import interval_config
 
@@ -270,6 +270,7 @@ def test_cli_multiplier_check(tmp_path):
     assert cli.main(["multiplier-check", "--config", cfg_path, "--out", out]) == cli.EXIT_OK
     rep = json.loads(Path(out, "multiplier.json").read_text())["multiplier"]
     assert set(rep["slopes"]) == {"hgradz", "zdivh", "zmul"}
+    assert "not_applicable" not in rep
     for slope in rep["slopes"].values():
         assert slope >= 1.8
     assert rep["gamma0_term_max"] <= 1e-9
@@ -287,6 +288,34 @@ def test_cli_multiplier_check_on_the_half_disk(tmp_path):
     assert set(rep["slopes"]) == {"hgradz", "zdivh"}
     assert rep["slopes"]["hgradz"] == pytest.approx(1.8304427598255264, abs=1e-9)
     assert rep["slopes"]["zdivh"] == pytest.approx(1.985359186739652, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "geometry", [{"gamma0_end": "right"}, {"x_right": 2.0}, {"gamma0_end": None}],
+    ids=["gamma0-right", "interval-0-2", "no-gamma0"],
+)
+def test_cli_multiplier_check_leaves_out_zmul_off_its_field(tmp_path, geometry):
+    # the zmul field meets the Robin condition at x = 0 and the feedback at
+    # x = 1; elsewhere its residual does not converge, so no slope is given
+    cfg = {"preset": "interval-1d-damped", "geometry": geometry, "multiplier": {"levels": 2, "n_time": 21}}
+    out = str(tmp_path / "out")
+    assert cli.main(["multiplier-check", "--config", write_config(tmp_path, cfg), "--out", out]) == cli.EXIT_OK
+    rep = json.loads(Path(out, "multiplier.json").read_text())["multiplier"]
+    assert set(rep["slopes"]) == {"hgradz", "zdivh"}
+    assert all(set(lv) == {"resolution", "n_time", "mesh_size", "hgradz", "zdivh"} for lv in rep["levels"])
+    assert list(rep["not_applicable"]) == ["zmul"]
+    assert "(0, 1) with gamma0 at x = 0" in rep["not_applicable"]["zmul"]
+
+
+def test_cli_full_without_robin_mass_reports_no_adjoint_check(tmp_path):
+    # with gamma0 empty the Neumann map is singular: there is no adjoint
+    # identity to check, and the run still ends in summary.json
+    cfg = {"preset": "interval-1d-damped", "geometry": {"gamma0_end": None}, "time": {"T": 1.0, "dt": 0.01}}
+    out = str(tmp_path / "out")
+    assert cli.main(["full", "--config", write_config(tmp_path, cfg), "--out", out]) == cli.EXIT_OK
+    adj = json.loads(Path(out, "summary.json").read_text())["adjoint_check"]
+    assert adj.pop("reason").startswith("Ktilde is singular: no Robin mass on gamma0")
+    assert adj == {"applicable": False, "n_pairs": 0, "max_relative_residual": None}
 
 
 def test_cli_config_error_exit_and_artifact(tmp_path):
@@ -349,12 +378,17 @@ def test_cli_spectrum_above_the_eigensolver_cap_is_a_config_error(
 
 
 def test_cli_rejects_the_removed_spectrum_section(tmp_path):
-    cfg_path = write_config(tmp_path, tiny_config(spectrum={"dense_cap": 600}))
-    out = str(tmp_path / "out")
-    assert cli.main(["spectrum", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
-    err = json.loads(Path(out, "error.json").read_text())
-    assert err["error"] == "ConfigError"
-    assert "spectrum" in err["message"]
+    # and the removed time.store_states key
+    for over, name in (
+        ({"spectrum": {"dense_cap": 600}}, "spectrum"),
+        ({"time": {"store_states": True}}, "store_states"),
+    ):
+        cfg_path = write_config(tmp_path, tiny_config(**over), name=name + ".json")
+        out = str(tmp_path / name)
+        assert cli.main(["spectrum", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
+        err = json.loads(Path(out, "error.json").read_text())
+        assert err["error"] == "ConfigError"
+        assert name in err["message"]
 
 
 def test_cli_full_solves_the_spectrum_once(tmp_path, monkeypatch):
@@ -467,10 +501,10 @@ def streamed_config(n_rows):
     return cfg
 
 
-def counting_streams(monkeypatch):
-    streams, stream = [], cli._stream_csv
-    monkeypatch.setattr(cli, "_stream_csv", lambda *args: streams.append(args) or stream(*args))
-    return streams
+def counting_forks(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer needs os.fork")
@@ -478,17 +512,20 @@ def counting_streams(monkeypatch):
 def test_cli_streamed_csv_matches_the_inline_write(tmp_path, monkeypatch, n_rows):
     # 7282 rows of 9 values is the smallest table above the budget, and the
     # only one here that a forked writer formats; without os.fork the
-    # table is written inline
-    streams = counting_streams(monkeypatch)
+    # writer runs inline on the same blocks
+    forks = counting_forks(monkeypatch)
     forked, inline = tmp_path / "forked", tmp_path / "inline"
     cli.run(streamed_config(n_rows), "simulate", out_dir=str(forked))
-    assert len(streams) == (9 * n_rows > _CHUNK_ELEMENTS) == (n_rows == 7282)
+    assert len(forks) == (9 * n_rows > _CHUNK_ELEMENTS) == (n_rows == 7282)
     monkeypatch.delattr(os, "fork")
     cli.run(streamed_config(n_rows), "simulate", out_dir=str(inline))
-    assert len(streams) == (n_rows == 7282)
     assert sorted(os.listdir(forked)) == sorted(os.listdir(inline)) == ["summary.json", "trajectory.csv"]
     for name in ("summary.json", "trajectory.csv"):
         assert (forked / name).read_bytes() == (inline / name).read_bytes(), name
+    # and the chunks add up to the table written in one piece
+    traj, _ = cli._simulate(M.Scenario(M.load_config(streamed_config(n_rows))))
+    write_trajectory_csv(traj, str(tmp_path / "whole.csv"))
+    assert (forked / "trajectory.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer needs os.fork")
@@ -500,15 +537,28 @@ def test_cli_writer_without_a_result_is_a_runtime_error(tmp_path, monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer needs os.fork")
+def test_cli_writer_input_without_the_end_marker_is_an_eof_error(tmp_path, monkeypatch):
+    # the writer's input ends without the end marker, as when the parent
+    # dies while stepping: the writer raises EOFError and writes nothing
+    post = cli._Worker._post
+    monkeypatch.setattr(cli._Worker, "_post", lambda self, more, obj: more and post(self, more, obj))
+    forks = counting_forks(monkeypatch)
+    with pytest.raises(EOFError):
+        cli.run(streamed_config(7282), "simulate", out_dir=str(tmp_path))
+    assert len(forks) == 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer needs os.fork")
 def test_cli_unwritable_output_raises_as_the_inline_write_does(tmp_path, monkeypatch):
     # the output directory cannot be made under a regular file, whatever
     # the permissions; the writer's error is re-raised in the parent
     (tmp_path / "file").write_text("")
     out = str(tmp_path / "file" / "out")
-    streams = counting_streams(monkeypatch)
+    forks = counting_forks(monkeypatch)
     with pytest.raises(OSError) as forked:
         cli.run(streamed_config(7282), "simulate", out_dir=out)
-    assert len(streams) == 1
+    assert len(forks) == 1
     monkeypatch.delattr(os, "fork")
     with pytest.raises(OSError) as inline:
         cli.run(streamed_config(7282), "simulate", out_dir=out)
@@ -529,7 +579,7 @@ def test_cli_interrupted_while_stepping_kills_the_writer(tmp_path, monkeypatch):
     def interrupt(signum, frame):
         raise Interrupted
 
-    streams = counting_streams(monkeypatch)
+    forks = counting_forks(monkeypatch)
     previous = signal.signal(signal.SIGALRM, interrupt)
     try:
         start = time.monotonic()
@@ -540,7 +590,7 @@ def test_cli_interrupted_while_stepping_kills_the_writer(tmp_path, monkeypatch):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert len(streams) == 1
+    assert len(forks) == 1
     assert os.listdir(tmp_path) == []
 
 
