@@ -461,10 +461,8 @@ def run(config, subcommand, out_dir=None, seed=0):
         }
         if "multiplier" in cfg and h.analytic is not None:
             mp = identities()
-            payload["multiplier"] = {
-                "slopes": mp["slopes"],
-                "gamma0_term_max": mp["gamma0_term_max"],
-            }
+            keys = ("slopes", "gamma0_term_max", "not_applicable")
+            payload["multiplier"] = {key: mp[key] for key in keys if key in mp}
         emit("summary.json", payload)
         return payload
 

@@ -14,7 +14,8 @@ normalizing the equation by ``tau``, which rescales ``alpha, b, c^2,
 gamma`` by ``1/tau`` and leaves the ratio ``q = c^2/b`` unchanged.  Each
 implicit step is one condensed n x n solve: a dense LAPACK LU for n <= 128
 and above it SuperLU in symmetric mode on a minimum-degree ordering of
-``S + S^T``; ``simulate`` steps flat buffers with ``Stepper.advance``.
+``S + S^T``.  ``simulate`` steps flat buffers with ``Stepper.advance``: the
+stage's right-hand side, its solve in place and one 3 x 4 combine a step.
 """
 
 import itertools
@@ -231,7 +232,7 @@ def _lapack(out):
     return out[:-1]
 
 
-_Stage = namedtuple("_Stage", "k Q solve S solver factor_nnz weight offset")  # S w = Q x (+ forcing)
+_Stage = namedtuple("_Stage", "matvec solve C S solver factor_nnz weight offset")  # S w = Q x + f
 
 
 class Stepper:
@@ -257,8 +258,10 @@ class Stepper:
     positive definite, SuperLU runs in symmetric mode on a minimum-degree
     ordering of ``S + S^T`` (250 862 factor entries at n = 5101 on the half
     disk, 329 526 with its default COLAMD).  The forcing ``source`` is
-    ``None`` or a callable ``t -> nodal vector``.  :meth:`advance` steps
-    flat ``3n`` buffers; :meth:`step` wraps it for a :class:`State`.
+    ``None`` or a callable ``t -> nodal vector``.  :meth:`advance` steps flat
+    ``4n`` buffers ``(u, v, w, scratch)`` in three calls: ``Q`` into the
+    scratch row, the solve in place there, and one 3 x 4 matrix ``C`` from
+    the four rows to the next state; :meth:`step` wraps it for a ``State``.
     """
 
     def __init__(self, generator, dt, scheme="implicit-midpoint", source=None):
@@ -276,66 +279,72 @@ class Stepper:
         Ew, Lu, Lv, Lw = generator.Ew, generator.Lu, generator.Lv, generator.Lw
         n = Ew.shape[0]
 
-        def stage(k, G, weight, offset):
-            # the stage of length k for g = G x and forcing weight * M f(t + offset);
-            # its storage follows n alone
+        def stage(k, G, C, weight, offset):
+            # the stage of length k for g = G x, forcing weight * M f(t + offset) and
+            # combine C; its storage follows n alone
             S = Ew - k * Lw - k**2 * Lv - k**3 * Lu
-            Q = sp.hstack([k * Lu, k**2 * Lu + k * Lv, sp.identity(n)]) @ G
+            Q = (sp.hstack([k * Lu, k**2 * Lu + k * Lv, sp.identity(n)]) @ G).tocsr()
             if 4 * n * n <= _CHUNK_ELEMENTS:
-                lu, piv = _lapack(dgetrf(S.toarray()))
-                solve = lambda rhs: _lapack(dgetrs(lu, piv, rhs))[0]  # noqa: E731
-                return _Stage(k, Q.toarray(), solve, S, "dense-lu", n * n, weight, offset)
+                Q, (lu, piv) = Q.toarray(), _lapack(dgetrf(S.toarray()))
+                matvec = lambda y, r: np.dot(Q, y, out=r)  # noqa: E731
+                solve = lambda r: _lapack(dgetrs(lu, piv, r, overwrite_b=1))  # noqa: E731
+                return _Stage(matvec, solve, np.array(C), S, "dense-lu", n * n, weight, offset)
             lu = splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-            return _Stage(k, Q.tocsr(), lu.solve, S, "sparse-lu", lu.nnz, weight, offset)
+            matvec = lambda y, r: np.copyto(r, Q @ y)  # noqa: E731
+            solve = lambda r: np.copyto(r, lu.solve(r))  # noqa: E731
+            return _Stage(matvec, solve, np.array(C), S, "sparse-lu", lu.nnz, weight, offset)
 
-        self._mid = stage(0.5 * self.dt, E + 0.5 * self.dt * L, self.dt, 0.5 * self.dt)
+        # C: (u, v, w, w') -> (u + 2k v + k^2 (w + w'), v + k (w + w'), w'), g = x
+        k = 0.5 * self.dt
+        C = [[1, 2 * k, k**2, k**2], [0, 1, k, k], [0, 0, 0, 1]]
+        self._mid = stage(k, E + k * L, C, self.dt, k)
         if scheme == "bdf2":
+            # C: (g_u, g_v, g_w, w') -> (g_u + k g_v + k^2 w', g_v + k w', w'), g = (4 x - prev) / 3
             k = 2.0 / 3.0 * self.dt
-            self._bdf = stage(k, E, k, self.dt)
+            self._bdf = stage(k, E, [[1, k, 0, k**2], [0, 1, 0, k], [0, 0, 0, 1]], k, self.dt)
 
-    def _rhs(self, stage, x, t):
-        # S's right-hand side Q x, plus the stage's forcing, for input x at time t
-        rhs = stage.Q @ x
+    def _rhs(self, stage, y, t, r):
+        # S's right-hand side Q y, plus the stage's forcing, for input y at time t, into r
+        stage.matvec(y, r)
         if self.source is not None:
-            rhs += stage.weight * (self._M @ self.source(t + stage.offset))
-        return rhs
+            r += stage.weight * (self._M @ self.source(t + stage.offset))
+        return r
 
     def advance(self, x, prev, t, out):
-        """Write the step from the flat ``x = (u, v, w)`` at time ``t`` into ``out``
-        (a 3n buffer other than ``x`` and ``prev``) and return ``t + dt``.  BDF2
-        takes the flat state before ``x`` as ``prev``; without it, and always
-        for midpoint, the step is a midpoint step."""
-        n = len(x) // 3
+        """Write the step from the flat ``x = (u, v, w, scratch)`` at time ``t`` into
+        ``out`` (a 4n buffer other than ``x`` and ``prev``) and return ``t + dt``.
+        BDF2 takes the flat state before ``x`` as ``prev`` and overwrites it; without
+        it, and always for midpoint, the step is a midpoint step that writes only
+        ``x``'s scratch row besides ``out``."""
+        n = len(x) // 4
+        stage, g = self._mid, x
         if self.scheme == "bdf2" and prev is not None:
-            # g = (4 x - prev) / 3, formed in ``out``
-            stage, y = self._bdf, out
-            np.divide(np.subtract(np.multiply(x, 4.0, out=out), prev, out=out), 3.0, out=out)
-        else:
-            # (g_u, g_v) = (u, v) + k (v, w) in ``out``; Q reads x itself
-            stage, y, g = self._mid, x, out[: 2 * n]
-            np.add(x[: 2 * n], np.multiply(x[n:], stage.k, out=g), out=g)
-        w = stage.solve(self._rhs(stage, y, t))
-        ou, ov, ow = out[:n], out[n : 2 * n], out[2 * n :]
-        ow[...] = w
-        # v = g_v + k w, then u = g_u + k v, with w's array as scratch
-        np.add(ov, np.multiply(w, stage.k, out=w), out=ov)
-        np.add(ou, np.multiply(ov, stage.k, out=w), out=ou)
+            # g = (4 x - prev) / 3 in prev's buffer, with out as scratch
+            stage, g, y = self._bdf, prev, prev[: 3 * n]
+            np.subtract(np.multiply(x[: 3 * n], 4.0, out=out[: 3 * n]), y, out=y)
+            np.multiply(y, 1.0 / 3.0, out=y)
+        w = self._rhs(stage, g[: 3 * n], t, g[3 * n :])
+        stage.solve(w)
+        np.dot(stage.C, g.reshape(4, n), out=out[: 3 * n].reshape(3, n))
         return t + self.dt
 
     def step(self, state, prev=None):
         """Advance a u-form :class:`State` by ``dt``; see :meth:`advance`."""
-        flat = lambda s: np.concatenate((s.u, s.v, s.w))  # noqa: E731
-        out = np.empty(3 * len(state.u))
+        flat = lambda s: np.concatenate((s.u, s.v, s.w, s.w))  # noqa: E731  (scratch last)
+        out = np.empty(4 * len(state.u))
         t = self.advance(flat(state), None if prev is None else flat(prev), state.t, out)
-        return State(*out.reshape(3, -1), t)
+        return State(*out.reshape(4, -1)[:3], t)
 
     def health(self, state):
         """``stage_solver`` and ``stage_factor_nnz`` of the stage most steps use (BDF2's
         for ``bdf2``), and the ``stage_residual`` |S w - rhs|_inf / |rhs|_inf of that
         stage's solve with ``rhs = Q x`` plus its forcing, ``x`` being ``state``."""
         stage = self._bdf if self.scheme == "bdf2" else self._mid
-        rhs = self._rhs(stage, np.concatenate((state.u, state.v, state.w)), state.t)
-        res = float(np.abs(stage.S @ stage.solve(rhs) - rhs).max() / (np.abs(rhs).max() or 1.0))
+        x = np.concatenate((state.u, state.v, state.w))
+        rhs = self._rhs(stage, x, state.t, np.empty(len(state.u)))
+        w = rhs.copy()  # the solve overwrites its input
+        stage.solve(w)
+        res = float(np.abs(stage.S @ w - rhs).max() / (np.abs(rhs).max() or 1.0))
         return dict(stage_solver=stage.solver, stage_factor_nnz=stage.factor_nnz, stage_residual=res)
 
 
@@ -483,10 +492,10 @@ def simulate(
     X = np.empty((3, n_rec if store_states else min(chunk, n_rec), n))
     times = np.empty(n_rec)
     cols = np.empty((9, n_rec))
-    # a ring of flat (u, u_t, u_tt) buffers: the current state, the one
-    # before it (BDF2's history) and the next
-    x, prev, out = np.empty((3, 3 * n))
-    x.reshape(3, n)[:] = (initial.u, initial.v, initial.w)
+    # a ring of flat (u, u_t, u_tt, scratch) buffers: the current state,
+    # the one before it (BDF2's history) and the next
+    x, prev, out = np.empty((3, 4 * n))
+    x.reshape(4, n)[:3] = (initial.u, initial.v, initial.w)
     t, i = float(initial.t), 0
     for k in range(n_steps + 1):
         if k:
@@ -495,7 +504,7 @@ def simulate(
         if k % stride and k != n_steps:
             continue
         lo = i - i % chunk
-        X[:, i if store_states else i - lo] = x.reshape(3, n)
+        X[:, i if store_states else i - lo] = x.reshape(4, n)[:3]
         times[i] = t
         i += 1
         if i % chunk == 0 or i == n_rec:

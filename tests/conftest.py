@@ -1,6 +1,8 @@
 """Shared fixtures: small scenarios that assemble in milliseconds."""
 
+import faulthandler
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +22,37 @@ def match_spectra(vals_a, vals_b):
     return float(cost[r, cidx].max())
 
 
+def dispersion_root(params, guess):
+    """A root of the 1D dispersion relation on the interval (0, 1), by Newton
+    from ``guess``; ``params`` is a config's ``params`` section.
+
+    ``u = e^{lam t} phi(x)`` solves ``tau u_ttt + alpha u_tt - c^2 u_xx -
+    b u_txx = 0`` with ``-phi'(0) + kappa0 phi(0) = 0`` at gamma0 and
+    ``phi'(1) + kappa1 lam phi(1) = 0`` at gamma1 exactly when
+
+        F(lam) = (mu + kappa0 kappa1 lam) sinh(k)/k + (kappa0 + kappa1 lam) cosh(k)
+
+    vanishes, with ``mu = lam^2 (tau lam + alpha) / (c^2 + b lam)`` and
+    ``k = sqrt(mu)``.  F is even in k, so the branch of the root does not
+    matter.
+    """
+    tau, alpha, c2, b = params["tau"], params["alpha"], params["c"] ** 2, params["b"]
+    k0, k1 = params["kappa0"], params["kappa1"]
+    lam = complex(guess)
+    for _ in range(50):
+        mu = lam**2 * (tau * lam + alpha) / (c2 + b * lam)
+        dmu = lam * ((3 * tau * lam + 2 * alpha) * (c2 + b * lam) - b * lam * (tau * lam + alpha))
+        dmu /= (c2 + b * lam) ** 2
+        k = np.sqrt(mu)
+        sh, ch = np.sinh(k) / k, np.cosh(k)
+        f = (mu + k0 * k1 * lam) * sh + (k0 + k1 * lam) * ch
+        # d(sinh k / k)/d mu = (cosh k - sinh k / k) / (2 mu), d(cosh k)/d mu = (sinh k / k) / 2
+        df = (dmu + k0 * k1) * sh + (mu + k0 * k1 * lam) * (ch - sh) / (2 * mu) * dmu
+        df += k1 * ch + (k0 + k1 * lam) * sh / 2 * dmu
+        lam -= f / df
+    return lam
+
+
 def open_fds():
     """This process's open file descriptors, or None where ``/proc/self/fd``
     does not exist."""
@@ -27,6 +60,32 @@ def open_fds():
         return {int(fd) for fd in os.listdir("/proc/self/fd")}
     except FileNotFoundError:
         return None
+
+
+# each test's wall-time bound, far above the slowest test (about 4 s)
+TEST_SECONDS = 60
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # a copy of the terminal's stderr: during a test, output capture
+    # redirects file descriptor 2
+    config.stash[_STDERR] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR])
+
+
+@pytest.fixture(autouse=True)
+def wall_time_bound(pytestconfig):
+    """End the run, printing every thread's traceback, when one test outlasts
+    ``TEST_SECONDS``, so that a hang fails the suite instead of stalling it.
+    The watchdog is faulthandler's own thread: it sends no signal, so it does
+    not clash with the tests that set SIGALRM themselves."""
+    faulthandler.dump_traceback_later(TEST_SECONDS, exit=True, file=pytestconfig.stash[_STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(autouse=True)

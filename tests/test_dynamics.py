@@ -431,6 +431,40 @@ def _force_stage_solver(monkeypatch, n, solver):
     monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", budget)
 
 
+@pytest.mark.parametrize("solver", ["dense-lu", "sparse-lu"])
+@pytest.mark.parametrize("scheme", ["implicit-midpoint", "bdf2"])
+def test_advance_is_the_condensed_stage_algebra(monkeypatch, scheme, solver):
+    # one fused step against the stage written out: the pencil's right-hand
+    # side r = G g + forcing, S w = r_w + k L_u (r_u + k r_v) + k L_v r_v,
+    # then v = r_v + k w and u = r_u + k v
+    scen = make_scenario(mesh={"resolution": 16}, params={"tau": 0.8})
+    n, nodes = scen.mesh.n_nodes, scen.mesh.nodes[:, 0]
+    _force_stage_solver(monkeypatch, n, solver)
+    gen = M.assemble_generator(scen.bundle, form="u")
+    src = lambda t: np.cos(2.0 * nodes) * (np.sin(3.0 * t) + 0.5)
+    dt, t = 2e-2, 0.3
+    x, prev = np.random.default_rng(12).standard_normal((2, 4 * n))
+    x0, prev0, out = x.copy(), prev.copy(), np.empty(4 * n)
+    assert M.Stepper(gen, dt, scheme, src).advance(x, prev, t, out) == t + dt
+
+    if scheme == "implicit-midpoint":
+        k = 0.5 * dt
+        G, g, forcing = gen.E + k * gen.L, x0[: 3 * n], dt * (gen.bundle.Mmat @ src(t + k))
+    else:
+        k = 2.0 / 3.0 * dt
+        G, g, forcing = gen.E, (4.0 * x0[: 3 * n] - prev0[: 3 * n]) / 3.0, k * (gen.bundle.Mmat @ src(t + dt))
+    ru, rv, rw = (G @ g).reshape(3, n)
+    rhs = rw + forcing + k * (gen.Lu @ (ru + k * rv)) + k * (gen.Lv @ rv)
+    w = np.linalg.solve(stage_matrix(gen, k).toarray(), rhs)
+    v = rv + k * w
+    ref = np.concatenate([ru + k * v, v, w])
+    assert np.abs(out[: 3 * n] - ref).max() <= 1e-13 * np.abs(ref).max()
+    # the step writes scratch rows only: x's state, and midpoint's prev, are untouched
+    assert np.array_equal(x[: 3 * n], x0[: 3 * n])
+    if scheme == "implicit-midpoint":
+        assert np.array_equal(prev, prev0)
+
+
 @pytest.mark.parametrize("scheme, T", [("implicit-midpoint", 20.0), ("bdf2", 4.0)])
 def test_dense_and_sparse_stages_give_the_same_trajectory(monkeypatch, scheme, T):
     # 10 000 midpoint or 2 000 BDF2 steps at n = 65, with a forcing

@@ -307,6 +307,28 @@ def test_cli_multiplier_check_leaves_out_zmul_off_its_field(tmp_path, geometry):
     assert "(0, 1) with gamma0 at x = 0" in rep["not_applicable"]["zmul"]
 
 
+@pytest.mark.parametrize("gamma0_end", ["left", "right"])
+def test_cli_full_summary_says_why_zmul_is_missing(tmp_path, gamma0_end):
+    # summary.json copies multiplier.json's reason for a missing slope
+    cfg = {
+        "preset": "interval-1d-damped",
+        "geometry": {"gamma0_end": gamma0_end},
+        "time": {"T": 0.5, "dt": 0.01},
+        "multiplier": {"levels": 2, "n_time": 21},
+    }
+    out = str(tmp_path / "out")
+    assert cli.main(["full", "--config", write_config(tmp_path, cfg), "--out", out]) == cli.EXIT_OK
+    summary = json.loads(Path(out, "summary.json").read_text())["multiplier"]
+    rep = json.loads(Path(out, "multiplier.json").read_text())["multiplier"]
+    if gamma0_end == "left":
+        assert set(summary) == {"slopes", "gamma0_term_max"}
+        assert set(summary["slopes"]) == {"hgradz", "zdivh", "zmul"}
+    else:
+        assert set(summary["slopes"]) == {"hgradz", "zdivh"}
+        assert summary["not_applicable"] == rep["not_applicable"]
+        assert list(summary["not_applicable"]) == ["zmul"]
+
+
 def test_cli_full_without_robin_mass_reports_no_adjoint_check(tmp_path):
     # with gamma0 empty the Neumann map is singular: there is no adjoint
     # identity to check, and the run still ends in summary.json

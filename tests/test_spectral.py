@@ -13,7 +13,7 @@ import scipy.linalg
 import mgtstab as M
 from mgtstab import dynamics, spectral
 
-from conftest import interval_config, match_spectra
+from conftest import dispersion_root, interval_config, match_spectra
 
 
 def make_scenario(**over):
@@ -197,32 +197,19 @@ def test_unstable_spectrum_has_positive_abscissa():
     assert not rep.stable
 
 
-def _wave_root(kappa0, kappa1, s, guess):
-    # Newton on (lam + kappa1 kappa0 s^2) sinh(lam/s) + s (kappa0 + kappa1 lam) cosh(lam/s)
-    lam = complex(guess)
-    for _ in range(50):
-        sh, ch = np.sinh(lam / s), np.cosh(lam / s)
-        f = (lam + kappa1 * kappa0 * s**2) * sh + s * (kappa0 + kappa1 * lam) * ch
-        df = (1.0 + kappa0 + kappa1 * lam) * sh
-        df += ((lam + kappa1 * kappa0 * s**2) / s + s * kappa1) * ch
-        lam -= f / df
-    return lam
-
-
 def test_critical_interval_spectrum_converges_to_the_exact_wave_roots():
     # At gamma = 0 in 1D the z-equation is z_tt = s^2 z_xx, s = sqrt(b/tau),
     # with -z_x + kappa0 z = 0 at x = 0 and z_x + kappa1 z_t = 0 at x = 1;
-    # the equation in _wave_root is its characteristic function.  The discrete
-    # low modes converge to its roots at O(h^2), while the plain abscissa
-    # comes from the grid's top mode, which sees no boundary damping, and
-    # collapses towards zero like h^2.
-    root = _wave_root(1.0, 0.5, 1.0, -0.35 + 0.84j)
+    # there mu = lam^2 / s^2 and the dispersion relation is its
+    # characteristic function.  The discrete low modes converge to its roots
+    # at O(h^2), while the plain abscissa comes from the grid's top mode,
+    # which sees no boundary damping, and collapses towards zero like h^2.
+    cfg = {"preset": "interval-1d-conserved", "params": {"kappa1": 0.5}}
+    root = dispersion_root(M.load_config(cfg)["params"], -0.35 + 0.84j)
     assert abs(root - (-0.348164500 + 0.837917123j)) <= 1e-9
     dist, absc, low = [], [], []
     for res in (16, 32, 64, 128, 256):
-        cfg = {"preset": "interval-1d-conserved", "mesh": {"resolution": res},
-               "params": {"kappa1": 0.5}}
-        scen = M.Scenario(M.load_config(cfg))
+        scen = M.Scenario(M.load_config({**cfg, "mesh": {"resolution": res}}))
         rep = M.spectrum(M.assemble_generator(scen.bundle, form="u"))
         assert rep.method == "dense-wave-block"
         vals = rep.eigenvalues
@@ -233,6 +220,20 @@ def test_critical_interval_spectrum_converges_to_the_exact_wave_roots():
     ratios = np.array(absc[:-1]) / np.array(absc[1:])
     assert ((3.5 <= ratios) & (ratios <= 4.5)).all(), absc
     assert np.abs(np.array(low) - root.real).max() <= 2e-4, low
+
+
+def test_damped_interval_spectrum_converges_to_the_dispersion_root():
+    # interval-1d-damped (gamma = 1): the preset's abscissa is this root,
+    # and the discrete eigenvalue nearest to it converges at O(h^2)
+    params = M.load_config({"preset": "interval-1d-damped"})["params"]
+    root = dispersion_root(params, -0.38 + 0.41j)
+    assert abs(root - (-0.380694073 + 0.408446721j)) <= 1e-9
+    dist = []
+    for res in (16, 32, 64, 128):
+        scen = M.Scenario(M.load_config({"preset": "interval-1d-damped", "mesh": {"resolution": res}}))
+        vals = M.spectrum(M.assemble_generator(scen.bundle, form="u")).eigenvalues
+        dist.append(np.abs(vals - root).min())
+    assert M.refinement_slope(dist) >= 1.9, dist
 
 
 # ------------------------------------------------------------- conjugacy
