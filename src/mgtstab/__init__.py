@@ -30,7 +30,6 @@ from .dynamics import (
     assemble_generator,
     check_compatibility,
     m_transform,
-    reconstruct_u_from_z,
     simulate,
 )
 from .energy import (
@@ -68,7 +67,6 @@ from .multiplier import (
     residual_hgradz,
     residual_zdivh,
     residual_zmul,
-    static_poly_1d,
     trig_1d,
     trig_2d,
 )
@@ -82,9 +80,7 @@ from .presets import (
 from .spectral import (
     SpectrumReport,
     abscissa_vs_decay,
-    gamma_parameter,
     modal_cubic_roots,
-    routh_hurwitz_stable,
     spectrum,
 )
 
@@ -128,7 +124,6 @@ __all__ = [
     "energy_identity_residual",
     "energy_quadratic_form",
     "fit_decay_rate",
-    "gamma_parameter",
     "load_config",
     "load_config_file",
     "m_transform",
@@ -137,18 +132,15 @@ __all__ = [
     "norm_equivalence_constants",
     "preset",
     "preset_names",
-    "reconstruct_u_from_z",
     "refinement_slope",
     "residual_hgradz",
     "residual_zdivh",
     "residual_zmul",
     "robin_mode_frequency",
     "robin_mode_profile",
-    "routh_hurwitz_stable",
     "simulate",
     "solve_neumann_map",
     "spectrum",
-    "static_poly_1d",
     "trig_1d",
     "trig_2d",
     "verify_field_properties",

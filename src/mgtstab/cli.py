@@ -24,7 +24,8 @@ full
     and time-steps; the trajectory table is written as by ``simulate``.
 
 A :class:`_Worker` is a forked process; where ``os.fork`` does not exist
-it runs inline when collected, so every artifact is the same either way.
+or fails it runs inline when collected, so every artifact is the same
+either way.
 
 Exit codes: 0 success, 2 configuration/schema error, 3 geometry
 precondition failure, 4 numerical failure.  On failure an ``error.json``
@@ -61,6 +62,12 @@ from .spectral import abscissa_vs_decay, check_dense_cap, spectrum
 _LOGGER = logging.getLogger(__name__)
 
 _MULT_DEFAULTS = {"t_final": 2.0, "window_cut": 0.25, "n_time": 81, "levels": 3}
+# why a geometry whose field has no closed form gets no multiplier check
+_NO_CLOSED_FORM = (
+    "identity quadrature needs closed-form field derivatives; the curved-cap "
+    "field is only certified discretely -- use an interval or flat-gamma0 "
+    "geometry for multiplier checks"
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -179,11 +186,7 @@ def _multiplier_check(scen):
         mesh = build_mesh(geometry, res)
         h = build_vector_field_h(geometry, mesh, scen.collar_width)
         if h.analytic is None:
-            raise ConfigError(
-                "identity quadrature needs closed-form field derivatives; "
-                "the curved-cap field is only certified discretely -- use an "
-                "interval or flat-gamma0 geometry for multiplier checks"
-            )
+            raise ConfigError(_NO_CLOSED_FORM)
         times = np.linspace(cut, t_final - cut, nt)
         row = {"resolution": int(res), "n_time": int(nt), "mesh_size": mesh.mesh_size()}
         if geometry.dimension == 1:
@@ -240,8 +243,8 @@ class _Worker:
     ``collect()``, it never reads an end of input.  The worker is killed
     when a ``with`` block around it raises and when the parent is
     interrupted while ``collect()`` waits; on every path it is reaped.
-    Where ``os.fork`` does not exist, ``send()`` keeps the messages and
-    ``collect()`` runs ``func`` inline on them.
+    Where ``os.fork`` does not exist or fails, ``send()`` keeps the
+    messages and ``collect()`` runs ``func`` inline on them.
     """
 
     def __init__(self, func):
@@ -263,7 +266,13 @@ class _Worker:
             pass
         # the only other threads are OpenBLAS's pool, which OpenBLAS joins
         # before a fork (pthread_atfork): no thread runs while memory is copied
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: run inline, as without os.fork
+            for fd in (read_fd, write_fd, feed_read, feed_write):
+                os.close(fd)
+            self._kept = []
+            return
         if pid == 0:  # the worker: send ("ok", value) or ("err", exception), never return
             status = 1
             try:
@@ -459,7 +468,9 @@ def run(config, subcommand, out_dir=None, seed=0):
             "abscissa_vs_decay": versus,
             "adjoint_check": adj,
         }
-        if "multiplier" in cfg and h.analytic is not None:
+        if "multiplier" in cfg and h.analytic is None:
+            payload["multiplier"] = {"applicable": False, "reason": _NO_CLOSED_FORM}
+        elif "multiplier" in cfg:
             mp = identities()
             keys = ("slopes", "gamma0_term_max", "not_applicable")
             payload["multiplier"] = {key: mp[key] for key in keys if key in mp}

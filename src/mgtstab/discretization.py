@@ -297,12 +297,6 @@ class MaterialParams:
             return "unstable"
         return "marginal"
 
-    def constant_alpha(self, tol=1e-12):
-        a = self.alpha_field
-        if np.ptp(a) > tol:
-            raise ValueError("alpha is not spatially constant")
-        return float(a[0])
-
 
 # -- assembly --------------------------------------------------------------
 

@@ -224,6 +224,10 @@ def assemble_generator(bundle, form="u"):
 # or a dense stage's ``S`` and n x 3n map ``Q``.
 _CHUNK_ELEMENTS = 65536
 
+# simulate warns when a compatibility residual exceeds this share of the
+# boundary terms it adds up (and its noise floor)
+_COMPAT_TOL = 0.1
+
 
 def _lapack(out):
     # a LAPACK call's outputs before ``info``; a nonzero ``info`` raises like splu's singular factor
@@ -358,9 +362,9 @@ class Trajectory:
     Energy/dissipation columns follow the energy identity: boundary
     dissipation rate ``(b/tau) z_t^T B1 z_t``, interior rate
     ``u_tt^T (Mgamma/tau) u_tt`` and work rate ``z_t^T M f / tau``.
-    With ``store_states`` the u-form states at the output times are
-    kept as ``states``, of shape ``(3, samples, n)``: ``u``, ``u_t`` and
-    ``u_tt``.
+    The chunks that ``simulate`` passes to ``on_chunk`` also hold their
+    recorded u-form states as ``states``, of shape ``(3, samples, n)``:
+    ``u``, ``u_t`` and ``u_tt``, a view valid only during the call.
     """
 
     times: np.ndarray
@@ -376,11 +380,6 @@ class Trajectory:
     states: np.ndarray = None
     compat: dict = None
     meta: dict = None
-
-    def state(self, k):
-        if self.states is None:
-            raise ValueError("state snapshots were not stored")
-        return State(*self.states[:, k].copy(), float(self.times[k]))
 
     CSV_COLUMNS = ("t", "E0", "E1", "E", "D_boundary", "D_interior", "u_L2", "z_L2", "zt_L2")
 
@@ -442,8 +441,6 @@ def simulate(
     source=None,
     scheme="implicit-midpoint",
     output_stride=1,
-    store_states=False,
-    compat_tol=0.1,
     on_chunk=None,
 ):
     """Advance the u-form system and record energy/dissipation series.
@@ -451,7 +448,7 @@ def simulate(
     ``initial`` is a u-form :class:`State` and ``source`` ``None`` or a
     callable ``t -> nodal vector``.  Compatibility residuals of the
     initial data are computed and logged but never enforced: a warning
-    when one exceeds both ``compat_tol`` times the summed L2 norms of the
+    when one exceeds both ``_COMPAT_TOL`` times the summed L2 norms of the
     terms both add up, over the whole boundary, so it does not depend on
     the data's scale, and its noise floor, twice the expected O(h) error
     of the recovered normal derivative (estimated from the jumps of the
@@ -464,13 +461,15 @@ def simulate(
     at once (``_CHUNK_ELEMENTS // n`` of them), so a blow-up is detected
     at the end of its chunk; the error still names its first sample.
     ``on_chunk``, when given, is called after each chunk with a
-    :class:`Trajectory` holding only that chunk's ``times`` and columns,
-    chunk after chunk in order, so the caller can write them out while
-    the stepping goes on.
+    :class:`Trajectory` holding only that chunk's ``times``, columns and
+    ``states``, chunk after chunk in order, so the caller can write them
+    out while the stepping goes on.  Its ``states`` are a view of the
+    chunk buffer, valid only during the call; the returned trajectory
+    holds none.
     """
     n = bundle.mesh.n_nodes
     compat, scale, floor = _compatibility(initial, bundle)
-    if any(compat[k] > max(compat_tol * scale, floor[k]) for k in compat):
+    if any(compat[k] > max(_COMPAT_TOL * scale, floor[k]) for k in compat):
         _LOGGER.warning(
             "initial data violate the boundary compatibility conditions "
             "(r0=%.3e, r1=%.3e); u- and z-form trajectories agree only up "
@@ -487,9 +486,8 @@ def simulate(
     classification = bundle.params.stability_classification()
     gamma_negative = classification == "unstable"
 
-    # (u, u_t, u_tt) of the recorded states: every sample when they are
-    # kept, else one chunk that is overwritten after its evaluation
-    X = np.empty((3, n_rec if store_states else min(chunk, n_rec), n))
+    # (u, u_t, u_tt) of one chunk of recorded states, overwritten after its evaluation
+    X = np.empty((3, min(chunk, n_rec), n))
     times = np.empty(n_rec)
     cols = np.empty((9, n_rec))
     # a ring of flat (u, u_t, u_tt, scratch) buffers: the current state,
@@ -504,19 +502,18 @@ def simulate(
         if k % stride and k != n_steps:
             continue
         lo = i - i % chunk
-        X[:, i if store_states else i - lo] = x.reshape(4, n)[:3]
+        X[:, i - lo] = x.reshape(4, n)[:3]
         times[i] = t
         i += 1
         if i % chunk == 0 or i == n_rec:
-            rows = slice(lo, i) if store_states else slice(0, i - lo)
-            cols[:, lo:i] = _observables(*X[:, rows], times[lo:i], bundle, source, gamma_negative)
+            states = X[:, : i - lo]
+            cols[:, lo:i] = _observables(*states, times[lo:i], bundle, source, gamma_negative)
             if on_chunk is not None:
-                on_chunk(Trajectory(times[lo:i], *cols[:, lo:i]))
+                on_chunk(Trajectory(times[lo:i], *cols[:, lo:i], states))
 
-    traj = Trajectory(
+    return Trajectory(
         times,
         *cols,
-        X if store_states else None,
         compat=compat,
         meta={
             "dt": float(dt),
@@ -528,23 +525,3 @@ def simulate(
             **stepper.health(initial),
         },
     )
-    return traj
-
-
-def reconstruct_u_from_z(times, z_samples, u0, params):
-    """Rebuild u from sampled z by the variation-of-parameters formula.
-
-    ``u(t) = e^{-q t} u0 + int_0^t e^{-q (t - s)} z(s) ds`` with ``q =
-    c^2/b``, evaluated by the exponentially weighted trapezoid recurrence
-    on the stored samples (second-order accurate in the sample spacing).
-    """
-    times = np.asarray(times, float)
-    z = np.asarray(z_samples, float)
-    q = params.q
-    out = np.empty_like(z)
-    out[0] = u0
-    for k in range(len(times) - 1):
-        h = times[k + 1] - times[k]
-        decay = np.exp(-q * h)
-        out[k + 1] = decay * out[k] + 0.5 * h * (decay * z[k] + z[k + 1])
-    return out

@@ -170,9 +170,6 @@ class Geometry:
         nu = np.column_stack([d[:, 1], -d[:, 0]])
         return a, b, nu / np.linalg.norm(nu, axis=1)[:, None]
 
-    def segments_with_tag(self, tag):
-        return np.flatnonzero(self.segment_tags == tag)
-
     def diameter(self):
         if self.dimension == 1:
             return self.vertices[1] - self.vertices[0]
@@ -428,24 +425,6 @@ class VectorFieldH:
             and self.certified_c0 > 0
             and self.max_normal_trace_on_gamma0 is not None
         )
-
-    @classmethod
-    def from_nodal(cls, mesh, values, collar_width=0.0, x0=None, analytic=None):
-        """Wrap raw nodal values (used for synthetic fields in tests)."""
-        values = np.asarray(values, float).reshape(mesh.n_nodes, mesh.dim)
-        g0 = mesh.gamma0_facets
-        fv = values[mesh.facets[g0]]  # (facet, vertex, component)
-        if mesh.dim == 1:
-            vals = fv
-        else:
-            # linear interpolation of nodal values at the facet points
-            qp, _ = mesh.facet_quadrature()
-            a, b = mesh.nodes[mesh.facets[g0, 0]], mesh.nodes[mesh.facets[g0, 1]]
-            t = ((qp[g0] - a[:, None]) @ (b - a)[:, :, None])[..., 0]
-            t /= np.sum((b - a) ** 2, axis=1)[:, None]
-            vals = (1 - t)[..., None] * fv[:, None, 0] + t[..., None] * fv[:, None, 1]
-        x0 = np.zeros(mesh.dim) if x0 is None else np.asarray(x0, float)
-        return cls(values, g0.copy(), vals, collar_width, x0, analytic)
 
 
 def verify_field_properties(h, mesh):

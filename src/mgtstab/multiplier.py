@@ -115,24 +115,6 @@ def bc_satisfying_1d(omega=1.3, kappa0=1.0, kappa1=1.0):
     )
 
 
-def static_poly_1d(b=1.0, kappa0=2.0):
-    """Static polynomial z = -x^2 + 2x + 1 (Robin at x=0 with kappa0=2).
-
-    Time-independent, so the z-multiplier identity collapses to the
-    elliptic balance; with Simpson quadrature every integral is exact.
-    """
-    return ManufacturedField(
-        a=np.ones_like, at=np.zeros_like, att=np.zeros_like, p=np.ones_like,
-        phi=lambda x: -x[:, 0] ** 2 + 2 * x[:, 0] + 1.0,
-        grad_phi=lambda x: (2.0 - 2.0 * x[:, 0])[:, None],
-        lap_phi=lambda x: np.full(len(x), -2.0),
-        psi=lambda x: x[:, 0] + 0.5,
-        gamma=lambda x: np.full(len(x), 0.5),
-        family="static-poly-1d",
-        meta={"kappa0": kappa0, "b": b},
-    )
-
-
 # -- the separable quadrature -------------------------------------------------
 
 
@@ -182,11 +164,11 @@ def _boundary_points(mesh):
     return facets, x, w, nu, len(mesh.gamma0_facets) * nq
 
 
-def _closed_form(h, allow_uncertified):
+def _closed_form(h):
     """The closed-form field behind ``h``, after the certification gate."""
     if not isinstance(h, VectorFieldH):
         return h
-    if not allow_uncertified and not h.certified:
+    if not h.certified:
         raise CertificationError("multiplier field is not certified")
     if h.analytic is None:
         raise ValueError(
@@ -206,7 +188,7 @@ def _normalized(terms):
     return 0.0 if residual <= len(terms) * np.finfo(float).eps else residual
 
 
-def residual_hgradz(fields, h, mesh, b, times, space_rule=None, allow_uncertified=False):
+def residual_hgradz(fields, h, mesh, b, times, space_rule=None):
     """Residual of the ``h . grad z`` multiplier identity.
 
     Computes every term of the integrated-by-parts expansion by
@@ -214,7 +196,7 @@ def residual_hgradz(fields, h, mesh, b, times, space_rule=None, allow_uncertifie
     the gamma0 annihilation term ``int int_{gamma0} (z_t^2 - b |grad z|^2)
     (h . nu)``, which must sit at the certification tolerance.
     """
-    fld = _closed_form(h, allow_uncertified)
+    fld = _closed_form(h)
     ti = _in_time(fields, times)
     xv, wv = _element_points(mesh, space_rule)
     phi, gphi = fields.phi(xv), fields.grad_phi(xv)
@@ -251,13 +233,13 @@ def residual_hgradz(fields, h, mesh, b, times, space_rule=None, allow_uncertifie
     return {"residual": _normalized(terms), "terms": terms, "gamma0_term": gamma0_term}
 
 
-def residual_zdivh(fields, h, mesh, b, times, space_rule=None, allow_uncertified=False):
+def residual_zdivh(fields, h, mesh, b, times, space_rule=None):
     """Residual of the ``(1/2) z div h`` multiplier identity.
 
     Includes the ``grad(div h)`` volume term, reported separately (it
     vanishes identically for fields with constant divergence).
     """
-    fld = _closed_form(h, allow_uncertified)
+    fld = _closed_form(h)
     ti = _in_time(fields, times)
     xv, wv = _element_points(mesh, space_rule)
     phi, gphi = fields.phi(xv), fields.grad_phi(xv)
@@ -303,8 +285,9 @@ def residual_zmul(fields, mesh, b, kappa0, kappa1, times, space_rule=None):
     return {"residual": _normalized(terms), "terms": terms}
 
 
-def refinement_slope(residuals, factors=None):
-    """Least-squares slope of log(residual) against log(1/h).
+def refinement_slope(residuals):
+    """Least-squares slope of log(residual) against log(1/h), h halving
+    from one residual to the next.
 
     Raises ``ValueError`` when a residual is zero, negative or not finite:
     no rate is defined then.
@@ -313,7 +296,6 @@ def refinement_slope(residuals, factors=None):
     if not (np.isfinite(r) & (r > 0)).all():
         raise ValueError("residuals must be positive and finite to define a rate")
     n = len(r)
-    x = np.log(np.asarray(factors, float)) if factors is not None else np.log(2.0) * np.arange(n)
-    A = np.column_stack([np.ones(n), x])
+    A = np.column_stack([np.ones(n), np.log(2.0) * np.arange(n)])
     coef, *_ = np.linalg.lstsq(A, np.log(r), rcond=None)
     return -float(coef[1])

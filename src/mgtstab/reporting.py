@@ -4,7 +4,7 @@ Every writer is byte-reproducible: keys are sorted, floats use the
 shortest round-trip representation (JSON) or 17 significant digits
 (CSV), non-finite values are mapped to ``null``, there are no
 timestamps, and files are written atomically via a temporary name in the
-same directory.
+same directory, with the mode that the umask gives a new file.
 """
 
 import json
@@ -42,6 +42,10 @@ def _atomic_write(path, text):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -115,42 +115,19 @@ def spectrum(generator):
     )
 
 
-def _cubic_coeffs(params):
-    if np.isscalar(params) or isinstance(params, (tuple, list)):
-        raise TypeError("params must be MaterialParams or a mapping with tau/alpha/b/c")
-    if hasattr(params, "constant_alpha"):
-        tau, b, c = params.tau, params.b, params.c
-        alpha = params.constant_alpha()
-    else:
-        tau, alpha, b, c = (float(params[k]) for k in ("tau", "alpha", "b", "c"))
-    return tau, alpha, b, c
-
-
 def modal_cubic_roots(mu, params):
     """Roots of the modal cubic for one elliptic eigenvalue ``mu > 0``.
 
-    ``params`` is a MaterialParams with spatially constant alpha (the
-    modal reduction is only exact then) or a mapping with keys
-    ``tau, alpha, b, c``.  Roots are companion-matrix eigenvalues sorted
-    by (real, imag).
+    ``params`` is a config's ``params`` section (a mapping with keys
+    ``tau, alpha, b, c``, alpha being constant, where the modal reduction
+    is exact).  Roots are companion-matrix eigenvalues sorted by (real,
+    imag).
     """
     mu = float(mu)
     if mu <= 0:
         raise ValueError("mu must be positive")
-    tau, alpha, b, c = _cubic_coeffs(params)
-    roots = np.roots([tau, alpha, b * mu, c**2 * mu])
-    return _sorted_eigvals(roots)
-
-
-def routh_hurwitz_stable(tau, alpha, b, c, mu=1.0):
-    """Routh-Hurwitz test of the modal cubic: stable iff gamma > 0."""
-    if min(tau, alpha, b, c, mu) <= 0:
-        return False
-    return alpha * b > tau * c**2
-
-
-def gamma_parameter(tau, alpha, b, c):
-    return alpha - tau * c**2 / b
+    tau, alpha, b, c = (float(params[k]) for k in ("tau", "alpha", "b", "c"))
+    return _sorted_eigvals(np.roots([tau, alpha, b * mu, c**2 * mu]))
 
 
 def abscissa_vs_decay(rep, times, E1, tail_fraction=0.5):

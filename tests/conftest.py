@@ -53,6 +53,58 @@ def dispersion_root(params, guess):
     return lam
 
 
+def simulate_with_states(bundle, initial, on_chunk=None, **run):
+    """``simulate``'s trajectory and its recorded u-form states, of shape
+    ``(3, samples, n)``, copied from each chunk that ``on_chunk`` receives
+    (and passed on to ``on_chunk`` when given)."""
+    states = []
+
+    def keep(chunk):
+        states.append(chunk.states.copy())
+        if on_chunk is not None:
+            on_chunk(chunk)
+
+    traj = M.simulate(bundle, initial, on_chunk=keep, **run)
+    return traj, np.concatenate(states, axis=1)
+
+
+def reconstruct_u_from_z(times, z_samples, u0, params):
+    """Rebuild u from sampled z by the variation-of-parameters formula.
+
+    ``u(t) = e^{-q t} u0 + int_0^t e^{-q (t - s)} z(s) ds`` with ``q =
+    c^2/b``, evaluated by the exponentially weighted trapezoid recurrence
+    on the stored samples (second-order accurate in the sample spacing).
+    """
+    times = np.asarray(times, float)
+    z = np.asarray(z_samples, float)
+    q = params.q
+    out = np.empty_like(z)
+    out[0] = u0
+    for k in range(len(times) - 1):
+        h = times[k + 1] - times[k]
+        decay = np.exp(-q * h)
+        out[k + 1] = decay * out[k] + 0.5 * h * (decay * z[k] + z[k + 1])
+    return out
+
+
+def static_poly_1d(b=1.0, kappa0=2.0):
+    """Static polynomial z = -x^2 + 2x + 1 (Robin at x=0 with kappa0=2).
+
+    Time-independent, so the z-multiplier identity collapses to the
+    elliptic balance; with Simpson quadrature every integral is exact.
+    """
+    return M.ManufacturedField(
+        a=np.ones_like, at=np.zeros_like, att=np.zeros_like, p=np.ones_like,
+        phi=lambda x: -x[:, 0] ** 2 + 2 * x[:, 0] + 1.0,
+        grad_phi=lambda x: (2.0 - 2.0 * x[:, 0])[:, None],
+        lap_phi=lambda x: np.full(len(x), -2.0),
+        psi=lambda x: x[:, 0] + 0.5,
+        gamma=lambda x: np.full(len(x), 0.5),
+        family="static-poly-1d",
+        meta={"kappa0": kappa0, "b": b},
+    )
+
+
 def open_fds():
     """This process's open file descriptors, or None where ``/proc/self/fd``
     does not exist."""

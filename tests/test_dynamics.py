@@ -20,7 +20,7 @@ import mgtstab as M
 from mgtstab import dynamics
 from mgtstab.dynamics import State
 
-from conftest import interval_config
+from conftest import interval_config, reconstruct_u_from_z, simulate_with_states
 
 
 def make_scenario(**over):
@@ -73,7 +73,7 @@ def test_unstable_energy_grows():
         params={"alpha": 0.5, "kappa1": 0.0},
         initial={"kind": "robin-mode"},
     )
-    traj = M.simulate(scen.bundle, scen.initial, T=20.0, dt=5e-3, compat_tol=np.inf)
+    traj = M.simulate(scen.bundle, scen.initial, T=20.0, dt=5e-3)
     assert traj.E[-1] > 10 * traj.E[0]
 
 
@@ -496,13 +496,13 @@ def test_both_stage_forms_conserve_the_critical_energy(monkeypatch, solver):
 COLUMNS = ("E0", "E1", "E", "D_boundary", "D_interior", "work_rate", "u_L2", "z_L2", "zt_L2")
 
 
-def per_sample_columns(traj, bundle, source):
+def per_sample_columns(traj, states, bundle, source):
     """Trajectory columns evaluated one recorded state at a time."""
     params = bundle.params
     q, tau = params.q, params.tau
     rows = []
-    for k in range(len(traj.times)):
-        s = traj.state(k)
+    for k, t in enumerate(traj.times):
+        s = State(*states[:, k], float(t))
         z, zt = s.v + q * s.u, s.w + q * s.v
         e1 = M.energy_E1(M.m_transform(s, params), bundle)
         e0 = M.energy_E0(s, bundle)
@@ -533,15 +533,13 @@ def test_chunked_recording_matches_per_sample(offset):
     src = lambda t: np.sin(np.pi * x) * np.cos(3.0 * t)
     dt = 1e-3
     run = dict(T=(n_samples - 1) * dt, dt=dt, source=src)
-    kept = M.simulate(scen.bundle, scen.initial, store_states=True, **run)
-    bare = M.simulate(scen.bundle, scen.initial, store_states=False, **run)
-    assert len(kept.times) == len(bare.times) == n_samples
-    assert bare.states is None and kept.states.shape == (3, n_samples, scen.mesh.n_nodes)
-    ref = per_sample_columns(kept, scen.bundle, src)
+    traj, states = simulate_with_states(scen.bundle, scen.initial, **run)
+    assert len(traj.times) == n_samples
+    assert traj.states is None and states.shape == (3, n_samples, scen.mesh.n_nodes)
+    ref = per_sample_columns(traj, states, scen.bundle, src)
     for name, col in zip(COLUMNS, ref):
-        for traj in (kept, bare):
-            got = getattr(traj, name)
-            np.testing.assert_allclose(got, col, rtol=1e-12, atol=1e-300, err_msg=name)
+        got = getattr(traj, name)
+        np.testing.assert_allclose(got, col, rtol=1e-12, atol=1e-300, err_msg=name)
 
 
 @pytest.mark.parametrize("solver", ["dense-lu", "sparse-lu"])
@@ -568,19 +566,17 @@ def test_simulate_matches_chained_steps_bit_for_bit(monkeypatch, scheme, stride,
     chunks = [slice(lo, lo + chunk) for lo in range(0, len(ref), chunk)]
     cols = np.hstack([dynamics._observables(U[c], V[c], W[c], times[c], scen.bundle, src, False) for c in chunks])
     run = dict(T=n_steps * dt, dt=dt, source=src, scheme=scheme, output_stride=stride)
-    for store_states in (True, False):
-        got = []
-        traj = M.simulate(scen.bundle, scen.initial, store_states=store_states, on_chunk=got.append, **run)
-        assert traj.meta["stage_solver"] == solver
-        assert np.array_equal(traj.times, times)
-        for name, col in zip(COLUMNS, cols):
-            assert np.array_equal(getattr(traj, name), col), name
-        # on_chunk saw each chunk's rows once, in order
-        assert [len(c.times) for c in got] == [len(times[c]) for c in chunks]
-        for name in ("times",) + COLUMNS:
-            assert np.array_equal(np.concatenate([getattr(c, name) for c in got]), getattr(traj, name))
-        if store_states:
-            assert np.array_equal(traj.states, np.array([U, V, W]))
+    got = []
+    traj, states = simulate_with_states(scen.bundle, scen.initial, on_chunk=got.append, **run)
+    assert traj.meta["stage_solver"] == solver
+    assert np.array_equal(traj.times, times)
+    for name, col in zip(COLUMNS, cols):
+        assert np.array_equal(getattr(traj, name), col), name
+    # on_chunk saw each chunk's rows once, in order
+    assert [len(c.times) for c in got] == [len(times[c]) for c in chunks]
+    for name in ("times",) + COLUMNS:
+        assert np.array_equal(np.concatenate([getattr(c, name) for c in got]), getattr(traj, name))
+    assert np.array_equal(states, np.array([U, V, W]))
 
 
 def test_record_count_is_the_number_of_recorded_samples():
@@ -601,10 +597,9 @@ def test_record_count_is_the_number_of_recorded_samples():
 def test_reconstruction_matches_simulated_u():
     scen = make_scenario(mesh={"resolution": 32}, initial={"kind": "robin-mode"})
     dt = 5e-4
-    traj = M.simulate(scen.bundle, scen.initial, T=1.0, dt=dt, store_states=True)
-    u, ut, _ = traj.states
+    traj, (u, ut, _) = simulate_with_states(scen.bundle, scen.initial, T=1.0, dt=dt)
     z = ut + scen.params.q * u
-    u_rec = M.reconstruct_u_from_z(traj.times, z, u[0], scen.params)
+    u_rec = reconstruct_u_from_z(traj.times, z, u[0], scen.params)
     err = np.abs(u_rec - u).max()
     assert err < 5e-6, err
 

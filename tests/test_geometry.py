@@ -138,7 +138,7 @@ def reference_normal(geo, i):
 
 def reference_star_violation(geo):
     worst = -np.inf
-    for i in geo.segments_with_tag(M.GAMMA0):
+    for i in np.flatnonzero(geo.segment_tags == M.GAMMA0):
         nu = reference_normal(geo, i)
         if geo.dimension == 1:
             vals = [(geo.vertices[i] - geo.x0[0]) * nu[0]]

@@ -177,6 +177,23 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     assert Path(path).read_bytes() == expected.encode()
 
 
+def test_artifacts_take_the_mode_the_umask_gives(tmp_path):
+    # a new file's mode, 0o666 less the umask, whatever the temporary file had
+    written = {}
+    for mask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        old = os.umask(mask)
+        try:
+            write_json(str(tmp_path / ("%o.json" % mask)), {"a": [1.0, None]})
+            write_csv(str(tmp_path / ("%o.csv" % mask)), ["x", "y"], [[0.5, 2.0]])
+        finally:
+            os.umask(old)
+        for ext in ("json", "csv"):
+            path = tmp_path / ("%o.%s" % (mask, ext))
+            assert path.stat().st_mode & 0o777 == mode, (path, oct(path.stat().st_mode))
+            written.setdefault(ext, set()).add(path.read_bytes())
+    assert written == {"json": {b'{\n  "a": [\n    1.0,\n    null\n  ]\n}\n'}, "csv": {b"x,y\n0.5,2\n"}}
+
+
 def test_trajectory_csv_columns(tmp_path):
     scen = M.Scenario(interval_config(initial={"kind": "robin-mode"}))
     traj = M.simulate(scen.bundle, scen.initial, T=0.2, dt=1e-2)
@@ -327,6 +344,23 @@ def test_cli_full_summary_says_why_zmul_is_missing(tmp_path, gamma0_end):
         assert set(summary["slopes"]) == {"hgradz", "zdivh"}
         assert summary["not_applicable"] == rep["not_applicable"]
         assert list(summary["not_applicable"]) == ["zmul"]
+
+
+def test_cli_full_says_why_the_curved_cap_gets_no_multiplier_check(tmp_path):
+    # the transducer's curved-cap field has no closed form: multiplier-check
+    # is a config error, and full reports the check as not applicable
+    cfg_path = write_config(
+        tmp_path,
+        {"preset": "transducer-2d", "mesh": {"resolution": 3}, "time": {"T": 0.2},
+         "multiplier": {"levels": 2, "n_time": 21}},
+    )
+    full, check = str(tmp_path / "full"), str(tmp_path / "check")
+    assert cli.main(["full", "--config", cfg_path, "--out", full]) == cli.EXIT_OK
+    summary = json.loads(Path(full, "summary.json").read_text())
+    assert summary["multiplier"] == {"applicable": False, "reason": cli._NO_CLOSED_FORM}
+    assert not Path(full, "multiplier.json").exists()
+    assert cli.main(["multiplier-check", "--config", cfg_path, "--out", check]) == cli.EXIT_CONFIG
+    assert json.loads(Path(check, "error.json").read_text())["message"] == cli._NO_CLOSED_FORM
 
 
 def test_cli_full_without_robin_mass_reports_no_adjoint_check(tmp_path):
@@ -548,6 +582,29 @@ def test_cli_streamed_csv_matches_the_inline_write(tmp_path, monkeypatch, n_rows
     traj, _ = cli._simulate(M.Scenario(M.load_config(streamed_config(n_rows))))
     write_trajectory_csv(traj, str(tmp_path / "whole.csv"))
     assert (forked / "trajectory.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers need os.fork")
+def test_cli_full_runs_inline_when_fork_fails(tmp_path, monkeypatch):
+    # both workers, the eigensolve and the streamed writer, fall back to the
+    # inline path and close their pipes (the fixture checks the descriptors)
+    cfg_path = write_config(tmp_path, streamed_config(7282))
+    forks = counting_forks(monkeypatch)
+    forked, failed = tmp_path / "forked", tmp_path / "failed"
+    assert cli.main(["full", "--config", cfg_path, "--out", str(forked), "--seed", "3"]) == cli.EXIT_OK
+    assert len(forks) == 2
+
+    def no_fork():
+        forks.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert cli.main(["full", "--config", cfg_path, "--out", str(failed), "--seed", "3"]) == cli.EXIT_OK
+    assert len(forks) == 4
+    names = sorted(os.listdir(forked))
+    assert names == sorted(os.listdir(failed)) and "trajectory.csv" in names
+    for name in names:
+        assert (forked / name).read_bytes() == (failed / name).read_bytes(), name
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer needs os.fork")

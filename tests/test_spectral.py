@@ -46,12 +46,13 @@ def test_routh_hurwitz_agrees_with_root_signs():
             if abs(alpha - tau * c**2 / b) > 1e-6:
                 break
         roots = M.modal_cubic_roots(mu, {"tau": tau, "alpha": alpha, "b": b, "c": c})
-        assert (roots.real.max() < 0) == M.routh_hurwitz_stable(tau, alpha, b, c, mu)
+        # Routh-Hurwitz: stable exactly when gamma = alpha - tau c^2 / b > 0
+        assert (roots.real.max() < 0) == (alpha - tau * c**2 / b > 0)
 
 
 def test_gamma_parameter_sign_matches_classification():
     scen = make_scenario(params={"tau": 1.0, "c": 1.0, "b": 1.0, "alpha": 2.0})
-    assert M.gamma_parameter(1.0, 2.0, 1.0, 1.0) == pytest.approx(1.0)
+    np.testing.assert_allclose(scen.params.gamma_field, 1.0)
     assert scen.params.stability_classification() == "stable"
     assert M.Scenario(
         interval_config(params={"alpha": 1.0})
@@ -82,7 +83,7 @@ def test_spectrum_is_union_of_modal_triples():
         mus = scipy.linalg.eigh(
             scen.bundle.Ktilde.toarray(), scen.bundle.Mmat.toarray(), eigvals_only=True
         )
-        predicted = np.concatenate([M.modal_cubic_roots(mu, scen.params) for mu in mus])
+        predicted = np.concatenate([M.modal_cubic_roots(mu, scen.config["params"]) for mu in mus])
         assert match_spectra(rep.eigenvalues, predicted) <= 1e-8, alpha
 
 
@@ -222,15 +223,29 @@ def test_critical_interval_spectrum_converges_to_the_exact_wave_roots():
     assert np.abs(np.array(low) - root.real).max() <= 2e-4, low
 
 
-def test_damped_interval_spectrum_converges_to_the_dispersion_root():
-    # interval-1d-damped (gamma = 1): the preset's abscissa is this root,
-    # and the discrete eigenvalue nearest to it converges at O(h^2)
-    params = M.load_config({"preset": "interval-1d-damped"})["params"]
-    root = dispersion_root(params, -0.38 + 0.41j)
-    assert abs(root - (-0.380694073 + 0.408446721j)) <= 1e-9
+@pytest.mark.parametrize(
+    "cfg, guess, pinned",
+    [
+        ({"preset": "interval-1d-damped"}, -0.38 + 0.41j, -0.380694073 + 0.408446721j),
+        ({"preset": "interval-1d-unstable"}, 0.25 + 9.55j, 0.247305883 + 9.55191084j),
+        (
+            {"preset": "interval-1d-damped", "params": {"alpha": 1.2, "kappa1": 0.5}},
+            -0.35 + 0.74j,
+            -0.346577310 + 0.742039506j,
+        ),
+    ],
+    ids=["damped", "unstable", "damped-alpha-1.2-kappa1-0.5"],
+)
+def test_damped_interval_spectrum_converges_to_the_dispersion_root(cfg, guess, pinned):
+    # the discrete eigenvalue nearest to an exact root of the dispersion
+    # relation converges at O(h^2); interval-1d-damped's (gamma = 1) is
+    # the preset's abscissa, interval-1d-unstable's (gamma = -0.5) a root
+    # in the right half plane
+    root = dispersion_root(M.load_config(cfg)["params"], guess)
+    assert abs(root - pinned) <= 1e-9
     dist = []
     for res in (16, 32, 64, 128):
-        scen = M.Scenario(M.load_config({"preset": "interval-1d-damped", "mesh": {"resolution": res}}))
+        scen = M.Scenario(M.load_config({**cfg, "mesh": {"resolution": res}}))
         vals = M.spectrum(M.assemble_generator(scen.bundle, form="u")).eigenvalues
         dist.append(np.abs(vals - root).min())
     assert M.refinement_slope(dist) >= 1.9, dist
