@@ -409,7 +409,12 @@ def run(config, subcommand, out_dir=None, seed=0):
             return traj, sim
         with _Worker(lambda blocks: write_csv_blocks(path, Trajectory.CSV_COLUMNS, blocks)) as writer:
             traj, sim = _simulate(scen, lambda chunk: writer.send(chunk.csv_rows()[1]))
-            writer.collect()
+            start = time.perf_counter()
+            seconds = writer.collect()[1]
+        _LOGGER.info(
+            "writer stage: %d rows, %.3f s in the worker, %.3f s waited for it",
+            n_rows, seconds, time.perf_counter() - start,
+        )
         return traj, sim
 
     def solve():

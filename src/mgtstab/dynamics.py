@@ -55,6 +55,13 @@ def m_transform(state, params):
     return State(state.u.copy(), state.v + q * state.u, state.w + q * state.v, state.t)
 
 
+def _lapack(out):
+    # a LAPACK call's outputs before ``info``; a nonzero ``info`` raises like splu's singular factor
+    if out[-1]:
+        raise RuntimeError("LAPACK info %d: singular factor or bad argument" % out[-1])
+    return out[:-1]
+
+
 # -- compatibility of initial data ------------------------------------------
 
 
@@ -109,6 +116,7 @@ def _compatibility(state, bundle):
         cells, measures = mesh.facets[on], mesh.facet_measures[on]
         nodes = mesh.nodes_on(tag)
         MGr = MG[np.ix_(nodes, nodes)].toarray()
+        lu, piv = _lapack(dgetrf(MGr))  # one factorization for the part's four norms
 
         def functional(per_facet):
             # int over the part of per_facet times each nodal basis function
@@ -118,7 +126,7 @@ def _compatibility(state, bundle):
 
         def norm(rho):
             # Riesz-represent the functional in L2 of the boundary part
-            w = np.linalg.solve(MGr, rho[nodes])
+            (w,) = _lapack(dgetrs(lu, piv, rho[nodes]))
             return float(np.sqrt(w @ MGr @ w))
 
         flux, robin = functional(dnu[on]), bmat @ value
@@ -227,13 +235,6 @@ _CHUNK_ELEMENTS = 65536
 # simulate warns when a compatibility residual exceeds this share of the
 # boundary terms it adds up (and its noise floor)
 _COMPAT_TOL = 0.1
-
-
-def _lapack(out):
-    # a LAPACK call's outputs before ``info``; a nonzero ``info`` raises like splu's singular factor
-    if out[-1]:
-        raise RuntimeError("LAPACK info %d: singular factor or bad argument" % out[-1])
-    return out[:-1]
 
 
 _Stage = namedtuple("_Stage", "matvec solve C S solver factor_nnz weight offset")  # S w = Q x + f
@@ -364,7 +365,8 @@ class Trajectory:
     ``u_tt^T (Mgamma/tau) u_tt`` and work rate ``z_t^T M f / tau``.
     The chunks that ``simulate`` passes to ``on_chunk`` also hold their
     recorded u-form states as ``states``, of shape ``(3, samples, n)``:
-    ``u``, ``u_t`` and ``u_tt``, a view valid only during the call.
+    ``u``, ``u_t`` and ``u_tt``, a transposed view of a node-major
+    ``(3, n, samples)`` buffer, valid only during the call.
     """
 
     times: np.ndarray
@@ -486,27 +488,35 @@ def simulate(
     classification = bundle.params.stability_classification()
     gamma_negative = classification == "unstable"
 
-    # (u, u_t, u_tt) of one chunk of recorded states, overwritten after its evaluation
-    X = np.empty((3, min(chunk, n_rec), n))
+    # (u, u_t, u_tt) of one chunk of recorded states, node-major: each chunk
+    # is sized to its samples, so every component is a contiguous (n, samples)
+    # block for the sparse products; overwritten after its evaluation
+    buf = np.empty(3 * n * min(chunk, n_rec))
     times = np.empty(n_rec)
     cols = np.empty((9, n_rec))
     # a ring of flat (u, u_t, u_tt, scratch) buffers: the current state,
-    # the one before it (BDF2's history) and the next
-    x, prev, out = np.empty((3, 4 * n))
-    x.reshape(4, n)[:3] = (initial.u, initial.v, initial.w)
+    # the one before it (BDF2's history) and the next; xs, prevs and outs are
+    # their (3, n) state views, rotated with them
+    ring = np.empty((3, 4 * n))
+    x, prev, out = ring
+    xs, prevs, outs = ring.reshape(3, 4, n)[:, :3]
+    xs[:] = (initial.u, initial.v, initial.w)
     t, i = float(initial.t), 0
     for k in range(n_steps + 1):
         if k:
             t = stepper.advance(x, prev if k > 1 else None, t, out)
-            x, prev, out = out, x, prev
+            x, prev, out, xs, prevs, outs = out, x, prev, outs, xs, prevs
         if k % stride and k != n_steps:
             continue
-        lo = i - i % chunk
-        X[:, i - lo] = x.reshape(4, n)[:3]
+        j = i % chunk
+        if j == 0:
+            lo, m = i, min(chunk, n_rec - i)
+            X = buf[: 3 * n * m].reshape(3, n, m)
+        X[:, :, j] = xs
         times[i] = t
         i += 1
-        if i % chunk == 0 or i == n_rec:
-            states = X[:, : i - lo]
+        if j == m - 1:
+            states = X.transpose(0, 2, 1)
             cols[:, lo:i] = _observables(*states, times[lo:i], bundle, source, gamma_negative)
             if on_chunk is not None:
                 on_chunk(Trajectory(times[lo:i], *cols[:, lo:i], states))

@@ -13,6 +13,8 @@ import tempfile
 
 import numpy as np
 
+from .dynamics import _CHUNK_ELEMENTS
+
 
 def sanitize(obj):
     """Recursively convert to JSON-safe plain Python (non-finite -> None)."""
@@ -35,13 +37,14 @@ def sanitize(obj):
     return obj
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, parts):
+    # parts: an iterable of strings, written one after the other
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -55,22 +58,30 @@ def _atomic_write(path, text):
 
 def write_json(path, obj):
     payload = json.dumps(sanitize(obj), sort_keys=True, indent=2, allow_nan=False)
-    _atomic_write(path, payload + "\n")
+    _atomic_write(path, (payload, "\n"))
 
 
 def write_csv(path, columns, rows):
-    write_csv_blocks(path, columns, [np.atleast_2d(np.asarray(rows, float))])
+    rows = np.atleast_2d(np.asarray(rows, float))
+    # blocks of at most _CHUNK_ELEMENTS values: one % over the whole table's
+    # values as Python floats would raise the peak memory
+    step = max(1, _CHUNK_ELEMENTS // max(1, rows.shape[1]))
+    write_csv_blocks(path, columns, (rows[i : i + step] for i in range(0, len(rows), step)))
+
+
+def _formatted(rows):
+    # a 2D block of rows as CSV lines, by one % over its values
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return line * len(rows) % tuple(rows.ravel().tolist())
 
 
 def write_csv_blocks(path, columns, blocks):
     """Write a float table given as consecutive 2D blocks of rows; each block
-    is formatted as it arrives, and the file is written after the last."""
-    lines = [",".join(columns)]
-    for rows in blocks:
-        fmt = ",".join(["%.17g"] * rows.shape[1])
-        # row by row: the whole table as Python floats would raise the peak memory
-        lines += [fmt % tuple(row.tolist()) for row in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    is formatted as it arrives, and the file is written after the last.
+    Nothing is written, not even a temporary file, when ``blocks`` raises."""
+    parts = [",".join(columns) + "\n"]
+    parts += [_formatted(rows) for rows in blocks]
+    _atomic_write(path, parts)
 
 
 def write_trajectory_csv(trajectory, path):

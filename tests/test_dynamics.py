@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 import mgtstab as M
-from mgtstab import dynamics
+from mgtstab import dynamics, energy
 from mgtstab.dynamics import State
 
 from conftest import interval_config, reconstruct_u_from_z, simulate_with_states
@@ -577,6 +577,36 @@ def test_simulate_matches_chained_steps_bit_for_bit(monkeypatch, scheme, stride,
     for name in ("times",) + COLUMNS:
         assert np.array_equal(np.concatenate([getattr(c, name) for c in got]), getattr(traj, name))
     assert np.array_equal(states, np.array([U, V, W]))
+
+
+@pytest.mark.parametrize(
+    "preset, resolution, T, dt, solver",
+    [
+        # n = 65: chunks of 1008 samples, so 1101 samples end in a chunk of 93
+        ("interval-1d-damped", 64, 1.1, 1e-3, "dense-lu"),
+        # n = 171: chunks of 383 samples, so 401 samples end in a chunk of 18
+        ("half-disk-2d", 4, 4.0, 1e-2, "sparse-lu"),
+    ],
+)
+def test_recorded_chunks_reach_the_quadratic_forms_contiguous(monkeypatch, preset, resolution, T, dt, solver):
+    # simulate records node-major, so every ``A @ x.T`` in the trajectory
+    # columns multiplies a C-contiguous (n, samples) block, the last chunk's too
+    cfg = M.preset(preset)
+    cfg["mesh"]["resolution"] = resolution
+    scen = M.Scenario(M.load_config(cfg))
+    initial = scen.initial  # built lazily, with single-state energies
+    seen, quad = [], energy._quad
+
+    def spy(A, x):
+        seen.append((x.shape[0], x.T.flags.c_contiguous))
+        return quad(A, x)
+
+    monkeypatch.setattr(energy, "_quad", spy)
+    traj = M.simulate(scen.bundle, initial, T=T, dt=dt)
+    chunk = dynamics._CHUNK_ELEMENTS // scen.mesh.n_nodes
+    assert traj.meta["stage_solver"] == solver
+    assert {m for m, _ in seen} == {chunk, len(traj.times) - chunk}
+    assert all(contiguous for _, contiguous in seen)
 
 
 def test_record_count_is_the_number_of_recorded_samples():

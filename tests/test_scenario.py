@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 import mgtstab as M
-from mgtstab import cli, spectral
+from mgtstab import cli, reporting, spectral
 from mgtstab.config import MAX_STEPS, SCHEMA, canonical_json
 from mgtstab.dynamics import _CHUNK_ELEMENTS, record_count
-from mgtstab.reporting import sanitize, write_csv, write_json, write_trajectory_csv
+from mgtstab.reporting import sanitize, write_csv, write_csv_blocks, write_json, write_trajectory_csv
 
 from conftest import interval_config
 
@@ -175,6 +175,55 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     write_csv(path, ["a", "b", "c", "d"], rows)
     expected = "a,b,c,d\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
     assert Path(path).read_bytes() == expected.encode()
+
+
+def per_value_csv(columns, rows):
+    return (",".join(columns) + "\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)).encode()
+
+
+def test_write_csv_blocks_match_per_value_formatting(tmp_path):
+    # blocks of 2, 1, 0 and 3 rows, with non-finite values, -0.0 and subnormals
+    rows = np.array(
+        [
+            [-1.0 / 3.0, 5e-324, 1e300],
+            [np.nan, np.inf, -np.inf],
+            [-0.0, -2.2250738585072014e-309, 2.2250738585072014e-308],
+            [0.1, -5e-324, 1.0],
+            [np.pi, -np.nan, 7.0],
+            [1e-310, 2.0**-1074 * 3, -1e16],
+        ]
+    )
+    path = tmp_path / "blocks.csv"
+    write_csv_blocks(str(path), ["a", "b", "c"], iter([rows[:2], rows[2:3], rows[3:3], rows[3:]]))
+    assert path.read_bytes() == per_value_csv(["a", "b", "c"], rows)
+    write_csv_blocks(str(path), ["a", "b", "c"], iter([rows[:0]]))
+    assert path.read_bytes() == b"a,b,c\n"
+
+
+def test_write_csv_blocks_leave_nothing_when_the_blocks_raise(tmp_path):
+    def blocks():
+        yield np.ones((2, 3))
+        raise RuntimeError("no more rows")
+
+    with pytest.raises(RuntimeError, match="no more rows"):
+        write_csv_blocks(str(tmp_path / "t.csv"), ["a", "b", "c"], blocks())
+    assert os.listdir(tmp_path) == []
+
+
+def test_each_format_call_takes_at_most_one_chunk(tmp_path, monkeypatch):
+    # a whole table is formatted in chunks of at most _CHUNK_ELEMENTS values,
+    # and a streamed one block per chunk of recorded samples
+    shapes, formatted = [], reporting._formatted
+    monkeypatch.setattr(reporting, "_formatted", lambda rows: shapes.append(rows.shape) or formatted(rows))
+    rows = np.random.default_rng(4).standard_normal((2 * 7281 + 5, 9))
+    write_csv(str(tmp_path / "whole.csv"), list("abcdefghi"), rows)
+    assert shapes == [(7281, 9), (7281, 9), (5, 9)]
+    assert (tmp_path / "whole.csv").read_bytes() == per_value_csv(list("abcdefghi"), rows)
+    shapes.clear()
+    monkeypatch.delattr(os, "fork")  # the writer runs inline, in this process
+    cli.run(streamed_config(7282), "simulate", out_dir=str(tmp_path / "streamed"))
+    chunk = _CHUNK_ELEMENTS // 17
+    assert shapes == [(chunk, 9), (7282 - chunk, 9)]
 
 
 def test_artifacts_take_the_mode_the_umask_gives(tmp_path):
@@ -679,6 +728,18 @@ def test_cli_full_logs_the_spectral_stage(caplog):
     lines = [r.getMessage() for r in caplog.records if "spectral stage" in r.getMessage()]
     assert len(lines) == 1
     assert re.fullmatch(r"spectral stage: generator size 51, method dense, \d+\.\d{3} s", lines[0])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer needs os.fork")
+def test_cli_logs_the_writer_stage(tmp_path, caplog):
+    # only a streamed table has a writer stage: 7282 rows does, 7281 does not
+    for n_rows in (7281, 7282):
+        with caplog.at_level(logging.INFO, logger="mgtstab.cli"):
+            cli.run(streamed_config(n_rows), "simulate", out_dir=str(tmp_path / str(n_rows)))
+    lines = [r.getMessage() for r in caplog.records if "writer stage" in r.getMessage()]
+    assert len(lines) == 1
+    pattern = r"writer stage: 7282 rows, \d+\.\d{3} s in the worker, \d+\.\d{3} s waited for it"
+    assert re.fullmatch(pattern, lines[0])
 
 
 @pytest.mark.parametrize("subcommand", ["simulate", "full"])

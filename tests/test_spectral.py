@@ -251,6 +251,46 @@ def test_damped_interval_spectrum_converges_to_the_dispersion_root(cfg, guess, p
     assert M.refinement_slope(dist) >= 1.9, dist
 
 
+# The two tests below pin facts about the current P1 scheme, not gates: its
+# plain abscissa is a grid mode that sees no boundary feedback.  A scheme
+# that mends this (a numerical viscosity) replaces these values with the
+# exact abscissa instead of loosening them.
+
+
+def test_matched_gain_abscissa_collapses_like_h_squared():
+    # interval-1d-conserved (gamma = 0) at the matched gain kappa1 = 1/s = 1:
+    # the z-block's one exact eigenvalue is -kappa0 s = -1 and the discrete
+    # spectrum has it, but the plain abscissa falls towards zero by 16x per
+    # 4x refinement (values measured on the current scheme)
+    cfg = {"preset": "interval-1d-conserved", "params": {"kappa1": 1.0}}
+    for res, pinned in ((16, -0.01849), (64, -0.00117), (256, -0.00007)):
+        scen = M.Scenario(M.load_config({**cfg, "mesh": {"resolution": res}}))
+        rep = M.spectrum(M.assemble_generator(scen.bundle, form="u"))
+        assert rep.method == "dense-wave-block"
+        assert abs(rep.abscissa - pinned) <= 5e-6, (res, rep.abscissa)
+        assert np.abs(rep.eigenvalues + 1.0).min() <= 2e-3, res
+
+
+def test_damped_interval_abscissa_drifts_to_the_interior_damping():
+    # gamma = 0.2 (alpha = 1.2, kappa1 = 0.5): the exact abscissa is
+    # -0.346577 (the dispersion root above), but the plain discrete one is
+    # the top grid mode, at |Im lam| h = 2 sqrt(3) at every resolution, and
+    # rises towards -gamma/(2 tau) = -0.1, the damping that mode keeps
+    cfg = {"preset": "interval-1d-damped", "params": {"alpha": 1.2, "kappa1": 0.5}}
+    params = M.load_config(cfg)["params"]
+    limit = -(params["alpha"] - params["tau"] * params["c"] ** 2 / params["b"]) / (2 * params["tau"])
+    assert abs(limit + 0.1) <= 1e-12
+    absc = []
+    for res, pinned in ((16, -0.1364), (32, -0.1093), (64, -0.1023), (128, -0.1006)):
+        scen = M.Scenario(M.load_config({**cfg, "mesh": {"resolution": res}}))
+        rep = M.spectrum(M.assemble_generator(scen.bundle, form="u"))
+        top = rep.eigenvalues[np.argmax(rep.eigenvalues.real)]
+        assert abs(rep.abscissa - pinned) <= 5e-5, (res, rep.abscissa)
+        assert abs(abs(top.imag) * scen.mesh.mesh_size() - 3.46) <= 0.005, (res, top)
+        absc.append(rep.abscissa)
+    assert absc == sorted(absc) and absc[-1] < limit
+
+
 # ------------------------------------------------------------- conjugacy
 
 
