@@ -2,9 +2,10 @@
 
 Every writer is byte-reproducible: keys are sorted, floats use the
 shortest round-trip representation (JSON) or 17 significant digits
-(CSV), non-finite values are mapped to ``null``, there are no
-timestamps, and files are written atomically via a temporary name in the
-same directory, with the mode that the umask gives a new file.
+(CSV), non-finite values are mapped to ``null`` (JSON) or written as
+``nan``/``inf`` (CSV), there are no timestamps, and files are written
+atomically via a temporary name in the same directory, with the mode
+that the umask gives a new file.
 """
 
 import json

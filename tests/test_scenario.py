@@ -173,8 +173,7 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
         ]
     )
     write_csv(path, ["a", "b", "c", "d"], rows)
-    expected = "a,b,c,d\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
-    assert Path(path).read_bytes() == expected.encode()
+    assert Path(path).read_bytes() == per_value_csv(["a", "b", "c", "d"], rows)
 
 
 def per_value_csv(columns, rows):
@@ -215,9 +214,10 @@ def test_each_format_call_takes_at_most_one_chunk(tmp_path, monkeypatch):
     # and a streamed one block per chunk of recorded samples
     shapes, formatted = [], reporting._formatted
     monkeypatch.setattr(reporting, "_formatted", lambda rows: shapes.append(rows.shape) or formatted(rows))
-    rows = np.random.default_rng(4).standard_normal((2 * 7281 + 5, 9))
+    step = _CHUNK_ELEMENTS // 9
+    rows = np.random.default_rng(4).standard_normal((2 * step + 5, 9))
     write_csv(str(tmp_path / "whole.csv"), list("abcdefghi"), rows)
-    assert shapes == [(7281, 9), (7281, 9), (5, 9)]
+    assert shapes == [(step, 9), (step, 9), (5, 9)]
     assert (tmp_path / "whole.csv").read_bytes() == per_value_csv(list("abcdefghi"), rows)
     shapes.clear()
     monkeypatch.delattr(os, "fork")  # the writer runs inline, in this process
