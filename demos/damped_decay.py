@@ -37,7 +37,7 @@ def main():
     print("dominant pair: %.5f +/- %.5fi  (modulation period %.2f)"
           % (dom.real, abs(dom.imag), np.pi / abs(dom.imag)))
 
-    versus = M.abscissa_vs_decay(rep, traj.times, traj.E1)
+    versus = M.abscissa_vs_decay(rep, fit["omega"])
     print("fitted omega / (2 |abscissa|) = %.4f  (1.0 means the two "
           "measurements agree)" % versus["ratio"])
 

@@ -147,9 +147,9 @@ def _simulate(scen, on_chunk=None):
     return traj, payload
 
 
-def _adjoint_spot_check(scen, seed, n_pairs=20):
+def _adjoint_spot_check(scen, seed):
     rng = np.random.default_rng(seed)
-    n = scen.mesh.n_nodes
+    n, n_pairs = scen.mesh.n_nodes, 20
     worst = 0.0
     try:
         for _ in range(n_pairs):
@@ -189,19 +189,14 @@ def _multiplier_check(scen):
             raise ConfigError(_NO_CLOSED_FORM)
         times = np.linspace(cut, t_final - cut, nt)
         row = {"resolution": int(res), "n_time": int(nt), "mesh_size": mesh.mesh_size()}
-        if geometry.dimension == 1:
-            free = mult.trig_1d()
-            row["hgradz"] = mult.residual_hgradz(free, h, mesh, b, times)
-            row["zdivh"] = mult.residual_zdivh(free, h, mesh, b, times)
-            if zmul:
-                bcf = mult.bc_satisfying_1d()
-                row["zmul"] = mult.residual_zmul(
-                    bcf, mesh, b, bcf.meta["kappa0"], bcf.meta["kappa1"], times
-                )
-        else:
-            free = mult.trig_2d()
-            row["hgradz"] = mult.residual_hgradz(free, h, mesh, b, times)
-            row["zdivh"] = mult.residual_zdivh(free, h, mesh, b, times)
+        free = mult.trig_1d() if geometry.dimension == 1 else mult.trig_2d()
+        row["hgradz"] = mult.residual_hgradz(free, h, mesh, b, times)
+        row["zdivh"] = mult.residual_zdivh(free, h, mesh, b, times)
+        if zmul:
+            bcf = mult.bc_satisfying_1d()
+            row["zmul"] = mult.residual_zmul(
+                bcf, mesh, b, bcf.meta["kappa0"], bcf.meta["kappa1"], times
+            )
         levels.append(row)
 
     def slope(key):
@@ -250,9 +245,6 @@ class _Worker:
     def __init__(self, func):
         self._func = func
         self._pid = self._result = self._feed = self._kept = None
-        if not hasattr(os, "fork"):
-            self._kept = []
-            return
         read_fd, write_fd = os.pipe()
         feed_read, feed_write = os.pipe()
         # one chunk of rows (72 KB at n = 65) overfills the default 64 KiB
@@ -262,13 +254,13 @@ class _Worker:
             import fcntl
 
             fcntl.fcntl(feed_write, fcntl.F_SETPIPE_SZ, 1 << 20)
-        except (AttributeError, OSError):  # not Linux, or above the user's pipe limits
+        except (ImportError, AttributeError, OSError):  # not Linux, or above the user's pipe limits
             pass
         # the only other threads are OpenBLAS's pool, which OpenBLAS joins
         # before a fork (pthread_atfork): no thread runs while memory is copied
         try:
             pid = os.fork()
-        except OSError:  # no process to spare: run inline, as without os.fork
+        except (AttributeError, OSError):  # no os.fork, or no process to spare: run inline
             for fd in (read_fd, write_fd, feed_read, feed_write):
                 os.close(fd)
             self._kept = []
@@ -398,7 +390,7 @@ def run(config, subcommand, out_dir=None, seed=0):
 
     def simulated():
         if out_dir is None:
-            return _simulate(scen)
+            return _simulate(scen)[1]
         path, t = os.path.join(out_dir, "trajectory.csv"), scen.time
         n_rows = record_count(t["T"], t["dt"], t["output_stride"])
         # a fork round trip costs about what formatting 6000 values does,
@@ -406,16 +398,15 @@ def run(config, subcommand, out_dir=None, seed=0):
         if n_rows * len(Trajectory.CSV_COLUMNS) <= _CHUNK_ELEMENTS:
             traj, sim = _simulate(scen)
             write_trajectory_csv(traj, path)
-            return traj, sim
+            return sim
         with _Worker(lambda blocks: write_csv_blocks(path, Trajectory.CSV_COLUMNS, blocks)) as writer:
-            traj, sim = _simulate(scen, lambda chunk: writer.send(chunk.csv_rows()[1]))
+            _, sim = _simulate(scen, lambda chunk: writer.send(chunk.csv_rows()[1]))
             start = time.perf_counter()
-            seconds = writer.collect()[1]
+            writer.collect()
         _LOGGER.info(
-            "writer stage: %d rows, %.3f s in the worker, %.3f s waited for it",
-            n_rows, seconds, time.perf_counter() - start,
+            "writer stage: %d rows, %.3f s waited for it", n_rows, time.perf_counter() - start
         )
-        return traj, sim
+        return sim
 
     def solve():
         return spectrum(assemble_generator(scen.bundle, form="u"))
@@ -433,7 +424,7 @@ def run(config, subcommand, out_dir=None, seed=0):
         return {**base, "certification": certified()[0]}
 
     if subcommand == "simulate":
-        payload = {**base, **simulated()[1]}
+        payload = {**base, **simulated()}
         emit("summary.json", payload)
         return payload
 
@@ -449,7 +440,7 @@ def run(config, subcommand, out_dir=None, seed=0):
         check_dense_cap(3 * scen.mesh.n_nodes)
         with _Worker(lambda _: solve()) as solver:
             info, h = certified()
-            traj, sim = simulated()
+            sim = simulated()
             rep, seconds = solver.collect()
         _LOGGER.info(
             "spectral stage: generator size %d, method %s, %.3f s",
@@ -457,7 +448,7 @@ def run(config, subcommand, out_dir=None, seed=0):
         )
         spectral(rep)
         adj = _adjoint_spot_check(scen, seed)
-        versus = abscissa_vs_decay(rep, traj.times, traj.E1)
+        versus = abscissa_vs_decay(rep, sim["decay_fit"]["omega"])
         payload = {
             **base,
             **sim,

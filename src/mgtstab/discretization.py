@@ -287,8 +287,8 @@ class MaterialParams:
         """The transform ratio c^2 / b (unchanged by tau-normalization)."""
         return self.c**2 / self.b
 
-    def stability_classification(self, tol=1e-12):
-        g = self.gamma_field
+    def stability_classification(self):
+        g, tol = self.gamma_field, 1e-12
         if np.all(g > tol):
             return "stable"
         if np.all(np.abs(g) <= tol):

@@ -54,8 +54,6 @@ def energy_E1(state, bundle, allow_indefinite=False):
 def energy_E0(state, bundle):
     """Zeroth-order energy of a u-form state ``(u, u_t, u_tt)`` (or row-wise stack)."""
     params = bundle.params
-    if np.any(params.alpha_field < 0):
-        raise UndefinedWeightError("alpha is negative somewhere; E0 is undefined")
     tau = params.tau
     val = 0.5 * _quad(bundle.Malpha, state.v) / tau
     val += 0.5 * (params.c**2 / tau) * _quad(bundle.Ktilde, state.u)
@@ -85,13 +83,13 @@ def energy_identity_residual(trajectory, t_start=None, t_end=None):
     return abs(lhs - rhs) / scale
 
 
-def fit_decay_rate(times, E, tail_fraction=0.5, floor_rel=1e-13):
+def fit_decay_rate(times, E):
     """Least-squares exponential fit ``E(t) ~ M E(0) exp(-omega t)``.
 
-    Fits log E over the trailing ``tail_fraction`` of the samples,
-    dropping values below ``floor_rel * E(0)`` (the solver roundoff
-    plateau).  Returns ``{"omega", "M", "fit_residual", "n_points"}``
-    with ``M`` clamped to at least one.
+    Fits log E over the trailing half of the samples, dropping values
+    below ``1e-13 E(0)`` (the solver roundoff plateau).  Returns
+    ``{"omega", "M", "fit_residual", "n_points"}`` with ``M`` clamped to
+    at least one.
     """
     times = np.asarray(times, float)
     E = np.asarray(E, float)
@@ -100,10 +98,9 @@ def fit_decay_rate(times, E, tail_fraction=0.5, floor_rel=1e-13):
         times, E = times[keep], E[keep]
     if len(E) < 3:
         raise ValueError("not enough positive energy samples to fit")
-    start = int(np.floor(len(times) * (1.0 - tail_fraction)))
-    tail = slice(max(start, 0), None)
+    tail = slice(len(times) // 2, None)
     t_f, e_f = times[tail], E[tail]
-    keep = e_f > floor_rel * E[0]
+    keep = e_f > 1e-13 * E[0]
     t_f, e_f = t_f[keep], e_f[keep]
     if len(e_f) < 3:
         raise ValueError("decay fit window is empty after flooring")

@@ -196,8 +196,8 @@ class Geometry:
 # -- hypothesis checks -----------------------------------------------------
 
 
-def check_star_shaped(geometry, tol=1e-12):
-    """Check ``(x - x0) . nu <= 0`` on gamma0.
+def check_star_shaped(geometry):
+    """Check ``(x - x0) . nu <= 0`` on gamma0, up to 1e-12.
 
     Returns ``{"holds": bool, "max_violation": float}`` where the
     violation is the maximum of ``(x - x0) . nu`` over gamma0 (the
@@ -210,7 +210,7 @@ def check_star_shaped(geometry, tol=1e-12):
     margin = [np.sum((p - geometry.x0) * nu, axis=1, initial=-0.0) for p in (a, b)]
     gamma0 = geometry.segment_tags == GAMMA0
     worst = float(np.max(np.maximum(*margin)[gamma0], initial=-np.inf))
-    return {"holds": worst <= tol, "max_violation": worst}
+    return {"holds": worst <= 1e-12, "max_violation": worst}
 
 
 def _gamma0_turns(geometry):
@@ -229,16 +229,16 @@ def _gamma0_turns(geometry):
     return cross / (np.linalg.norm(e0, axis=1) * np.linalg.norm(e1, axis=1))
 
 
-def check_convex_gamma0(geometry, tol=1e-12):
+def check_convex_gamma0(geometry):
     """Discrete convexity of the gamma0 chain (turn-sign test).
 
     Along the ccw-ordered chain every pair of consecutive edges must turn
-    left (cross product >= 0 up to ``tol``), i.e. gamma0 bulges away from
+    left (cross product >= 0 up to 1e-12), i.e. gamma0 bulges away from
     the domain interior.  Flat (single-segment) chains and 1D endpoints
     are convex by convention.
     """
     min_turn = float(np.min(_gamma0_turns(geometry), initial=np.inf))
-    return {"convex": min_turn >= -tol, "min_turn": min_turn}
+    return {"convex": min_turn >= -1e-12, "min_turn": min_turn}
 
 
 # -- analytic field backends ----------------------------------------------
@@ -452,7 +452,7 @@ def verify_field_properties(h, mesh):
     return {"c0": c0, "max_normal_trace": trace}
 
 
-def build_vector_field_h(geometry, mesh, collar_width, trace_tol=1e-10):
+def build_vector_field_h(geometry, mesh, collar_width):
     """Construct and certify the bent radial multiplier field.
 
     The field equals ``x - x0`` outside a collar of width
@@ -463,7 +463,8 @@ def build_vector_field_h(geometry, mesh, collar_width, trace_tol=1e-10):
     have the exact facet-normal component removed.
 
     Raises ``GeometryError`` if the star-shape or convexity hypothesis
-    fails and ``CertificationError`` if the built field does not certify.
+    fails and ``CertificationError`` if the built field does not certify
+    (``c0 <= 0``, or a normal trace on gamma0 above 1e-10).
     """
     star = check_star_shaped(geometry)
     if not star["holds"]:
@@ -501,7 +502,7 @@ def build_vector_field_h(geometry, mesh, collar_width, trace_tol=1e-10):
     report = verify_field_properties(out, mesh)
     out.certified_c0 = report["c0"]
     out.max_normal_trace_on_gamma0 = report["max_normal_trace"]
-    if report["c0"] <= 0 or report["max_normal_trace"] > trace_tol:
+    if report["c0"] <= 0 or report["max_normal_trace"] > 1e-10:
         raise CertificationError(
             "field certification failed: c0=%.6e, max |h.nu| on gamma0=%.3e"
             % (report["c0"], report["max_normal_trace"]),

@@ -83,14 +83,16 @@ def trig_2d():
     )
 
 
-def bc_satisfying_1d(omega=1.3, kappa0=1.0, kappa1=1.0):
+def bc_satisfying_1d():
     """1D separable family satisfying both boundary conditions on (0, 1).
 
     ``z = X(x) e^{s t}`` with ``X = cos(omega x) + (kappa0/omega)
     sin(omega x)`` (Robin condition at x=0 for free) and the growth rate
     ``s = -X'(1) / (kappa1 X(1))`` enforcing the feedback condition at
-    x=1.
+    x=1, for ``omega = 1.3`` and ``kappa0 = kappa1 = 1``; ``meta`` holds
+    these values and ``s``.
     """
+    omega, kappa0, kappa1 = 1.3, 1.0, 1.0
 
     def X(x):
         return np.cos(omega * x) + (kappa0 / omega) * np.sin(omega * x)
@@ -99,8 +101,6 @@ def bc_satisfying_1d(omega=1.3, kappa0=1.0, kappa1=1.0):
         return -omega * np.sin(omega * x) + kappa0 * np.cos(omega * x)
 
     X1, Xp1 = X(np.array([1.0]))[0], Xp(np.array([1.0]))[0]
-    if abs(X1) < 1e-8:
-        raise ValueError("degenerate family: X(1) ~ 0, pick another omega")
     s = -Xp1 / (kappa1 * X1)
     e = lambda t: np.exp(s * t)
     return ManufacturedField(
@@ -188,7 +188,7 @@ def _normalized(terms):
     return 0.0 if residual <= len(terms) * np.finfo(float).eps else residual
 
 
-def residual_hgradz(fields, h, mesh, b, times, space_rule=None):
+def residual_hgradz(fields, h, mesh, b, times):
     """Residual of the ``h . grad z`` multiplier identity.
 
     Computes every term of the integrated-by-parts expansion by
@@ -198,7 +198,7 @@ def residual_hgradz(fields, h, mesh, b, times, space_rule=None):
     """
     fld = _closed_form(h)
     ti = _in_time(fields, times)
-    xv, wv = _element_points(mesh, space_rule)
+    xv, wv = _element_points(mesh, None)
     phi, gphi = fields.phi(xv), fields.grad_phi(xv)
     hgp = np.sum(fld(xv) * gphi, axis=1)
     div, grad2 = fld.divergence(xv), np.sum(gphi**2, axis=1)
@@ -233,7 +233,7 @@ def residual_hgradz(fields, h, mesh, b, times, space_rule=None):
     return {"residual": _normalized(terms), "terms": terms, "gamma0_term": gamma0_term}
 
 
-def residual_zdivh(fields, h, mesh, b, times, space_rule=None):
+def residual_zdivh(fields, h, mesh, b, times):
     """Residual of the ``(1/2) z div h`` multiplier identity.
 
     Includes the ``grad(div h)`` volume term, reported separately (it
@@ -241,7 +241,7 @@ def residual_zdivh(fields, h, mesh, b, times, space_rule=None):
     """
     fld = _closed_form(h)
     ti = _in_time(fields, times)
-    xv, wv = _element_points(mesh, space_rule)
+    xv, wv = _element_points(mesh, None)
     phi, gphi = fields.phi(xv), fields.grad_phi(xv)
     wdiv = wv * fld.divergence(xv)
     gdiv = np.sum(gphi * fld.grad_divergence(xv), axis=1)
@@ -265,22 +265,21 @@ def residual_zmul(fields, mesh, b, kappa0, kappa1, times, space_rule=None):
     Requires fields whose trace satisfies both boundary conditions (the
     Robin condition on gamma0 and the velocity feedback on gamma1); the
     boundary terms then appear as ``b int_{gamma0} kappa0 z^2`` and the
-    time-boundary gamma1 term ``(b/2) [int_{gamma1} kappa1 z^2]``.
+    time-boundary gamma1 term ``(b/2) [int_{gamma1} kappa1 z^2]``, with
+    the constant coefficients ``kappa0`` and ``kappa1``.
     """
     ti = _in_time(fields, times)
     xv, wv = _element_points(mesh, space_rule)
     phi = fields.phi(xv)
     _, xb, wb, _, n0 = _boundary_points(mesh)
-    k0 = kappa0(xb[:n0]) if callable(kappa0) else float(kappa0)
-    k1 = kappa1(xb[n0:]) if callable(kappa1) else float(kappa1)
     phi2_b = wb * fields.phi(xb) ** 2
 
     terms = {}
     terms["time_boundary"] = ti.jump_ata * np.sum(wv * phi**2)
     terms["vol_zt2"] = -ti.at2 * np.sum(wv * phi**2)
     terms["vol_grad2"] = b * ti.a2 * np.sum(wv * np.sum(fields.grad_phi(xv) ** 2, axis=1))
-    terms["gamma0_robin"] = b * ti.a2 * np.sum(k0 * phi2_b[:n0])
-    terms["gamma1_feedback"] = (b / 2.0) * ti.jump_a2 * np.sum(k1 * phi2_b[n0:])
+    terms["gamma0_robin"] = b * ti.a2 * np.sum(kappa0 * phi2_b[:n0])
+    terms["gamma1_feedback"] = (b / 2.0) * ti.jump_a2 * np.sum(kappa1 * phi2_b[n0:])
     terms["vol_gamma"], terms["vol_f"] = _source_terms(fields, xv, wv * phi, b, ti)
     return {"residual": _normalized(terms), "terms": terms}
 

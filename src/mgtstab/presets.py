@@ -108,8 +108,9 @@ def transducer_geometry():
     return Geometry.polygon(vertices, tags, x0=(0.0, -1.0))
 
 
-def half_disk_geometry(n_arc=16):
-    """Upper half disk: flat diameter gamma0, polygonal arc gamma1."""
+def half_disk_geometry():
+    """Upper half disk: flat diameter gamma0, polygonal arc gamma1 of 16 segments."""
+    n_arc = 16
     th = np.linspace(0.0, np.pi, n_arc + 1)
     arc = np.column_stack([np.cos(th), np.sin(th)])
     tags = ["gamma1"] * n_arc + ["gamma0"]

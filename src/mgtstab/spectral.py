@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import energy as _energy
 from .dynamics import assemble_generator
 from .errors import ConfigError
 
@@ -130,15 +129,16 @@ def modal_cubic_roots(mu, params):
     return _sorted_eigvals(np.roots([tau, alpha, b * mu, c**2 * mu]))
 
 
-def abscissa_vs_decay(rep, times, E1, tail_fraction=0.5):
+def abscissa_vs_decay(rep, omega):
     """Cross-check: fitted energy decay rate vs twice the abscissa.
 
-    ``rep`` is the ``SpectrumReport`` of the generator.  For a stable
-    generator the energy of the dominant mode decays like
-    ``exp(2 * abscissa * t)``, so the fitted omega over the tail should
-    match ``2 |abscissa|``.  Returns the ratio together with both
-    numbers; flagged not applicable when the report is not ``stable``
-    or the fit degenerates.
+    ``rep`` is the ``SpectrumReport`` of the generator and ``omega`` the
+    rate ``fit_decay_rate`` fitted to the run's energy, or None where
+    that fit is not applicable.  For a stable generator the energy of the
+    dominant mode decays like ``exp(2 * abscissa * t)``, so ``omega``
+    should match ``2 |abscissa|``.  Returns the ratio together with both
+    numbers; flagged not applicable when the report is not ``stable`` or
+    there is no fitted rate.
     """
     out = {
         "abscissa": rep.abscissa,
@@ -146,13 +146,9 @@ def abscissa_vs_decay(rep, times, E1, tail_fraction=0.5):
         "ratio": None,
         "applicable": False,
     }
-    if not rep.stable:
+    if not rep.stable or omega is None:
         return out
-    try:
-        fit = _energy.fit_decay_rate(times, E1, tail_fraction=tail_fraction)
-    except ValueError:
-        return out
-    out["fitted_omega"] = fit["omega"]
-    out["ratio"] = fit["omega"] / (2.0 * abs(rep.abscissa))
+    out["fitted_omega"] = omega
+    out["ratio"] = omega / (2.0 * abs(rep.abscissa))
     out["applicable"] = True
     return out

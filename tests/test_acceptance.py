@@ -80,7 +80,8 @@ def test_c03_critical_decay_and_rate_crosscheck():
     scen1d = _scenario("interval-1d-damped")
     traj1d = M.simulate(scen1d.bundle, scen1d.initial, T=20.0, dt=1e-3, output_stride=10)
     gen1d = M.assemble_generator(scen1d.bundle, form="u")
-    versus = M.abscissa_vs_decay(M.spectrum(gen1d), traj1d.times, traj1d.E1)
+    omega1d = M.fit_decay_rate(traj1d.times, traj1d.E1)["omega"]
+    versus = M.abscissa_vs_decay(M.spectrum(gen1d), omega1d)
 
     ok = (
         fit["omega"] > 0

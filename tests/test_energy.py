@@ -137,7 +137,7 @@ def test_fit_decay_rate_recovers_exact_exponential():
 def test_fit_decay_rate_ignores_roundoff_plateau():
     t = np.linspace(0.0, 40.0, 2000)
     E = np.maximum(np.exp(-1.2 * t), 1e-15)
-    fit = M.fit_decay_rate(t, E, tail_fraction=0.9)
+    fit = M.fit_decay_rate(t, E)
     assert fit["omega"] == pytest.approx(1.2, rel=1e-6)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import mgtstab as M
-from mgtstab import cli, reporting, spectral
+from mgtstab import cli, energy, reporting, spectral
 from mgtstab.config import MAX_STEPS, SCHEMA, canonical_json
 from mgtstab.dynamics import _CHUNK_ELEMENTS, record_count
 from mgtstab.reporting import sanitize, write_csv, write_csv_blocks, write_json, write_trajectory_csv
@@ -517,6 +517,29 @@ def test_cli_full_solves_the_spectrum_once(tmp_path, monkeypatch):
     assert payload["spectral"]["method"] == "dense"
 
 
+def test_cli_full_fits_the_decay_once(tmp_path, monkeypatch):
+    # the abscissa check compares the run's own fitted rate: counted through
+    # a file, as above, and patched under every name a full run could use
+    calls = tmp_path / "calls"
+    calls.touch()
+    fit = energy.fit_decay_rate
+
+    def counting(*args, **kwargs):
+        with open(calls, "a") as f:
+            f.write("fit\n")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_decay_rate", counting)
+    monkeypatch.setattr(energy, "fit_decay_rate", counting)
+    out = tmp_path / "out"
+    cli.run(tiny_config(), "full", out_dir=str(out))
+    assert len(calls.read_text().splitlines()) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["abscissa_vs_decay"]["applicable"] is True
+    fitted, omega = summary["abscissa_vs_decay"]["fitted_omega"], summary["decay_fit"]["omega"]
+    assert np.float64(fitted).tobytes() == np.float64(omega).tobytes()
+
+
 def test_cli_full_worker_error_matches_the_inline_path(tmp_path, monkeypatch):
     # an error in the forked eigensolve is re-raised where the inline
     # solve raises it: after stepping, before spectrum.json
@@ -738,7 +761,7 @@ def test_cli_logs_the_writer_stage(tmp_path, caplog):
             cli.run(streamed_config(n_rows), "simulate", out_dir=str(tmp_path / str(n_rows)))
     lines = [r.getMessage() for r in caplog.records if "writer stage" in r.getMessage()]
     assert len(lines) == 1
-    pattern = r"writer stage: 7282 rows, \d+\.\d{3} s in the worker, \d+\.\d{3} s waited for it"
+    pattern = r"writer stage: 7282 rows, \d+\.\d{3} s waited for it"
     assert re.fullmatch(pattern, lines[0])
 
 

@@ -325,7 +325,7 @@ def test_abscissa_vs_decay_on_exact_exponential():
     gen = M.assemble_generator(scen.bundle, form="u")
     rep = M.spectrum(gen)
     t = np.linspace(0.0, 10.0, 500)
-    out = M.abscissa_vs_decay(rep, t, np.exp(2.0 * rep.abscissa * t))
+    out = M.abscissa_vs_decay(rep, M.fit_decay_rate(t, np.exp(2.0 * rep.abscissa * t))["omega"])
     assert out["applicable"]
     assert out["ratio"] == pytest.approx(1.0, abs=1e-8)
 
@@ -334,7 +334,7 @@ def test_abscissa_vs_decay_not_applicable_when_unstable():
     scen = make_scenario(mesh={"resolution": 8}, params={"alpha": 0.5, "kappa1": 0.0})
     gen = M.assemble_generator(scen.bundle, form="u")
     t = np.linspace(0.0, 5.0, 100)
-    out = M.abscissa_vs_decay(M.spectrum(gen), t, np.exp(t))
+    out = M.abscissa_vs_decay(M.spectrum(gen), M.fit_decay_rate(t, np.exp(t))["omega"])
     assert not out["applicable"]
     assert out["ratio"] is None
 
@@ -353,7 +353,7 @@ def test_stability_needs_the_abscissa_below_the_rounding_tolerance(monkeypatch, 
     assert rep.abscissa == factor * tol
     assert rep.stable is stable
     t = np.linspace(0.0, 10.0, 500)
-    out = M.abscissa_vs_decay(rep, t, np.exp(-t))
+    out = M.abscissa_vs_decay(rep, M.fit_decay_rate(t, np.exp(-t))["omega"])
     assert out["applicable"] is stable
 
 
