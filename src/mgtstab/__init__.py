@@ -73,7 +73,6 @@ from .multiplier import (
 from .presets import (
     named_geometry,
     preset,
-    preset_names,
     robin_mode_frequency,
     robin_mode_profile,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "named_geometry",
     "norm_equivalence_constants",
     "preset",
-    "preset_names",
     "refinement_slope",
     "residual_hgradz",
     "residual_zdivh",

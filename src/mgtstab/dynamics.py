@@ -14,8 +14,9 @@ normalizing the equation by ``tau``, which rescales ``alpha, b, c^2,
 gamma`` by ``1/tau`` and leaves the ratio ``q = c^2/b`` unchanged.  Each
 implicit step is one condensed n x n solve: a dense LAPACK LU for n <= 128
 and above it SuperLU in symmetric mode on a minimum-degree ordering of
-``S + S^T``.  ``simulate`` steps flat buffers with ``Stepper.advance``: the
-stage's right-hand side, its solve in place and one 3 x 4 combine a step.
+``S + S^T``.  ``simulate`` steps flat buffers with ``Stepper.advance``, on
+views built once per run: the stage's right-hand side, its solve in place
+and one 3 x 4 combine a step.
 """
 
 import itertools
@@ -237,7 +238,15 @@ _CHUNK_ELEMENTS = 65536
 _COMPAT_TOL = 0.1
 
 
-_Stage = namedtuple("_Stage", "matvec solve C S solver factor_nnz weight offset")  # S w = Q x + f
+# S w = Q x + f; a dense stage holds the LAPACK LU of S and its pivots, a sparse one piv = None
+_Stage = namedtuple("_Stage", "Q lu piv C S factor_nnz weight offset")
+
+
+def _views(flat):
+    # the views advance takes of a flat (u, v, w, scratch) buffer: the state,
+    # the scratch row, all four rows as (4, n) and the state as (3, n)
+    n = len(flat) // 4
+    return flat[: 3 * n], flat[3 * n :], flat.reshape(4, n), flat[: 3 * n].reshape(3, n)
 
 
 class Stepper:
@@ -264,9 +273,10 @@ class Stepper:
     ordering of ``S + S^T`` (250 862 factor entries at n = 5101 on the half
     disk, 329 526 with its default COLAMD).  The forcing ``source`` is
     ``None`` or a callable ``t -> nodal vector``.  :meth:`advance` steps flat
-    ``4n`` buffers ``(u, v, w, scratch)`` in three calls: ``Q`` into the
-    scratch row, the solve in place there, and one 3 x 4 matrix ``C`` from
-    the four rows to the next state; :meth:`step` wraps it for a ``State``.
+    ``4n`` buffers ``(u, v, w, scratch)``, given as their :func:`_views`, in
+    three kernel calls: ``Q`` into the scratch row, the solve in place there,
+    and one 3 x 4 matrix ``C`` from the four rows to the next state;
+    :meth:`step` wraps it for a ``State``.
     """
 
     def __init__(self, generator, dt, scheme="implicit-midpoint", source=None):
@@ -277,7 +287,6 @@ class Stepper:
         if generator.form != "u":
             raise ValueError("Stepper integrates the u-form pencil, not form %r" % generator.form)
         self.dt = float(dt)
-        self.scheme = scheme
         self.source = source
         self._M = generator.bundle.Mmat
         E, L = generator.E, generator.L
@@ -290,67 +299,65 @@ class Stepper:
             S = Ew - k * Lw - k**2 * Lv - k**3 * Lu
             Q = (sp.hstack([k * Lu, k**2 * Lu + k * Lv, sp.identity(n)]) @ G).tocsr()
             if 4 * n * n <= _CHUNK_ELEMENTS:
-                Q, (lu, piv) = Q.toarray(), _lapack(dgetrf(S.toarray()))
-                matvec = lambda y, r: np.dot(Q, y, out=r)  # noqa: E731
-                solve = lambda r: _lapack(dgetrs(lu, piv, r, overwrite_b=1))  # noqa: E731
-                return _Stage(matvec, solve, np.array(C), S, "dense-lu", n * n, weight, offset)
+                lu, piv = _lapack(dgetrf(S.toarray()))
+                return _Stage(Q.toarray(), lu, piv, np.array(C), S, n * n, weight, offset)
             lu = splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-            matvec = lambda y, r: np.copyto(r, Q @ y)  # noqa: E731
-            solve = lambda r: np.copyto(r, lu.solve(r))  # noqa: E731
-            return _Stage(matvec, solve, np.array(C), S, "sparse-lu", lu.nnz, weight, offset)
+            return _Stage(Q, lu, None, np.array(C), S, lu.nnz, weight, offset)
 
         # C: (u, v, w, w') -> (u + 2k v + k^2 (w + w'), v + k (w + w'), w'), g = x
         k = 0.5 * self.dt
         C = [[1, 2 * k, k**2, k**2], [0, 1, k, k], [0, 0, 0, 1]]
-        self._mid = stage(k, E + k * L, C, self.dt, k)
+        self._mid, self._bdf = stage(k, E + k * L, C, self.dt, k), None
         if scheme == "bdf2":
             # C: (g_u, g_v, g_w, w') -> (g_u + k g_v + k^2 w', g_v + k w', w'), g = (4 x - prev) / 3
             k = 2.0 / 3.0 * self.dt
             self._bdf = stage(k, E, [[1, k, 0, k**2], [0, 1, 0, k], [0, 0, 0, 1]], k, self.dt)
 
-    def _rhs(self, stage, y, t, r):
-        # S's right-hand side Q y, plus the stage's forcing, for input y at time t, into r
-        stage.matvec(y, r)
+    def advance(self, x, prev, t, out):
+        """Write the step from the state in ``x`` at time ``t`` into ``out`` and return
+        ``t + dt``; ``x``, ``prev`` and ``out`` are the :func:`_views` of three distinct
+        flat ``(u, v, w, scratch)`` buffers.  BDF2 takes the state before ``x`` as
+        ``prev`` and overwrites it; without it, and always for midpoint, the step is a
+        midpoint step that writes only ``x``'s scratch row besides ``out``."""
+        stage, (y, r, g, _) = self._mid, x
+        if prev is not None and self._bdf is not None:
+            # g = (4 x - prev) / 3 in prev's buffer, with out as scratch
+            stage, (y, r, g, _) = self._bdf, prev
+            np.subtract(np.multiply(x[0], 4.0, out=out[0]), y, out=y)
+            np.multiply(y, 1.0 / 3.0, out=y)
+        # S's right-hand side Q y plus the forcing in g's scratch row, solved there
+        if stage.piv is None:
+            np.copyto(r, stage.Q @ y)
+        else:
+            np.dot(stage.Q, y, out=r)
         if self.source is not None:
             r += stage.weight * (self._M @ self.source(t + stage.offset))
-        return r
-
-    def advance(self, x, prev, t, out):
-        """Write the step from the flat ``x = (u, v, w, scratch)`` at time ``t`` into
-        ``out`` (a 4n buffer other than ``x`` and ``prev``) and return ``t + dt``.
-        BDF2 takes the flat state before ``x`` as ``prev`` and overwrites it; without
-        it, and always for midpoint, the step is a midpoint step that writes only
-        ``x``'s scratch row besides ``out``."""
-        n = len(x) // 4
-        stage, g = self._mid, x
-        if self.scheme == "bdf2" and prev is not None:
-            # g = (4 x - prev) / 3 in prev's buffer, with out as scratch
-            stage, g, y = self._bdf, prev, prev[: 3 * n]
-            np.subtract(np.multiply(x[: 3 * n], 4.0, out=out[: 3 * n]), y, out=y)
-            np.multiply(y, 1.0 / 3.0, out=y)
-        w = self._rhs(stage, g[: 3 * n], t, g[3 * n :])
-        stage.solve(w)
-        np.dot(stage.C, g.reshape(4, n), out=out[: 3 * n].reshape(3, n))
+        if stage.piv is None:
+            np.copyto(r, stage.lu.solve(r))
+        else:
+            dgetrs(stage.lu, stage.piv, r, 0, 1)  # trans=0, overwrite_b=1; info flags bad arguments only
+        np.dot(stage.C, g, out=out[3])
         return t + self.dt
 
     def step(self, state, prev=None):
         """Advance a u-form :class:`State` by ``dt``; see :meth:`advance`."""
-        flat = lambda s: np.concatenate((s.u, s.v, s.w, s.w))  # noqa: E731  (scratch last)
-        out = np.empty(4 * len(state.u))
+        flat = lambda s: _views(np.concatenate((s.u, s.v, s.w, s.w)))  # noqa: E731  (scratch last)
+        out = _views(np.empty(4 * len(state.u)))
         t = self.advance(flat(state), None if prev is None else flat(prev), state.t, out)
-        return State(*out.reshape(4, -1)[:3], t)
+        return State(*out[2][:3], t)
 
     def health(self, state):
         """``stage_solver`` and ``stage_factor_nnz`` of the stage most steps use (BDF2's
         for ``bdf2``), and the ``stage_residual`` |S w - rhs|_inf / |rhs|_inf of that
         stage's solve with ``rhs = Q x`` plus its forcing, ``x`` being ``state``."""
-        stage = self._bdf if self.scheme == "bdf2" else self._mid
-        x = np.concatenate((state.u, state.v, state.w))
-        rhs = self._rhs(stage, x, state.t, np.empty(len(state.u)))
-        w = rhs.copy()  # the solve overwrites its input
-        stage.solve(w)
+        stage = self._bdf or self._mid
+        rhs = stage.Q @ np.concatenate((state.u, state.v, state.w))
+        if self.source is not None:
+            rhs += stage.weight * (self._M @ self.source(state.t + stage.offset))
+        w = stage.lu.solve(rhs) if stage.piv is None else _lapack(dgetrs(stage.lu, stage.piv, rhs))[0]
         res = float(np.abs(stage.S @ w - rhs).max() / (np.abs(rhs).max() or 1.0))
-        return dict(stage_solver=stage.solver, stage_factor_nnz=stage.factor_nnz, stage_residual=res)
+        solver = "sparse-lu" if stage.piv is None else "dense-lu"
+        return dict(stage_solver=solver, stage_factor_nnz=stage.factor_nnz, stage_residual=res)
 
 
 # -- simulation ---------------------------------------------------------------
@@ -494,25 +501,22 @@ def simulate(
     buf = np.empty(3 * n * min(chunk, n_rec))
     times = np.empty(n_rec)
     cols = np.empty((9, n_rec))
-    # a ring of flat (u, u_t, u_tt, scratch) buffers: the current state,
-    # the one before it (BDF2's history) and the next; xs, prevs and outs are
-    # their (3, n) state views, rotated with them
-    ring = np.empty((3, 4 * n))
-    x, prev, out = ring
-    xs, prevs, outs = ring.reshape(3, 4, n)[:, :3]
-    xs[:] = (initial.u, initial.v, initial.w)
+    # a ring of flat (u, u_t, u_tt, scratch) buffers, as their views: the
+    # current state, the one before it (BDF2's history) and the next
+    x, prev, out = map(_views, np.empty((3, 4 * n)))
+    x[3][:] = (initial.u, initial.v, initial.w)
     t, i = float(initial.t), 0
     for k in range(n_steps + 1):
         if k:
             t = stepper.advance(x, prev if k > 1 else None, t, out)
-            x, prev, out, xs, prevs, outs = out, x, prev, outs, xs, prevs
+            x, prev, out = out, x, prev
         if k % stride and k != n_steps:
             continue
         j = i % chunk
         if j == 0:
             lo, m = i, min(chunk, n_rec - i)
             X = buf[: 3 * n * m].reshape(3, n, m)
-        X[:, :, j] = xs
+        X[:, :, j] = x[3]
         times[i] = t
         i += 1
         if j == m - 1:

@@ -217,6 +217,3 @@ def preset(name):
             "unknown preset %r (have: %s)" % (name, ", ".join(sorted(_SCENARIOS)))
         )
 
-
-def preset_names():
-    return sorted(_SCENARIOS)

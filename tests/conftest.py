@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import mgtstab as M
+from mgtstab import presets
 
 
 def match_spectra(vals_a, vals_b):
@@ -51,6 +52,11 @@ def dispersion_root(params, guess):
         df += k1 * ch + (k0 + k1 * lam) * sh / 2 * dmu
         lam -= f / df
     return lam
+
+
+def preset_names():
+    """The names of the package's preset scenarios."""
+    return sorted(presets._SCENARIOS)
 
 
 def simulate_with_states(bundle, initial, on_chunk=None, **run):

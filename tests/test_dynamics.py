@@ -8,10 +8,12 @@ error regardless of parameter regime.
 
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
@@ -445,7 +447,8 @@ def test_advance_is_the_condensed_stage_algebra(monkeypatch, scheme, solver):
     dt, t = 2e-2, 0.3
     x, prev = np.random.default_rng(12).standard_normal((2, 4 * n))
     x0, prev0, out = x.copy(), prev.copy(), np.empty(4 * n)
-    assert M.Stepper(gen, dt, scheme, src).advance(x, prev, t, out) == t + dt
+    views = dynamics._views
+    assert M.Stepper(gen, dt, scheme, src).advance(views(x), views(prev), t, views(out)) == t + dt
 
     if scheme == "implicit-midpoint":
         k = 0.5 * dt
@@ -491,6 +494,21 @@ def test_both_stage_forms_conserve_the_critical_energy(monkeypatch, solver):
     traj = M.simulate(scen.bundle, scen.initial, T=10.0, dt=1e-3)
     assert traj.meta["stage_solver"] == solver
     assert np.abs(traj.E1 - traj.E1[0]).max() <= 1e-12 * traj.E1[0]
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+@pytest.mark.parametrize("resolution", [16, 32, 64, 128])
+def test_dense_stage_conserves_the_critical_energy(monkeypatch, resolution, dt):
+    # 10^4 midpoint steps through the dense LU stage (cond(S) is about 4); bounds
+    # fixed before the run
+    cfg = M.preset("interval-1d-conserved")
+    cfg["mesh"]["resolution"] = resolution
+    scen = M.Scenario(M.load_config(cfg))
+    _force_stage_solver(monkeypatch, scen.mesh.n_nodes, "dense-lu")
+    traj = M.simulate(scen.bundle, scen.initial, T=1e4 * dt, dt=dt)
+    assert traj.meta["stage_solver"] == "dense-lu" and len(traj.times) == 10001
+    assert np.abs(traj.E1 - traj.E1[0]).max() <= 1e-12 * traj.E1[0]
+    assert traj.meta["stage_residual"] <= 1e-14
 
 
 COLUMNS = ("E0", "E1", "E", "D_boundary", "D_interior", "work_rate", "u_L2", "z_L2", "zt_L2")
@@ -577,6 +595,39 @@ def test_simulate_matches_chained_steps_bit_for_bit(monkeypatch, scheme, stride,
     for name in ("times",) + COLUMNS:
         assert np.array_equal(np.concatenate([getattr(c, name) for c in got]), getattr(traj, name))
     assert np.array_equal(states, np.array([U, V, W]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    scheme=st.sampled_from(["implicit-midpoint", "bdf2"]),
+    stride=st.integers(1, 12),
+    n_steps=st.integers(0, 300),
+    resolution=st.integers(2, 40),
+    sparse=st.booleans(),
+    forced=st.booleans(),
+    t0=st.floats(-100.0, 100.0),
+)
+def test_simulate_is_chained_steps_for_any_run(scheme, stride, n_steps, resolution, sparse, forced, t0):
+    # simulate and Stepper.step run the same kernel: the same bits and rows for any
+    # scheme, stride, length, stage storage (sparse forced through the budget),
+    # forcing and start time
+    scen = make_scenario(mesh={"resolution": resolution}, initial={"kind": "robin-mode"})
+    n, x = scen.mesh.n_nodes, scen.mesh.nodes[:, 0]
+    src = (lambda t: np.cos(2.0 * x) * (np.sin(3.0 * t) + 0.5)) if forced else None
+    initial, dt = State(scen.initial.u, scen.initial.v, scen.initial.w, t0), 2e-3
+    budget = 4 * n * n - 1 if sparse else dynamics._CHUNK_ELEMENTS
+    with mock.patch.object(dynamics, "_CHUNK_ELEMENTS", budget):
+        stepper = M.Stepper(M.assemble_generator(scen.bundle, form="u"), dt, scheme, src)
+        states = [initial]
+        for _ in range(n_steps):
+            states.append(stepper.step(states[-1], states[-2] if len(states) > 1 else None))
+        run = dict(T=n_steps * dt, dt=dt, source=src, scheme=scheme, output_stride=stride)
+        traj, got = simulate_with_states(scen.bundle, initial, **run)
+    ref = [states[k] for k in sorted(set(range(0, n_steps + 1, stride)) | {n_steps})]
+    assert traj.meta["stage_solver"] == ("sparse-lu" if sparse else "dense-lu")
+    assert len(traj.times) == len(ref) == dynamics.record_count(n_steps * dt, dt, stride)
+    assert np.array_equal(traj.times, [s.t for s in ref])
+    assert np.array_equal(got, [[getattr(s, name) for s in ref] for name in "uvw"])
 
 
 @pytest.mark.parametrize(

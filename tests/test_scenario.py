@@ -21,7 +21,7 @@ from mgtstab.config import MAX_STEPS, SCHEMA, canonical_json
 from mgtstab.dynamics import _CHUNK_ELEMENTS, record_count
 from mgtstab.reporting import sanitize, write_csv, write_csv_blocks, write_json, write_trajectory_csv
 
-from conftest import interval_config
+from conftest import interval_config, preset_names
 
 
 def tiny_config(**over):
@@ -61,7 +61,7 @@ def test_preset_dicts_are_isolated():
     a["params"]["alpha"] = 99.0
     b = M.preset("interval-1d-conserved")
     assert b["params"]["alpha"] != 99.0
-    assert set(M.preset_names()) >= {
+    assert set(preset_names()) >= {
         "interval-1d-conserved",
         "interval-1d-damped",
         "interval-1d-unstable",
@@ -925,10 +925,10 @@ def test_import_and_presets_do_not_load_scipy_optimize():
     # a fresh interpreter: other tests may have imported scipy.optimize here
     code = (
         "import sys, mgtstab as M\n"
-        "for name in M.preset_names():\n"
+        "for name in %r:\n"
         "    M.Scenario(M.load_config({'preset': name})).initial\n"
         "assert 'scipy.optimize' not in sys.modules\n"
-    )
+    ) % (preset_names(),)
     src = str(Path(M.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
