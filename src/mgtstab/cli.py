@@ -44,7 +44,7 @@ import numpy as np
 
 from . import multiplier as mult
 from .config import Scenario, config_hash, load_config, load_config_file
-from .discretization import build_mesh, check_adjoint_identity
+from .discretization import build_mesh, check_adjoint_identity, check_mesh_size
 from .dynamics import _CHUNK_ELEMENTS, Trajectory, assemble_generator, record_count, simulate
 from .energy import energy_identity_residual, fit_decay_rate
 from .errors import (
@@ -179,6 +179,10 @@ def _multiplier_check(scen):
         and np.array_equal(geometry.segment_tags, [GAMMA0, GAMMA1])
     )
 
+    # every level's mesh size is checked before level 0 is built; the checks
+    # stop at the first level over the cap, however many levels are asked for
+    for lvl in range(mcfg["levels"]):
+        check_mesh_size(geometry, base_res * 2**lvl)
     levels = []
     for lvl in range(mcfg["levels"]):
         res = base_res * 2**lvl
@@ -270,10 +274,12 @@ class _Worker:
             try:
                 os.close(read_fd)
                 os.close(feed_write)
-                try:
-                    outcome = ("ok", self._timed(self._received(os.fdopen(feed_read, "rb"))))
-                except Exception as exc:  # noqa: BLE001 - re-raised in the parent
-                    outcome = ("err", exc)
+                # closed here, as func may never start the generator that reads it
+                with os.fdopen(feed_read, "rb") as feed:
+                    try:
+                        outcome = ("ok", self._timed(self._received(feed)))
+                    except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+                        outcome = ("err", exc)
                 with os.fdopen(write_fd, "wb") as pipe:
                     pickle.dump(outcome, pipe)
                 status = 0
@@ -291,12 +297,11 @@ class _Worker:
     def _received(pipe):
         # the parent's messages up to its end marker; an end of input without
         # it (the parent is gone) raises EOFError, so nothing is written
-        with pipe:
-            while True:
-                more, obj = pickle.load(pipe)
-                if not more:
-                    return
-                yield obj
+        while True:
+            more, obj = pickle.load(pipe)
+            if not more:
+                return
+            yield obj
 
     def send(self, obj):
         if self._kept is not None:

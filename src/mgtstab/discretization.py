@@ -19,6 +19,11 @@ from scipy.sparse.linalg import splu
 from .errors import IllPosedMapError, MeshError
 from .geometry import GAMMA0, GAMMA1
 
+# Most lattice points a mesh may have before shared ones merge (1D: the
+# nodes), checked before anything is allocated; 190 times the 5 525 of the
+# largest preset or benchmark mesh (half disk, resolution 24).
+MAX_LATTICE_POINTS = 2**20
+
 
 class Mesh:
     """Conforming simplex mesh with tagged boundary facets.
@@ -153,6 +158,37 @@ class Mesh:
         raise ValueError("unknown 2D rule %r" % rule)
 
 
+def _coarse_triangles(verts, ahead):
+    # the coarse ccw triangles (P, A, B) of a polygon: an axis-aligned
+    # rectangle's two on its sw-ne diagonal, otherwise the centroid fan
+    sides = ahead - verts
+    if len(verts) == 4 and (np.abs(sides).min(axis=1) < 1e-14).all():
+        (x0, y0), (x1, y1) = verts.min(axis=0), verts.max(axis=0)
+        P = np.array([[x0, y0], [x0, y0]])
+        A = np.array([[x1, y0], [x1, y1]])
+        B = np.array([[x1, y1], [x0, y1]])
+        return P, A, B
+    return np.broadcast_to(verts.mean(axis=0), verts.shape), verts, ahead
+
+
+def check_mesh_size(geometry, resolution):
+    """Raise ``MeshError`` where ``build_mesh(geometry, resolution)`` would
+    reject the resolution: below 2, or with more than ``MAX_LATTICE_POINTS``
+    lattice points (``r + 1`` in 1D, ``(r + 1)(r + 2)/2`` per coarse triangle
+    in 2D).  Nothing is allocated."""
+    r = int(resolution)
+    if r < 2:
+        raise MeshError("resolution must be at least 2")
+    points = r + 1
+    if geometry.dimension == 2:
+        points = len(_coarse_triangles(*geometry.segments()[:2])[0]) * (r + 1) * (r + 2) // 2
+    if points > MAX_LATTICE_POINTS:
+        raise MeshError(
+            "resolution %d gives %d lattice points, above the cap of %d"
+            % (r, points, MAX_LATTICE_POINTS)
+        )
+
+
 def build_mesh(geometry, resolution):
     """Mesh a validated geometry.
 
@@ -169,11 +205,11 @@ def build_mesh(geometry, resolution):
     rounded to 12 decimals and numbered by first appearance.  Boundary
     facets are the element edges used once, oriented as in their element
     and ordered along the polygon segments, so each segment contributes
-    exactly ``resolution`` facets.
+    exactly ``resolution`` facets.  :func:`check_mesh_size` bounds
+    ``resolution`` first.
     """
+    check_mesh_size(geometry, resolution)
     resolution = int(resolution)
-    if resolution < 2:
-        raise MeshError("resolution must be at least 2")
     verts, ahead, normals = geometry.segments()
     if geometry.dimension == 1:
         xl, xr = geometry.vertices
@@ -184,13 +220,7 @@ def build_mesh(geometry, resolution):
         return Mesh(1, nodes, elements, facets, tags, facet_normals=normals)
 
     sides = ahead - verts
-    if len(verts) == 4 and (np.abs(sides).min(axis=1) < 1e-14).all():
-        (x0, y0), (x1, y1) = verts.min(axis=0), verts.max(axis=0)
-        P = np.array([[x0, y0], [x0, y0]])
-        A = np.array([[x1, y0], [x1, y1]])
-        B = np.array([[x1, y1], [x0, y1]])
-    else:
-        P, A, B = np.broadcast_to(verts.mean(axis=0), verts.shape), verts, ahead
+    P, A, B = _coarse_triangles(verts, ahead)
     cross = (A[:, 0] - P[:, 0]) * (B[:, 1] - P[:, 1]) - (A[:, 1] - P[:, 1]) * (B[:, 0] - P[:, 0])
     if np.any(cross <= 0):
         raise MeshError("polygon is not star-shaped about its vertex centroid")

@@ -3,7 +3,7 @@
 The semi-discrete third-order model in the displacement variables is
 
     tau M u_ttt + Malpha u_tt + c^2 Ktilde u + b Ktilde u_t
-        + c^2 B1 u_t + b B1 u_tt = M f(t),
+        + c^2 B1 u_t + b B1 u_tt = 0,
 
 written first order in ``Phi = (u, u_t, u_tt)``.  The change of variables
 ``z = u_t + (c^2/b) u`` conjugates it exactly (at the matrix level) to a
@@ -16,7 +16,8 @@ implicit step is one condensed n x n solve: a dense LAPACK LU for n <= 128
 and above it SuperLU in symmetric mode on a minimum-degree ordering of
 ``S + S^T``.  ``simulate`` steps flat buffers with ``Stepper.advance``, on
 views built once per run: the stage's right-hand side, its solve in place
-and one 3 x 4 combine a step.
+and one 3 x 4 combine a step, so a step is the linear map
+``x -> C [x; S^{-1} Q x]``.
 """
 
 import itertools
@@ -142,7 +143,7 @@ def _compatibility(state, bundle):
 
 @dataclass
 class Generator:
-    """First-order operator pencil ``E Phi' = L Phi + F(t)`` in block form.
+    """First-order operator pencil ``E Phi' = L Phi`` in block form.
 
     ``form`` is ``"u"`` (states ``(u, u_t, u_tt)``) or ``"z"`` (states
     ``(u, z, z_t)``).  In ``Phi = (u, v, w)`` the pencil reads
@@ -238,8 +239,8 @@ _CHUNK_ELEMENTS = 65536
 _COMPAT_TOL = 0.1
 
 
-# S w = Q x + f; a dense stage holds the LAPACK LU of S and its pivots, a sparse one piv = None
-_Stage = namedtuple("_Stage", "Q lu piv C S factor_nnz weight offset")
+# S w = Q x; a dense stage holds the LAPACK LU of S and its pivots, a sparse one piv = None
+_Stage = namedtuple("_Stage", "Q lu piv C S factor_nnz")
 
 
 def _views(flat):
@@ -271,15 +272,14 @@ class Stepper:
     SuperLU factor and ``Q`` is CSR (``"sparse-lu"``).  As ``S`` is symmetric
     positive definite, SuperLU runs in symmetric mode on a minimum-degree
     ordering of ``S + S^T`` (250 862 factor entries at n = 5101 on the half
-    disk, 329 526 with its default COLAMD).  The forcing ``source`` is
-    ``None`` or a callable ``t -> nodal vector``.  :meth:`advance` steps flat
+    disk, 329 526 with its default COLAMD).  :meth:`advance` steps flat
     ``4n`` buffers ``(u, v, w, scratch)``, given as their :func:`_views`, in
     three kernel calls: ``Q`` into the scratch row, the solve in place there,
     and one 3 x 4 matrix ``C`` from the four rows to the next state;
     :meth:`step` wraps it for a ``State``.
     """
 
-    def __init__(self, generator, dt, scheme="implicit-midpoint", source=None):
+    def __init__(self, generator, dt, scheme="implicit-midpoint"):
         if not (np.isfinite(dt) and dt > 0):
             raise ValueError("dt must be positive and finite")
         if scheme not in ("implicit-midpoint", "bdf2"):
@@ -287,36 +287,33 @@ class Stepper:
         if generator.form != "u":
             raise ValueError("Stepper integrates the u-form pencil, not form %r" % generator.form)
         self.dt = float(dt)
-        self.source = source
-        self._M = generator.bundle.Mmat
         E, L = generator.E, generator.L
         Ew, Lu, Lv, Lw = generator.Ew, generator.Lu, generator.Lv, generator.Lw
         n = Ew.shape[0]
 
-        def stage(k, G, C, weight, offset):
-            # the stage of length k for g = G x, forcing weight * M f(t + offset) and
-            # combine C; its storage follows n alone
+        def stage(k, G, C):
+            # the stage of length k for g = G x and combine C; its storage follows n alone
             S = Ew - k * Lw - k**2 * Lv - k**3 * Lu
             Q = (sp.hstack([k * Lu, k**2 * Lu + k * Lv, sp.identity(n)]) @ G).tocsr()
             if 4 * n * n <= _CHUNK_ELEMENTS:
                 lu, piv = _lapack(dgetrf(S.toarray()))
-                return _Stage(Q.toarray(), lu, piv, np.array(C), S, n * n, weight, offset)
+                return _Stage(Q.toarray(), lu, piv, np.array(C), S, n * n)
             lu = splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-            return _Stage(Q, lu, None, np.array(C), S, lu.nnz, weight, offset)
+            return _Stage(Q, lu, None, np.array(C), S, lu.nnz)
 
         # C: (u, v, w, w') -> (u + 2k v + k^2 (w + w'), v + k (w + w'), w'), g = x
         k = 0.5 * self.dt
         C = [[1, 2 * k, k**2, k**2], [0, 1, k, k], [0, 0, 0, 1]]
-        self._mid, self._bdf = stage(k, E + k * L, C, self.dt, k), None
+        self._mid, self._bdf = stage(k, E + k * L, C), None
         if scheme == "bdf2":
             # C: (g_u, g_v, g_w, w') -> (g_u + k g_v + k^2 w', g_v + k w', w'), g = (4 x - prev) / 3
             k = 2.0 / 3.0 * self.dt
-            self._bdf = stage(k, E, [[1, k, 0, k**2], [0, 1, 0, k], [0, 0, 0, 1]], k, self.dt)
+            self._bdf = stage(k, E, [[1, k, 0, k**2], [0, 1, 0, k], [0, 0, 0, 1]])
 
-    def advance(self, x, prev, t, out):
-        """Write the step from the state in ``x`` at time ``t`` into ``out`` and return
-        ``t + dt``; ``x``, ``prev`` and ``out`` are the :func:`_views` of three distinct
-        flat ``(u, v, w, scratch)`` buffers.  BDF2 takes the state before ``x`` as
+    def advance(self, x, prev, out):
+        """Write the step from the state in ``x`` into ``out``; ``x``, ``prev`` and
+        ``out`` are the :func:`_views` of three distinct flat ``(u, v, w, scratch)``
+        buffers, and the caller keeps the clock.  BDF2 takes the state before ``x`` as
         ``prev`` and overwrites it; without it, and always for midpoint, the step is a
         midpoint step that writes only ``x``'s scratch row besides ``out``."""
         stage, (y, r, g, _) = self._mid, x
@@ -325,35 +322,27 @@ class Stepper:
             stage, (y, r, g, _) = self._bdf, prev
             np.subtract(np.multiply(x[0], 4.0, out=out[0]), y, out=y)
             np.multiply(y, 1.0 / 3.0, out=y)
-        # S's right-hand side Q y plus the forcing in g's scratch row, solved there
+        # S's right-hand side Q y in g's scratch row, solved there
         if stage.piv is None:
-            np.copyto(r, stage.Q @ y)
+            np.copyto(r, stage.lu.solve(stage.Q @ y))
         else:
             np.dot(stage.Q, y, out=r)
-        if self.source is not None:
-            r += stage.weight * (self._M @ self.source(t + stage.offset))
-        if stage.piv is None:
-            np.copyto(r, stage.lu.solve(r))
-        else:
             dgetrs(stage.lu, stage.piv, r, 0, 1)  # trans=0, overwrite_b=1; info flags bad arguments only
         np.dot(stage.C, g, out=out[3])
-        return t + self.dt
 
     def step(self, state, prev=None):
         """Advance a u-form :class:`State` by ``dt``; see :meth:`advance`."""
         flat = lambda s: _views(np.concatenate((s.u, s.v, s.w, s.w)))  # noqa: E731  (scratch last)
         out = _views(np.empty(4 * len(state.u)))
-        t = self.advance(flat(state), None if prev is None else flat(prev), state.t, out)
-        return State(*out[2][:3], t)
+        self.advance(flat(state), None if prev is None else flat(prev), out)
+        return State(*out[2][:3], state.t + self.dt)
 
     def health(self, state):
         """``stage_solver`` and ``stage_factor_nnz`` of the stage most steps use (BDF2's
         for ``bdf2``), and the ``stage_residual`` |S w - rhs|_inf / |rhs|_inf of that
-        stage's solve with ``rhs = Q x`` plus its forcing, ``x`` being ``state``."""
+        stage's solve with ``rhs = Q x``, ``x`` being ``state``."""
         stage = self._bdf or self._mid
         rhs = stage.Q @ np.concatenate((state.u, state.v, state.w))
-        if self.source is not None:
-            rhs += stage.weight * (self._M @ self.source(state.t + stage.offset))
         w = stage.lu.solve(rhs) if stage.piv is None else _lapack(dgetrs(stage.lu, stage.piv, rhs))[0]
         res = float(np.abs(stage.S @ w - rhs).max() / (np.abs(rhs).max() or 1.0))
         solver = "sparse-lu" if stage.piv is None else "dense-lu"
@@ -368,8 +357,8 @@ class Trajectory:
     """Output time series of one run.
 
     Energy/dissipation columns follow the energy identity: boundary
-    dissipation rate ``(b/tau) z_t^T B1 z_t``, interior rate
-    ``u_tt^T (Mgamma/tau) u_tt`` and work rate ``z_t^T M f / tau``.
+    dissipation rate ``(b/tau) z_t^T B1 z_t`` and interior rate
+    ``u_tt^T (Mgamma/tau) u_tt``.
     The chunks that ``simulate`` passes to ``on_chunk`` also hold their
     recorded u-form states as ``states``, of shape ``(3, samples, n)``:
     ``u``, ``u_t`` and ``u_tt``, a transposed view of a node-major
@@ -382,7 +371,6 @@ class Trajectory:
     E: np.ndarray
     D_boundary: np.ndarray
     D_interior: np.ndarray
-    work_rate: np.ndarray
     u_L2: np.ndarray
     z_L2: np.ndarray
     zt_L2: np.ndarray
@@ -397,8 +385,8 @@ class Trajectory:
         return list(self.CSV_COLUMNS), np.column_stack(cols)
 
 
-def _observables(U, V, W, times, bundle, source, gamma_negative):
-    """The nine trajectory columns (after ``t``) of a chunk of recorded
+def _observables(U, V, W, times, bundle, gamma_negative):
+    """The eight trajectory columns (after ``t``) of a chunk of recorded
     states, one row per sample in ``U, V, W = u, u_t, u_tt``.
 
     Raises :class:`NumericalError` at the first sample whose ``z_t`` or
@@ -417,18 +405,12 @@ def _observables(U, V, W, times, bundle, source, gamma_negative):
         what = "state" if bad_state[first] else "energy"
         raise NumericalError("non-finite %s at t=%.6g" % (what, times[first]))
     quad, M = _energy._quad, bundle.Mmat
-    if source is None:
-        work = np.zeros(len(times))
-    else:
-        F = np.array([source(t) for t in times])
-        work = np.einsum("ij,ji->i", Zt, M @ F.T) / tau
     return (
         E0,
         E1,
         E0 + E1,
         quad(bundle.B1, Zt) * params.b / tau,
         quad(bundle.Mgamma, W) / tau,
-        work,
         np.sqrt(quad(M, U)),
         np.sqrt(quad(M, Z)),
         np.sqrt(quad(M, Zt)),
@@ -447,15 +429,13 @@ def simulate(
     initial,
     T,
     dt,
-    source=None,
     scheme="implicit-midpoint",
     output_stride=1,
     on_chunk=None,
 ):
     """Advance the u-form system and record energy/dissipation series.
 
-    ``initial`` is a u-form :class:`State` and ``source`` ``None`` or a
-    callable ``t -> nodal vector``.  Compatibility residuals of the
+    ``initial`` is a u-form :class:`State`.  Compatibility residuals of the
     initial data are computed and logged but never enforced: a warning
     when one exceeds both ``_COMPAT_TOL`` times the summed L2 norms of the
     terms both add up, over the whole boundary, so it does not depend on
@@ -488,7 +468,7 @@ def simulate(
         )
 
     gen = assemble_generator(bundle, form="u")
-    stepper = Stepper(gen, dt, scheme, source)
+    stepper = Stepper(gen, dt, scheme)
     n_steps, stride = int(round(T / dt)), int(output_stride)
     n_rec = record_count(T, dt, stride)
     chunk = max(1, _CHUNK_ELEMENTS // n)
@@ -500,7 +480,7 @@ def simulate(
     # block for the sparse products; overwritten after its evaluation
     buf = np.empty(3 * n * min(chunk, n_rec))
     times = np.empty(n_rec)
-    cols = np.empty((9, n_rec))
+    cols = np.empty((8, n_rec))
     # a ring of flat (u, u_t, u_tt, scratch) buffers, as their views: the
     # current state, the one before it (BDF2's history) and the next
     x, prev, out = map(_views, np.empty((3, 4 * n)))
@@ -508,8 +488,8 @@ def simulate(
     t, i = float(initial.t), 0
     for k in range(n_steps + 1):
         if k:
-            t = stepper.advance(x, prev if k > 1 else None, t, out)
-            x, prev, out = out, x, prev
+            stepper.advance(x, prev if k > 1 else None, out)
+            x, prev, out, t = out, x, prev, t + stepper.dt
         if k % stride and k != n_steps:
             continue
         j = i % chunk
@@ -521,7 +501,7 @@ def simulate(
         i += 1
         if j == m - 1:
             states = X.transpose(0, 2, 1)
-            cols[:, lo:i] = _observables(*states, times[lo:i], bundle, source, gamma_negative)
+            cols[:, lo:i] = _observables(*states, times[lo:i], bundle, gamma_negative)
             if on_chunk is not None:
                 on_chunk(Trajectory(times[lo:i], *cols[:, lo:i], states))
 

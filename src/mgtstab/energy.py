@@ -7,10 +7,10 @@ two energies are
          + (c^2/2b) u_t^T (Mgamma/tau) u_t,
     E0 = (1/2) u_t^T (Malpha/tau) u_t + (c^2/2tau) u^T Ktilde u,
 
-and along solutions E1 satisfies the exact balance
+and along solutions of the free dynamics E1 satisfies the exact balance
 
-    E1(T) + int [ (b/tau) z_t^T B1 z_t + u_tt^T (Mgamma/tau) u_tt ] dt
-        = E1(t) + int z_t^T M f / tau dt.
+    E1(T) + int_0^T [ (b/tau) z_t^T B1 z_t + u_tt^T (Mgamma/tau) u_tt ] dt
+        = E1(0).
 
 The identity holds in continuous time; its discrete residual measures
 the time-integration error and is a second-order convergence target.
@@ -39,7 +39,7 @@ def energy_E1(state, bundle, allow_indefinite=False):
     params = bundle.params
     if not allow_indefinite and params.stability_classification() == "unstable":
         raise UndefinedWeightError(
-            "gamma is negative somewhere; E1's weighted term is undefined "
+            "gamma is negative somewhere; E1's gamma term is undefined "
             "(pass allow_indefinite=True to evaluate the indefinite form)"
         )
     tau, b = params.tau, params.b
@@ -60,27 +60,20 @@ def energy_E0(state, bundle):
     return val
 
 
-def energy_identity_residual(trajectory, t_start=None, t_end=None):
-    """Normalized residual of the energy balance over a sample window.
+def energy_identity_residual(trajectory):
+    """Normalized residual of the energy balance over the whole run.
 
     Time integrals use the trapezoid rule on the stored output grid, so
     the residual scales with the output spacing squared.  Normalization
-    is by the larger endpoint energy.  The window runs from the first
-    sample at or after ``t_start`` to the first at or after ``t_end``;
-    a ``t_end`` past the last sample ends it at the last sample.
+    is by the larger endpoint energy.  A run of one sample has no balance
+    and raises ``ValueError``.
     """
-    t = trajectory.times
-    i0 = 0 if t_start is None else int(np.searchsorted(t, t_start))
-    i1 = len(t) - 1 if t_end is None else min(int(np.searchsorted(t, t_end)), len(t) - 1)
-    if i1 <= i0:
-        raise ValueError("empty integration window")
-    sl = slice(i0, i1 + 1)
-    diss = np.trapezoid(trajectory.D_boundary[sl] + trajectory.D_interior[sl], t[sl])
-    work = np.trapezoid(trajectory.work_rate[sl], t[sl])
-    lhs = trajectory.E1[i1] + diss
-    rhs = trajectory.E1[i0] + work
-    scale = max(abs(trajectory.E1[i0]), abs(trajectory.E1[i1]), 1e-300)
-    return abs(lhs - rhs) / scale
+    t, E1 = trajectory.times, trajectory.E1
+    if len(t) < 2:
+        raise ValueError("the energy balance needs at least two samples")
+    diss = np.trapezoid(trajectory.D_boundary + trajectory.D_interior, t)
+    scale = max(abs(E1[0]), abs(E1[-1]), 1e-300)
+    return abs(E1[-1] + diss - E1[0]) / scale
 
 
 def fit_decay_rate(times, E):
@@ -128,7 +121,7 @@ def energy_quadratic_form(bundle):
     )
     T = np.block([[np.eye(n), Z, Z], [q * np.eye(n), np.eye(n), Z], [Z, q * np.eye(n), np.eye(n)]])
     Q = T.T @ Q1 @ T
-    # the u_t-weighted gamma term of E1 plus E0
+    # E1's gamma term in u_t, plus E0
     Q[n : 2 * n, n : 2 * n] += 0.5 * q * Mg + 0.5 * Ma
     Q[:n, :n] += 0.5 * (params.c**2 / tau) * K
     return 0.5 * (Q + Q.T)

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import assemble_generator
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 DENSE_EIG_CAP = 6000
 
@@ -63,6 +63,14 @@ def _sorted_eigvals(vals):
     return vals[order]
 
 
+def _eigvals(A):
+    # a dense generator with an inf or nan entry (parameters whose ratios
+    # overflow) has no spectrum to report
+    if not np.isfinite(A).all():
+        raise NumericalError("the dense generator matrix has non-finite entries")
+    return scipy.linalg.eigvals(A, check_finite=False)
+
+
 def check_dense_cap(size):
     """Raise ``ConfigError`` when a generator of first-order size ``size``
     (3n) is above ``DENSE_EIG_CAP``, the largest the dense eigensolve takes."""
@@ -88,7 +96,7 @@ def spectrum(generator):
     so either way the report keeps the ``form`` and size of the
     generator it was given.  A generator of first-order size 3n above
     ``DENSE_EIG_CAP`` raises ``ConfigError`` before any dense matrix is
-    built.
+    built, and one with a non-finite entry raises ``NumericalError``.
     """
     n = generator.size
     check_dense_cap(n)
@@ -97,11 +105,11 @@ def spectrum(generator):
         gen = generator
         if gen.form != "z":
             gen = assemble_generator(bundle, "z")
-        wave = scipy.linalg.eigvals(gen.dense_vw())
+        wave = _eigvals(gen.dense_vw())
         vals = _sorted_eigvals(np.concatenate((np.full(n // 3, gen.shift), wave)))
         method = "dense-wave-block"
     else:
-        vals = _sorted_eigvals(scipy.linalg.eigvals(generator.dense()))
+        vals = _sorted_eigvals(_eigvals(generator.dense()))
         method = "dense"
     abscissa = float(vals.real.max())
     tol = float(len(vals) * np.finfo(float).eps * np.abs(vals).max())

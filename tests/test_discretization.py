@@ -5,11 +5,14 @@ functions exactly, so interpolants of low-order polynomials give exact
 quadratic forms; those are the sharpest cheap oracles available.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import mgtstab as M
+from mgtstab import discretization
 from mgtstab.discretization import MaterialParams, Mesh
 from mgtstab.errors import IllPosedMapError, MeshError
 
@@ -163,6 +166,33 @@ def test_mesh_rejects_bad_resolution():
     geo = M.named_geometry("unit-square")
     with pytest.raises(MeshError):
         M.build_mesh(geo, 0)
+
+
+@pytest.mark.parametrize(
+    "geo, coarse",
+    [
+        (M.Geometry.interval(0.0, 1.0), None),
+        (M.named_geometry("unit-square"), 2),  # the two halves of the rectangle
+        (M.named_geometry("half-disk"), None),  # the fan, one triangle a segment
+        (M.named_geometry("transducer"), None),
+    ],
+    ids=["interval", "unit-square", "half-disk", "transducer"],
+)
+def test_mesh_size_cap_is_checked_before_anything_is_built(geo, coarse):
+    # by arithmetic alone: the largest resolution within the cap passes the
+    # check and the next one fails it; only a far larger one is built
+    cap = discretization.MAX_LATTICE_POINTS
+    if geo.dimension == 1:
+        largest = cap - 1
+    else:
+        per = (coarse or len(geo.vertices)) / 2
+        largest = int((math.sqrt(1 + 4 * cap / per) - 3) / 2)
+        assert per * (largest + 1) * (largest + 2) <= cap < per * (largest + 2) * (largest + 3)
+    discretization.check_mesh_size(geo, largest)
+    with pytest.raises(MeshError, match="above the cap of %d" % cap):
+        discretization.check_mesh_size(geo, largest + 1)
+    with pytest.raises(MeshError, match="above the cap"):
+        M.build_mesh(geo, 2**40)
 
 
 # -------------------------------------------------------------- assembly

@@ -921,6 +921,19 @@ def test_cli_robin_mode_accepts_every_positive_kappa0(tmp_path, kappa0, expected
         assert (err["error"], err["message"]) == ("ConfigError", message)
 
 
+def fresh_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports this package."""
+    src = str(Path(M.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
 def test_import_and_presets_do_not_load_scipy_optimize():
     # a fresh interpreter: other tests may have imported scipy.optimize here
     code = (
@@ -929,16 +942,58 @@ def test_import_and_presets_do_not_load_scipy_optimize():
         "    M.Scenario(M.load_config({'preset': name})).initial\n"
         "assert 'scipy.optimize' not in sys.modules\n"
     ) % (preset_names(),)
-    src = str(Path(M.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    run = fresh_python("-c", code)
     assert run.returncode == 0, run.stderr[-2000:]
+
+
+def test_cli_full_in_development_mode_warns_nothing(tmp_path):
+    # both workers run: the eigensolve, and the CSV writer for 7 501 rows; a
+    # ResourceWarning (an unclosed pipe) is raised in a finalizer, so it leaves
+    # the exit code at 0 and shows only on stderr
+    cfg = tiny_config(mesh={"resolution": 4}, time={"T": 0.75, "dt": 1e-4})
+    assert record_count(0.75, 1e-4, 1) * len(M.Trajectory.CSV_COLUMNS) > _CHUNK_ELEMENTS
+    out = str(tmp_path / "out")
+    run = fresh_python("-X", "dev", "-W", "error", "-m", "mgtstab.cli", "full",
+                       "--config", write_config(tmp_path, cfg), "--out", out)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert "Warning" not in run.stderr, run.stderr[-2000:]
+    assert "writer stage" in run.stderr and "spectral stage" in run.stderr
+
+
+@pytest.mark.parametrize(
+    "subcommand, artifacts",
+    [("spectrum", ["error.json"]), ("full", ["certification.json", "error.json", "trajectory.csv"])],
+)
+def test_cli_non_finite_generator_is_a_numerical_error(tmp_path, subcommand, artifacts):
+    # tau = 1e-300 makes the tau-normalized generator overflow; stepping runs
+    cfg = {
+        "preset": "interval-1d-damped",
+        "mesh": {"resolution": 2},
+        "time": {"T": 0.1, "dt": 0.1},
+        "params": {"tau": 1e-300, "c": 0.001, "alpha": 1e150},
+    }
+    out = str(tmp_path / "out")
+    assert cli.main([subcommand, "--config", write_config(tmp_path, cfg), "--out", out]) == cli.EXIT_NUMERICAL
+    assert sorted(os.listdir(out)) == artifacts
+    err = json.loads(Path(out, "error.json").read_text())
+    assert err["error"] == "NumericalError" and "non-finite" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "subcommand, over",
+    [
+        ("simulate", {"mesh": {"resolution": 2**40}}),
+        # level 14 of resolution 64 is the first over the cap
+        ("multiplier-check", {"multiplier": {"levels": 45}}),
+    ],
+)
+def test_cli_mesh_above_the_lattice_cap_is_a_mesh_error(tmp_path, subcommand, over):
+    cfg = {"preset": "interval-1d-damped", **over}
+    out = str(tmp_path / "out")
+    assert cli.main([subcommand, "--config", write_config(tmp_path, cfg), "--out", out]) == cli.EXIT_GEOMETRY
+    assert os.listdir(out) == ["error.json"]
+    err = json.loads(Path(out, "error.json").read_text())
+    assert err["error"] == "MeshError" and "above the cap" in err["message"]
 
 
 def test_cli_rejects_curved_geometry_for_identities(tmp_path):
