@@ -43,7 +43,7 @@ import time
 import numpy as np
 
 from . import multiplier as mult
-from .config import Scenario, config_hash, load_config, load_config_file
+from .config import MAX_STEPS, Scenario, config_hash, load_config, load_config_file
 from .discretization import build_mesh, check_adjoint_identity, check_mesh_size
 from .dynamics import _CHUNK_ELEMENTS, Trajectory, assemble_generator, record_count, simulate
 from .energy import energy_identity_residual, fit_decay_rate
@@ -163,12 +163,30 @@ def _adjoint_spot_check(scen, seed):
     return {"n_pairs": int(n_pairs), "max_relative_residual": float(worst)}
 
 
+def _multiplier_config(scen):
+    """The multiplier section over its defaults, checked by arithmetic before
+    anything is built: the window, every level's mesh size, and the finest
+    level's time grid against ``MAX_STEPS``."""
+    mcfg = {**_MULT_DEFAULTS, **scen.config.get("multiplier", {})}
+    if not 0 <= mcfg["window_cut"] < mcfg["t_final"] / 2:
+        raise ConfigError("multiplier window_cut must lie in [0, t_final/2)")
+    # the mesh checks stop at the first level over the cap, however many
+    # levels are asked for, so the power of two below stays a small int
+    for lvl in range(mcfg["levels"]):
+        check_mesh_size(scen.geometry, scen.config["mesh"]["resolution"] * 2**lvl)
+    intervals = (mcfg["n_time"] - 1) * 2 ** (mcfg["levels"] - 1)
+    if intervals > MAX_STEPS:
+        raise ConfigError(
+            "multiplier time grid has %d intervals at its finest level, above the budget of %d"
+            % (intervals, MAX_STEPS)
+        )
+    return mcfg
+
+
 def _multiplier_check(scen):
     geometry = scen.geometry
-    mcfg = {**_MULT_DEFAULTS, **scen.config.get("multiplier", {})}
+    mcfg = _multiplier_config(scen)
     cut, t_final = mcfg["window_cut"], mcfg["t_final"]
-    if not 0 <= cut < t_final / 2:
-        raise ConfigError("multiplier window_cut must lie in [0, t_final/2)")
     base_res = scen.config["mesh"]["resolution"]
     b = scen.params.b
     # bc_satisfying_1d meets the Robin condition at x = 0 and the feedback
@@ -179,10 +197,6 @@ def _multiplier_check(scen):
         and np.array_equal(geometry.segment_tags, [GAMMA0, GAMMA1])
     )
 
-    # every level's mesh size is checked before level 0 is built; the checks
-    # stop at the first level over the cap, however many levels are asked for
-    for lvl in range(mcfg["levels"]):
-        check_mesh_size(geometry, base_res * 2**lvl)
     levels = []
     for lvl in range(mcfg["levels"]):
         res = base_res * 2**lvl
@@ -440,9 +454,11 @@ def run(config, subcommand, out_dir=None, seed=0):
         return {**base, "multiplier": identities()}
 
     if subcommand == "full":
-        # the cap depends on n alone, so it is checked before any stage;
-        # the eigensolve then overlaps certification and stepping
+        # the caps depend on the config alone, so they are checked before
+        # any stage; the eigensolve then overlaps certification and stepping
         check_dense_cap(3 * scen.mesh.n_nodes)
+        if "multiplier" in cfg:
+            _multiplier_config(scen)
         with _Worker(lambda _: solve()) as solver:
             info, h = certified()
             sim = simulated()

@@ -24,7 +24,8 @@ from .geometry import Geometry
 SCHEMA_VERSION = 1
 
 # Largest step count ``round(T / dt)`` a run may take (the presets use at
-# most 2e4); ``simulate`` keeps its recording schedule per step.  The mesh's
+# most 2e4); ``simulate`` keeps its recording schedule per step.  It also
+# bounds the intervals of the multiplier's finest time grid.  The mesh's
 # cap is ``discretization.MAX_LATTICE_POINTS``.
 MAX_STEPS = 10**7
 

@@ -272,11 +272,14 @@ class Stepper:
     SuperLU factor and ``Q`` is CSR (``"sparse-lu"``).  As ``S`` is symmetric
     positive definite, SuperLU runs in symmetric mode on a minimum-degree
     ordering of ``S + S^T`` (250 862 factor entries at n = 5101 on the half
-    disk, 329 526 with its default COLAMD).  :meth:`advance` steps flat
-    ``4n`` buffers ``(u, v, w, scratch)``, given as their :func:`_views`, in
-    three kernel calls: ``Q`` into the scratch row, the solve in place there,
-    and one 3 x 4 matrix ``C`` from the four rows to the next state;
-    :meth:`step` wraps it for a ``State``.
+    disk, 329 526 with its default COLAMD).  It factors ``S^T`` and solves
+    with its transposed sweep (``trans="T"``), which is ``S w = rhs`` for
+    any ``S`` and a fifth to a quarter faster per solve than the plain
+    sweep on the same factor (363 -> 271-295 us at n = 5101).
+    :meth:`advance` steps flat ``4n`` buffers ``(u, v, w, scratch)``, given
+    as their :func:`_views`, in three kernel calls: ``Q`` into the scratch
+    row, the solve in place there, and one 3 x 4 matrix ``C`` from the four
+    rows to the next state; :meth:`step` wraps it for a ``State``.
     """
 
     def __init__(self, generator, dt, scheme="implicit-midpoint"):
@@ -298,7 +301,8 @@ class Stepper:
             if 4 * n * n <= _CHUNK_ELEMENTS:
                 lu, piv = _lapack(dgetrf(S.toarray()))
                 return _Stage(Q.toarray(), lu, piv, np.array(C), S, n * n)
-            lu = splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+            # the factor of S^T (CSC, as S is CSR), solved with trans="T"
+            lu = splu(S.T, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
             return _Stage(Q, lu, None, np.array(C), S, lu.nnz)
 
         # C: (u, v, w, w') -> (u + 2k v + k^2 (w + w'), v + k (w + w'), w'), g = x
@@ -324,7 +328,7 @@ class Stepper:
             np.multiply(y, 1.0 / 3.0, out=y)
         # S's right-hand side Q y in g's scratch row, solved there
         if stage.piv is None:
-            np.copyto(r, stage.lu.solve(stage.Q @ y))
+            np.copyto(r, stage.lu.solve(stage.Q @ y, "T"))
         else:
             np.dot(stage.Q, y, out=r)
             dgetrs(stage.lu, stage.piv, r, 0, 1)  # trans=0, overwrite_b=1; info flags bad arguments only
@@ -343,7 +347,7 @@ class Stepper:
         stage's solve with ``rhs = Q x``, ``x`` being ``state``."""
         stage = self._bdf or self._mid
         rhs = stage.Q @ np.concatenate((state.u, state.v, state.w))
-        w = stage.lu.solve(rhs) if stage.piv is None else _lapack(dgetrs(stage.lu, stage.piv, rhs))[0]
+        w = stage.lu.solve(rhs, "T") if stage.piv is None else _lapack(dgetrs(stage.lu, stage.piv, rhs))[0]
         res = float(np.abs(stage.S @ w - rhs).max() / (np.abs(rhs).max() or 1.0))
         solver = "sparse-lu" if stage.piv is None else "dense-lu"
         return dict(stage_solver=solver, stage_factor_nnz=stage.factor_nnz, stage_residual=res)

@@ -6,6 +6,7 @@ and the discrete energy identity must close with O(dt^2) quadrature
 error regardless of parameter regime.
 """
 
+import dataclasses
 import logging
 import math
 from unittest import mock
@@ -440,6 +441,38 @@ def test_advance_is_the_condensed_stage_algebra(monkeypatch, scheme, solver):
     assert np.array_equal(x[: 3 * n], x0[: 3 * n])
     if scheme == "implicit-midpoint":
         assert np.array_equal(prev, prev0)
+
+
+@pytest.mark.parametrize("scheme", ["implicit-midpoint", "bdf2"])
+def test_sparse_stage_solves_s_and_not_its_transpose(monkeypatch, scheme):
+    # every assembled S is symmetric, so a strictly upper-triangular term in
+    # L_w makes the one S on which S w = rhs and S^T w = rhs differ; at this
+    # scale S stays well conditioned (cond(S) about 2)
+    scen = make_scenario(mesh={"resolution": 16}, params={"tau": 0.8})
+    n = scen.mesh.n_nodes
+    _force_stage_solver(monkeypatch, n, "sparse-lu")
+    gen = M.assemble_generator(scen.bundle, form="u")
+    gen = dataclasses.replace(gen, Lw=(gen.Lw + 0.1 * sp.triu(gen.Lv, k=1)).tocsr())
+    dt = 2e-2
+    stepper = M.Stepper(gen, dt, scheme)
+    stage = stepper._bdf or stepper._mid
+    assert abs(stage.S - stage.S.T).max() > 0.1 * abs(stage.S).max()
+
+    x, prev = np.random.default_rng(27).standard_normal((2, 4 * n))
+    x0, prev0, out = x.copy(), prev.copy(), np.empty(4 * n)
+    views = dynamics._views
+    stepper.advance(views(x), views(prev), views(out))
+    E, L = gen.E.toarray(), gen.L.toarray()
+    if scheme == "implicit-midpoint":
+        k, g = 0.5 * dt, (E + 0.5 * dt * L) @ x0[: 3 * n]
+    else:
+        k, g = 2.0 / 3.0 * dt, E @ (4.0 * x0[: 3 * n] - prev0[: 3 * n]) / 3.0
+    ref = np.linalg.solve(E - k * L, g)
+    assert np.abs(out[: 3 * n] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    health = stepper.health(State(*x0[: 3 * n].reshape(3, n), 0.0))
+    assert health["stage_solver"] == "sparse-lu"
+    assert health["stage_residual"] <= 1e-12
 
 
 @pytest.mark.parametrize("scheme, T", [("implicit-midpoint", 20.0), ("bdf2", 4.0)])

@@ -985,6 +985,7 @@ def test_cli_non_finite_generator_is_a_numerical_error(tmp_path, subcommand, art
         ("simulate", {"mesh": {"resolution": 2**40}}),
         # level 14 of resolution 64 is the first over the cap
         ("multiplier-check", {"multiplier": {"levels": 45}}),
+        ("full", {"multiplier": {"levels": 45}}),
     ],
 )
 def test_cli_mesh_above_the_lattice_cap_is_a_mesh_error(tmp_path, subcommand, over):
@@ -994,6 +995,18 @@ def test_cli_mesh_above_the_lattice_cap_is_a_mesh_error(tmp_path, subcommand, ov
     assert os.listdir(out) == ["error.json"]
     err = json.loads(Path(out, "error.json").read_text())
     assert err["error"] == "MeshError" and "above the cap" in err["message"]
+
+
+@pytest.mark.parametrize("subcommand", ["multiplier-check", "full"])
+def test_cli_multiplier_time_grid_above_the_step_budget_is_a_config_error(tmp_path, subcommand):
+    # (2**40 - 1) * 4 intervals at the finest of 3 levels: rejected by arithmetic,
+    # nothing allocated
+    cfg = {"preset": "interval-1d-damped", "multiplier": {"n_time": 2**40}}
+    out = str(tmp_path / "out")
+    assert cli.main([subcommand, "--config", write_config(tmp_path, cfg), "--out", out]) == cli.EXIT_CONFIG
+    assert os.listdir(out) == ["error.json"]
+    err = json.loads(Path(out, "error.json").read_text())
+    assert err["error"] == "ConfigError" and "time grid" in err["message"]
 
 
 def test_cli_rejects_curved_geometry_for_identities(tmp_path):
