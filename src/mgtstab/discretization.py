@@ -331,16 +331,24 @@ class MaterialParams:
 # -- assembly --------------------------------------------------------------
 
 
-def _scatter(cells, loc, n):
-    """Sum the local matrices ``loc[e]`` of ``cells[e]`` into an n x n CSR matrix."""
-    k = cells.shape[1]
-    rows = np.repeat(cells.T, k, axis=0)
-    cols = np.tile(cells.T, (k, 1))
-    vals = loc.transpose(1, 2, 0)
-    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
+def _pattern(cells, n):
+    """The CSR pattern ``(slot, indices, indptr)`` that the local matrices of
+    ``cells`` sum into, in an n x n matrix: ``slot`` is the position in it of
+    each local entry, ordered ``(a, b, e)`` for row ``cells[e, a]`` and column
+    ``cells[e, b]``."""
+    keys, slot = np.unique((cells.T[:, None] * n + cells.T[None]).ravel(), return_inverse=True)
+    return slot, keys % n, np.searchsorted(keys, n * np.arange(n + 1))
 
 
-def _mass(cells, measures, weights, n):
+def _scatter(pattern, loc):
+    """Sum the local matrices ``loc[e]`` onto the ``pattern`` of their cells: one CSR matrix."""
+    slot, indices, indptr = pattern
+    data = np.bincount(slot, weights=loc.transpose(1, 2, 0).ravel(), minlength=len(indices))
+    # dtype: over an empty boundary part np.bincount returns integers
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2, dtype=float)
+
+
+def _mass(pattern, cells, measures, weights):
     """Mass matrix with a P1 nodal weight over simplices of any dimension d.
 
     Exact: ``int_S la lb lc = |S| d! m_a! m_b! m_c! / (d + 3)!`` for the
@@ -354,7 +362,7 @@ def _mass(cells, measures, weights, n):
     table = np.where((a == b) & (b == c), 6.0, np.where((a == b) | (b == c) | (a == c), 2.0, 1.0))
     loc = np.einsum("abc,ec->eab", table, weights[cells])
     loc *= (measures / ((d + 1) * (d + 2) * (d + 3)))[:, None, None]
-    return _scatter(cells, loc, n)
+    return _scatter(pattern, loc)
 
 
 @dataclass
@@ -397,28 +405,33 @@ class OperatorBundle:
 def assemble_operators(mesh, params):
     """Assemble the full operator bundle (exact local quadrature).
 
+    Each operator is one ``np.bincount`` of its local matrices onto a CSR
+    pattern built once for the elements and once per boundary part.
     Raises ``ValueError`` when an assembled matrix holds a non-finite
     entry, as coefficients near the float range make them overflow.
     """
     n = mesh.n_nodes
     ones = np.ones(n)
+    cells = mesh.elements
+    pattern = _pattern(cells, n)  # one pattern for the four element operators
 
     def element_mass(weights):
-        return _mass(mesh.elements, mesh.element_volumes, weights, n)
+        return _mass(pattern, cells, mesh.element_volumes, weights)
 
-    def boundary_mass(tag, weights):
+    def boundary_masses(tag, weights):
+        # the part's weighted and unweighted facet masses, on one pattern
         on = mesh.facet_tags == tag
-        return _mass(mesh.facets[on], mesh.facet_measures[on], weights, n)
+        facets, measures = mesh.facets[on], mesh.facet_measures[on]
+        part = _pattern(facets, n)
+        return (_mass(part, facets, measures, w) for w in (weights, ones))
 
     stiffness = np.einsum(
         "eai,ebi,e->eab", mesh.element_gradients, mesh.element_gradients, mesh.element_volumes
     )
     Mmat = element_mass(ones)
-    Kmat = _scatter(mesh.elements, stiffness, n)
-    B0 = boundary_mass(GAMMA0, params.kappa0_field)
-    B1 = boundary_mass(GAMMA1, params.kappa1_field)
-    T0 = boundary_mass(GAMMA0, ones)
-    T1 = boundary_mass(GAMMA1, ones)
+    Kmat = _scatter(pattern, stiffness)
+    B0, T0 = boundary_masses(GAMMA0, params.kappa0_field)
+    B1, T1 = boundary_masses(GAMMA1, params.kappa1_field)
     Malpha = element_mass(params.alpha_field)
     Mgamma = element_mass(params.gamma_field)
     Ktilde = (Kmat + B0).tocsr()

@@ -150,9 +150,9 @@ class Generator:
 
         u' = shift u + v,    v' = w,    Ew w' = Lu u + Lv v + Lw w,
 
-    with ``shift = 0`` in u-form and ``-c^2/b`` in z-form.  ``E`` and
-    ``L`` are the assembled 3n x 3n matrices; ``dense()`` returns the
-    actual generator matrix ``E^{-1} L``.
+    with ``shift = 0`` in u-form and ``-c^2/b`` in z-form, that is
+    ``E = diag(I, I, Ew)`` and ``L`` the block matrix of the right-hand
+    sides; ``dense()`` returns the actual generator matrix ``E^{-1} L``.
     """
 
     form: str
@@ -166,17 +166,6 @@ class Generator:
     @property
     def size(self):
         return 3 * self.Ew.shape[0]
-
-    @property
-    def E(self):
-        n = self.Ew.shape[0]
-        return sp.block_diag([sp.identity(n), sp.identity(n), self.Ew], format="csr")
-
-    @property
-    def L(self):
-        I = sp.identity(self.Ew.shape[0], format="csr")
-        first = [self.shift * I if self.shift else None, I, None]
-        return sp.bmat([first, [None, None, I], [self.Lu, self.Lv, self.Lw]], format="csr")
 
     def dense(self):
         """The generator matrix ``E^{-1} L``, dense, of size 3n."""
@@ -265,7 +254,9 @@ class Stepper:
     ``S = E_w - k L_w - k^2 L_v - k^3 L_u`` from the generator's blocks.
     ``S`` is factorized once per stage length, ``k = dt/2`` (midpoint)
     and ``k = 2 dt/3`` (BDF2), and the map ``Q`` from the step's state to
-    the right-hand side of ``S`` is one precomputed n x 3n matrix.  Both
+    the right-hand side of ``S`` is one precomputed n x 3n matrix, read off
+    the same blocks with no 3n x 3n matrix built; BDF2's ``Q`` and the
+    ``g`` columns of its ``C`` carry the 1/3 of ``g = (4 x - prev) / 3``.  Both
     are dense, with a LAPACK LU of ``S`` (``"dense-lu"``), while they fit
     the working-set budget ``4 n^2 <= _CHUNK_ELEMENTS`` (n <= 128), where
     sparse calls cost more than their arithmetic; above it ``S`` has a
@@ -290,14 +281,13 @@ class Stepper:
         if generator.form != "u":
             raise ValueError("Stepper integrates the u-form pencil, not form %r" % generator.form)
         self.dt = float(dt)
-        E, L = generator.E, generator.L
         Ew, Lu, Lv, Lw = generator.Ew, generator.Lu, generator.Lv, generator.Lw
         n = Ew.shape[0]
 
-        def stage(k, G, C):
-            # the stage of length k for g = G x and combine C; its storage follows n alone
+        def stage(k, Q, C):
+            # the stage of length k with map blocks Q and combine C; its storage follows n alone
             S = Ew - k * Lw - k**2 * Lv - k**3 * Lu
-            Q = (sp.hstack([k * Lu, k**2 * Lu + k * Lv, sp.identity(n)]) @ G).tocsr()
+            Q = sp.hstack(Q, format="csr")
             if 4 * n * n <= _CHUNK_ELEMENTS:
                 lu, piv = _lapack(dgetrf(S.toarray()))
                 return _Stage(Q.toarray(), lu, piv, np.array(C), S, n * n)
@@ -305,14 +295,20 @@ class Stepper:
             lu = splu(S.T, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
             return _Stage(Q, lu, None, np.array(C), S, lu.nnz)
 
-        # C: (u, v, w, w') -> (u + 2k v + k^2 (w + w'), v + k (w + w'), w'), g = x
+        # C: (u, v, w, w') -> (u + 2k v + k^2 (w + w'), v + k (w + w'), w'), g = x; Q is
+        # [k Lu, k^2 Lu + k Lv, I] (E + k L), each entry summed as that product sums it
         k = 0.5 * self.dt
+        kLu, kLuv = k * Lu, k**2 * Lu + k * Lv
+        Q = [kLu + kLu, (kLu * k + kLuv) + k * Lv, kLuv * k + (Ew + k * Lw)]
         C = [[1, 2 * k, k**2, k**2], [0, 1, k, k], [0, 0, 0, 1]]
-        self._mid, self._bdf = stage(k, E + k * L, C), None
+        self._mid, self._bdf = stage(k, Q, C), None
         if scheme == "bdf2":
-            # C: (g_u, g_v, g_w, w') -> (g_u + k g_v + k^2 w', g_v + k w', w'), g = (4 x - prev) / 3
-            k = 2.0 / 3.0 * self.dt
-            self._bdf = stage(k, E, [[1, k, 0, k**2], [0, 1, 0, k], [0, 0, 0, 1]])
+            # C: (g_u, g_v, g_w, w') -> (g_u + k g_v + k^2 w', g_v + k w', w') / 3 in its
+            # g columns, g = 4 x - prev; Q is [k Lu, k^2 Lu + k Lv, I] E / 3
+            k, third = 2.0 / 3.0 * self.dt, 1.0 / 3.0
+            Q = [third * (k * Lu), third * (k**2 * Lu + k * Lv), third * Ew]
+            C = [[third, k * third, 0, k**2], [0, third, 0, k], [0, 0, 0, 1]]
+            self._bdf = stage(k, Q, C)
 
     def advance(self, x, prev, out):
         """Write the step from the state in ``x`` into ``out``; ``x``, ``prev`` and
@@ -322,10 +318,9 @@ class Stepper:
         midpoint step that writes only ``x``'s scratch row besides ``out``."""
         stage, (y, r, g, _) = self._mid, x
         if prev is not None and self._bdf is not None:
-            # g = (4 x - prev) / 3 in prev's buffer, with out as scratch
+            # g = 4 x - prev in prev's buffer, with out as scratch
             stage, (y, r, g, _) = self._bdf, prev
             np.subtract(np.multiply(x[0], 4.0, out=out[0]), y, out=y)
-            np.multiply(y, 1.0 / 3.0, out=y)
         # S's right-hand side Q y in g's scratch row, solved there
         if stage.piv is None:
             np.copyto(r, stage.lu.solve(stage.Q @ y, "T"))

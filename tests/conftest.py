@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
 import mgtstab as M
@@ -21,6 +22,16 @@ def match_spectra(vals_a, vals_b):
     cost = np.abs(A[:, None] - B[None, :])
     r, cidx = linear_sum_assignment(cost)
     return float(cost[r, cidx].max())
+
+
+def pencil(gen):
+    """The assembled 3n x 3n pencil ``(E, L)`` of a generator, ``E Phi' = L Phi``,
+    as CSR matrices: ``E = diag(I, I, Ew)`` and ``L = [[shift I, I, 0], [0, 0, I],
+    [Lu, Lv, Lw]]``."""
+    I = sp.identity(gen.Ew.shape[0], format="csr")
+    E = sp.block_diag([I, I, gen.Ew], format="csr")
+    first = [gen.shift * I if gen.shift else None, I, None]
+    return E, sp.bmat([first, [None, None, I], [gen.Lu, gen.Lv, gen.Lw]], format="csr")
 
 
 def dispersion_root(params, guess):
@@ -52,6 +63,44 @@ def dispersion_root(params, guess):
         df += k1 * ch + (k0 + k1 * lam) * sh / 2 * dmu
         lam -= f / df
     return lam
+
+
+def dispersion_root_count(params, re_lo, re_hi, im_max, steps=64):
+    """The number of roots, with multiplicity, of ``dispersion_root``'s ``F`` in the
+    rectangle ``re_lo < Re lam < re_hi``, ``|Im lam| < im_max``, by the argument
+    principle: the winding number of ``F`` along the rectangle's boundary.
+
+    ``F`` is analytic in ``lam`` away from the pole ``-c^2/b`` of ``mu`` (it is
+    entire in ``mu``), which the rectangle must avoid.  The boundary starts at
+    ``steps`` points a side; every step over which ``arg F`` turns by pi/4 or
+    more is halved until none does, and the turns add up to ``2 pi`` times the
+    count.  A root on the boundary, or one too close to resolve, raises.
+    """
+    tau, alpha, c2, b = params["tau"], params["alpha"], params["c"] ** 2, params["b"]
+    k0, k1 = params["kappa0"], params["kappa1"]
+    if re_lo <= -c2 / b <= re_hi:
+        raise ValueError("the rectangle contains the pole -c^2/b of mu")
+
+    def F(lam):
+        mu = lam**2 * (tau * lam + alpha) / (c2 + b * lam)
+        k = np.sqrt(mu)
+        f = (mu + k0 * k1 * lam) * np.sinh(k) / k + (k0 + k1 * lam) * np.cosh(k)
+        if not (np.isfinite(f).all() and (f != 0).all()):
+            raise ValueError("F vanishes or is not finite on the boundary")
+        return f
+
+    corners = [complex(re_lo, -im_max), complex(re_hi, -im_max), complex(re_hi, im_max), complex(re_lo, im_max)]
+    sides = [np.linspace(a, z, steps, endpoint=False) for a, z in zip(corners, corners[1:] + corners[:1])]
+    lam = np.concatenate(sides + [corners[:1]])
+    f = F(lam)
+    for _ in range(60):
+        turn = np.angle(f[1:] / f[:-1])
+        coarse = np.flatnonzero(np.abs(turn) >= np.pi / 4)
+        if not len(coarse):
+            return int(round(turn.sum() / (2 * np.pi)))
+        mid = 0.5 * (lam[coarse] + lam[coarse + 1])
+        lam, f = np.insert(lam, coarse + 1, mid), np.insert(f, coarse + 1, F(mid))
+    raise ValueError("arg F did not resolve along the boundary")
 
 
 def preset_names():

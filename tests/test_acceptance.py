@@ -21,7 +21,7 @@ import scipy.linalg
 import mgtstab as M
 from mgtstab import cli
 
-from conftest import match_spectra, reconstruct_u_from_z, simulate_with_states
+from conftest import match_spectra, pencil, reconstruct_u_from_z, simulate_with_states
 
 
 def _line(num, name, ok, detail):
@@ -172,8 +172,8 @@ def test_c07_transform_conjugacy():
     gen_u = M.assemble_generator(scen.bundle, form="u")
     gen_z = M.assemble_generator(scen.bundle, form="z")
     n = scen.mesh.n_nodes
-    Au = np.linalg.solve(gen_u.E.toarray(), gen_u.L.toarray())
-    Az = np.linalg.solve(gen_z.E.toarray(), gen_z.L.toarray())
+    Au = np.linalg.solve(*(A.toarray() for A in pencil(gen_u)))
+    Az = np.linalg.solve(*(A.toarray() for A in pencil(gen_z)))
     q = scen.params.q
     I, Z = np.eye(n), np.zeros((n, n))
     T = np.block([[I, Z, Z], [q * I, I, Z], [Z, q * I, I]])

@@ -16,7 +16,7 @@ from mgtstab import discretization
 from mgtstab.discretization import MaterialParams, Mesh
 from mgtstab.errors import IllPosedMapError, MeshError
 
-from conftest import interval_config
+from conftest import interval_config, preset_names
 
 
 def interval_bundle(n=16, **params):
@@ -276,6 +276,62 @@ def test_operators_are_symmetric():
     for A in (bundle.Mmat, bundle.Kmat, bundle.B0, bundle.B1, bundle.T1, bundle.Ktilde):
         assert sp.issparse(A)
         assert abs(A - A.T).max() < 1e-14
+
+
+def coo_reference(cells, loc, n):
+    """The local matrices ``loc[e]`` of ``cells[e]`` summed by a COO -> CSR conversion."""
+    k = cells.shape[1]
+    rows, cols = np.repeat(cells.T, k, axis=0), np.tile(cells.T, (k, 1))
+    return sp.coo_matrix((loc.transpose(1, 2, 0).ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
+
+
+def assembly_case(name):
+    """A preset's mesh and material, or the half disk with varying alpha, kappa0 and kappa1."""
+    if name in preset_names():
+        scen = M.Scenario(M.load_config(M.preset(name)))
+        return scen.mesh, scen.params
+    mesh = M.build_mesh(M.named_geometry("half-disk"), 8)
+    x, y = mesh.nodes.T
+    return mesh, MaterialParams(0.8, 1.2, 1.5, 1.0 + x**2, 1.0 + y, 2.0 + np.sin(3 * x))
+
+
+@pytest.mark.parametrize("name", preset_names() + ["half-disk-varying"])
+def test_assembly_matches_a_coo_reference(monkeypatch, name):
+    # each scattered operator against the COO sum of the very local matrices
+    # it was given; the reference sums duplicates in another order, so 2D
+    # entries may differ in the last bits (bound fixed before the run), 1D
+    # entries (at most two terms) not at all
+    mesh, params = assembly_case(name)
+    cells_of, made = [], []
+    pattern, scatter = discretization._pattern, discretization._scatter
+
+    def spy_pattern(cells, n):
+        cells_of.append((pattern(cells, n), cells, n))
+        return cells_of[-1][0]
+
+    def spy_scatter(pat, loc):
+        cells, n = next((c, n) for p, c, n in cells_of if p is pat)
+        made.append((scatter(pat, loc), coo_reference(cells, loc, n)))
+        return made[-1][0]
+
+    monkeypatch.setattr(discretization, "_pattern", spy_pattern)
+    monkeypatch.setattr(discretization, "_scatter", spy_scatter)
+    bundle = discretization.assemble_operators(mesh, params)
+    ref = {}
+    for op in ("Mmat", "Kmat", "B0", "B1", "Malpha", "Mgamma", "T0", "T1"):
+        ref[op] = next(r for A, r in made if A is getattr(bundle, op))
+    ref["Ktilde"] = ref["Kmat"] + ref["B0"]
+    assert len(made) == 8 and len(cells_of) == 3  # one pattern for the elements, one per part
+    for op, R in ref.items():
+        A = getattr(bundle, op)
+        assert np.array_equal(A.indptr, R.indptr) and np.array_equal(A.indices, R.indices), op
+        # canonical: entries strictly increasing in (row, column)
+        rows = np.repeat(np.arange(mesh.n_nodes), np.diff(A.indptr))
+        assert (np.diff(rows * mesh.n_nodes + A.indices) > 0).all(), op
+        if mesh.dim == 1:
+            assert np.array_equal(A.data, R.data), op
+        else:
+            assert np.abs(A.data - R.data).max() <= 1e-15 * np.abs(R.data).max(), op
 
 
 # ------------------------------------------------------------ neumann map

@@ -23,7 +23,7 @@ import mgtstab as M
 from mgtstab import dynamics, energy
 from mgtstab.dynamics import State
 
-from conftest import interval_config, reconstruct_u_from_z, simulate_with_states
+from conftest import interval_config, pencil, preset_names, reconstruct_u_from_z, simulate_with_states
 
 
 def make_scenario(**over):
@@ -320,7 +320,7 @@ def test_bdf2_history_is_per_trajectory():
 def pencil_reference(gen, x0, dt, scheme):
     """The full 3n-pencil solves ``(E - k L) x' = g`` the stepper condenses:
     one midpoint step, or a midpoint start and one BDF2 step."""
-    E, L = gen.E, gen.L
+    E, L = pencil(gen)
     x1 = splu((E - 0.5 * dt * L).tocsc()).solve((E + 0.5 * dt * L) @ x0)
     if scheme == "implicit-midpoint":
         return x1
@@ -368,16 +368,47 @@ def stage_matrix(gen, k):
     return gen.Ew - k * gen.Lw - k**2 * gen.Lv - k**3 * gen.Lu
 
 
+def stage_map(gen, dt, scheme):
+    """A scheme's stage length k and its n x 3n map Q, dense, as the pencil product
+    with ``R = [k Lu, k^2 Lu + k Lv, I]``: ``R (E + k L)`` for midpoint, whose
+    right-hand side is ``(E + k L) x``, and ``R E`` times 1/3 for BDF2, whose
+    right-hand side ``E (4 x - prev) / 3`` keeps its 1/3 in Q."""
+    E, L = pencil(gen)
+    k = 0.5 * dt if scheme == "implicit-midpoint" else 2.0 / 3.0 * dt
+    R = sp.hstack([k * gen.Lu, k**2 * gen.Lu + k * gen.Lv, sp.identity(gen.Ew.shape[0])])
+    if scheme == "implicit-midpoint":
+        return k, (R @ (E + k * L)).toarray()
+    return k, (R @ E).toarray() * (1.0 / 3.0)
+
+
+@pytest.mark.parametrize("scheme", ["implicit-midpoint", "bdf2"])
+@pytest.mark.parametrize("name", preset_names())
+def test_stage_map_is_the_pencil_product_bitwise(name, scheme):
+    # the stepper builds Q from the generator's blocks; each entry must be summed
+    # as the pencil product sums it, since the critical-drift gates see its
+    # rounding.  The presets cover the dense interval stages (n = 65), the sparse
+    # interval-1d-conserved stage (n = 129) and the 2D sparse stages.
+    cfg = M.load_config(M.preset(name))
+    gen = M.assemble_generator(M.Scenario(cfg).bundle, form="u")
+    dt = cfg["time"]["dt"]
+    stepper = M.Stepper(gen, dt, scheme)
+    stage = stepper._bdf or stepper._mid
+    k, Q = stage_map(gen, dt, scheme)
+    assert np.array_equal(stage.Q.toarray() if sp.issparse(stage.Q) else stage.Q, Q)
+    assert (stage.S != stage_matrix(gen, k)).nnz == 0
+
+
 def test_bdf2_health_measures_the_bdf2_stage():
     # n = 17: a dense stage, so the test's LAPACK LU repeats the stepper's bit for bit
     scen = make_scenario(mesh={"resolution": 16}, initial={"kind": "robin-mode"})
     gen = M.assemble_generator(scen.bundle, form="u")
-    n, dt = scen.mesh.n_nodes, 1e-2
+    dt = 1e-2
     x = np.concatenate([scen.initial.u, scen.initial.v, scen.initial.w])
     residual = {}
-    for k, G in ((0.5 * dt, gen.E + 0.5 * dt * gen.L), (2.0 / 3.0 * dt, gen.E)):
+    for scheme in ("implicit-midpoint", "bdf2"):
+        k, Q = stage_map(gen, dt, scheme)
         S = stage_matrix(gen, k)
-        rhs = (sp.hstack([k * gen.Lu, k**2 * gen.Lu + k * gen.Lv, sp.identity(n)]) @ G).toarray() @ x
+        rhs = Q @ x
         w = lu_solve(lu_factor(S.toarray()), rhs)
         residual[k] = np.abs(S @ w - rhs).max() / np.abs(rhs).max()
     for scheme, k in (("implicit-midpoint", 0.5 * dt), ("bdf2", 2.0 / 3.0 * dt)):
@@ -425,12 +456,13 @@ def test_advance_is_the_condensed_stage_algebra(monkeypatch, scheme, solver):
     views = dynamics._views
     assert M.Stepper(gen, dt, scheme).advance(views(x), views(prev), views(out)) is None
 
+    E, L = pencil(gen)
     if scheme == "implicit-midpoint":
         k = 0.5 * dt
-        G, g = gen.E + k * gen.L, x0[: 3 * n]
+        G, g = E + k * L, x0[: 3 * n]
     else:
         k = 2.0 / 3.0 * dt
-        G, g = gen.E, (4.0 * x0[: 3 * n] - prev0[: 3 * n]) / 3.0
+        G, g = E, (4.0 * x0[: 3 * n] - prev0[: 3 * n]) / 3.0
     ru, rv, rw = (G @ g).reshape(3, n)
     rhs = rw + k * (gen.Lu @ (ru + k * rv)) + k * (gen.Lv @ rv)
     w = np.linalg.solve(stage_matrix(gen, k).toarray(), rhs)
@@ -462,7 +494,7 @@ def test_sparse_stage_solves_s_and_not_its_transpose(monkeypatch, scheme):
     x0, prev0, out = x.copy(), prev.copy(), np.empty(4 * n)
     views = dynamics._views
     stepper.advance(views(x), views(prev), views(out))
-    E, L = gen.E.toarray(), gen.L.toarray()
+    E, L = (A.toarray() for A in pencil(gen))
     if scheme == "implicit-midpoint":
         k, g = 0.5 * dt, (E + 0.5 * dt * L) @ x0[: 3 * n]
     else:

@@ -13,7 +13,7 @@ import scipy.linalg
 import mgtstab as M
 from mgtstab import dynamics, spectral
 
-from conftest import dispersion_root, interval_config, match_spectra
+from conftest import dispersion_root, dispersion_root_count, interval_config, match_spectra, pencil
 
 
 def make_scenario(**over):
@@ -182,8 +182,7 @@ def test_eigenvalues_satisfy_pencil():
     scen = make_scenario(mesh={"resolution": 8})
     gen = M.assemble_generator(scen.bundle, form="u")
     rep = M.spectrum(gen)
-    E = gen.E.toarray()
-    L = gen.L.toarray()
+    E, L = (A.toarray() for A in pencil(gen))
     scale = np.linalg.norm(L, 2)
     for lam in rep.eigenvalues[:: len(rep.eigenvalues) // 7]:
         sigma = np.linalg.svd(L - lam * E, compute_uv=False)
@@ -223,7 +222,8 @@ def test_critical_interval_spectrum_converges_to_the_exact_wave_roots():
     assert np.abs(np.array(low) - root.real).max() <= 2e-4, low
 
 
-@pytest.mark.parametrize(
+# (config, Newton start, pinned root) of the dispersion relation
+PINNED_ROOTS = pytest.mark.parametrize(
     "cfg, guess, pinned",
     [
         ({"preset": "interval-1d-damped"}, -0.38 + 0.41j, -0.380694073 + 0.408446721j),
@@ -236,6 +236,9 @@ def test_critical_interval_spectrum_converges_to_the_exact_wave_roots():
     ],
     ids=["damped", "unstable", "damped-alpha-1.2-kappa1-0.5"],
 )
+
+
+@PINNED_ROOTS
 def test_damped_interval_spectrum_converges_to_the_dispersion_root(cfg, guess, pinned):
     # the discrete eigenvalue nearest to an exact root of the dispersion
     # relation converges at O(h^2); interval-1d-damped's (gamma = 1) is
@@ -249,6 +252,34 @@ def test_damped_interval_spectrum_converges_to_the_dispersion_root(cfg, guess, p
         vals = M.spectrum(M.assemble_generator(scen.bundle, form="u")).eigenvalues
         dist.append(np.abs(vals - root).min())
     assert M.refinement_slope(dist) >= 1.9, dist
+
+
+# The certified window, fixed before the run: |Im lam| < 40, over four times the
+# largest pinned |Im lam|, and Re lam < 20.  Beyond |Im lam| = 40 the claim rests
+# on the high-root asymptote Re lam -> -gamma/(2 tau) + (s/2) ln|(1 - kappa1 s)/(1 + kappa1 s)|,
+# s = sqrt(b/tau) the wave speed (-inf, +0.25 and -0.649 for the three rows),
+# an assumption.
+IM_MAX, RE_MAX = 40.0, 20.0
+
+
+@PINNED_ROOTS
+def test_no_dispersion_root_lies_right_of_the_pinned_roots(cfg, guess, pinned):
+    # the argument principle counts what Newton cannot: the roots to the right
+    # of each pinned root.  A rectangle that starts just left of the root counts
+    # it and its conjugate.  interval-1d-unstable (kappa1 = 0, gamma = -0.5) is
+    # the exception: its roots are the cubic's for mu = -omega_n^2, omega_n
+    # tan(omega_n) = kappa0, with Re lam rising to -gamma/(2 tau) = 0.25 from
+    # below, so the nine pairs with Im lam 12.66 ... 37.73 lie right of the
+    # pinned one (Re 0.24846 ... 0.24982) and none right of 0.25
+    params = M.load_config(cfg)["params"]
+    root = dispersion_root(params, guess)
+    right = dispersion_root_count(params, root.real + 1e-9, RE_MAX, IM_MAX)
+    assert dispersion_root_count(params, root.real - 1e-3, RE_MAX, IM_MAX) == right + 2
+    if cfg["preset"] == "interval-1d-unstable":
+        assert right == 18
+        assert dispersion_root_count(params, 0.25, RE_MAX, IM_MAX) == 0
+    else:
+        assert right == 0
 
 
 # The two tests below pin facts about the current P1 scheme, not gates: its
@@ -299,8 +330,8 @@ def test_m_transform_conjugates_generators():
     gen_u = M.assemble_generator(scen.bundle, form="u")
     gen_z = M.assemble_generator(scen.bundle, form="z")
     n = scen.mesh.n_nodes
-    Au = np.linalg.solve(gen_u.E.toarray(), gen_u.L.toarray())
-    Az = np.linalg.solve(gen_z.E.toarray(), gen_z.L.toarray())
+    Au = np.linalg.solve(*(A.toarray() for A in pencil(gen_u)))
+    Az = np.linalg.solve(*(A.toarray() for A in pencil(gen_z)))
     q = scen.params.q
     I, Z = np.eye(n), np.zeros((n, n))
     T = np.block([[I, Z, Z], [q * I, I, Z], [Z, q * I, I]])
