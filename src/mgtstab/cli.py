@@ -8,8 +8,8 @@ simulate
     9 columns, known before the first step) is formatted by a
     :class:`_Worker` while the parent steps: each finished chunk of rows
     goes to it through the worker's pipe, and it writes the file once the
-    simulation has returned.  Smaller tables are written inline after
-    stepping.
+    simulation has returned.  A smaller table goes to the same writer
+    run inline, which formats the chunks after stepping.
 spectrum
     Eigenvalues of the first-order generator, written to ``spectrum.json``.
 certify-geometry
@@ -23,9 +23,9 @@ full
     The eigensolve runs in a :class:`_Worker` while the parent certifies
     and time-steps; the trajectory table is written as by ``simulate``.
 
-A :class:`_Worker` is a forked process; where ``os.fork`` does not exist
-or fails it runs inline when collected, so every artifact is the same
-either way.
+A :class:`_Worker` is a forked process; where ``os.fork`` does not exist,
+a pipe or the fork fails, or its caller asks for it, it runs inline when
+collected, so every artifact is the same either way.
 
 Exit codes: 0 success, 2 configuration/schema error, 3 geometry
 precondition failure, 4 numerical failure.  On failure an ``error.json``
@@ -56,7 +56,7 @@ from .errors import (
     NumericalError,
 )
 from .geometry import GAMMA0, GAMMA1, build_vector_field_h, check_convex_gamma0, check_star_shaped
-from .reporting import write_csv_blocks, write_json, write_trajectory_csv
+from .reporting import write_json, write_trajectory_csv
 from .spectral import abscissa_vs_decay, check_dense_cap, spectrum
 
 _LOGGER = logging.getLogger(__name__)
@@ -68,6 +68,15 @@ _NO_CLOSED_FORM = (
     "field is only certified discretely -- use an interval or flat-gamma0 "
     "geometry for multiplier checks"
 )
+
+# every subcommand and its help text, in the order `mgt-stab --help` lists them
+SUBCOMMANDS = {
+    "simulate": "time-step a scenario and record energy series",
+    "spectrum": "eigenvalues of the first-order generator",
+    "certify-geometry": "check hypotheses and certify the multiplier field",
+    "multiplier-check": "verify the multiplier identities under refinement",
+    "full": "run every applicable stage",
+}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,7 +139,7 @@ def _simulate(scen, on_chunk=None):
     except ValueError:  # too few positive energy samples above the roundoff floor
         fit = dict.fromkeys(("omega", "M", "fit_residual", "n_points"), None)
         fit["applicable"] = False
-    payload = {
+    return {
         "energy": {
             "E1_initial": e1_0,
             "E1_final": float(traj.E1[-1]),
@@ -144,7 +153,6 @@ def _simulate(scen, on_chunk=None):
         "compat": traj.compat,
         "meta": traj.meta,
     }
-    return traj, payload
 
 
 def _adjoint_spot_check(scen, seed):
@@ -256,33 +264,29 @@ class _Worker:
     ``collect()``, it never reads an end of input.  The worker is killed
     when a ``with`` block around it raises and when the parent is
     interrupted while ``collect()`` waits; on every path it is reaped.
-    Where ``os.fork`` does not exist or fails, ``send()`` keeps the
-    messages and ``collect()`` runs ``func`` inline on them.
+    With ``fork=False``, and where ``os.fork`` does not exist or a pipe or
+    the fork fails, no process is started: ``send()`` keeps the messages
+    and ``collect()`` runs ``func`` inline on them.
     """
 
-    def __init__(self, func):
+    def __init__(self, func, fork=True):
         self._func = func
-        self._pid = self._result = self._feed = self._kept = None
-        read_fd, write_fd = os.pipe()
-        feed_read, feed_write = os.pipe()
-        # one chunk of rows (72 KB at n = 65) overfills the default 64 KiB
-        # pipe, and a send() that waits for the worker to drain it made runs
-        # about 5 % slower; on Linux the pipe is widened to 1 MiB
-        try:
-            import fcntl
-
-            fcntl.fcntl(feed_write, fcntl.F_SETPIPE_SZ, 1 << 20)
-        except (ImportError, AttributeError, OSError):  # not Linux, or above the user's pipe limits
-            pass
-        # the only other threads are OpenBLAS's pool, which OpenBLAS joins
-        # before a fork (pthread_atfork): no thread runs while memory is copied
-        try:
-            pid = os.fork()
-        except (AttributeError, OSError):  # no os.fork, or no process to spare: run inline
-            for fd in (read_fd, write_fd, feed_read, feed_write):
-                os.close(fd)
-            self._kept = []
+        self._pid = self._result = self._feed = None
+        self._kept = []  # the messages of an inline run; None once forked
+        if not fork:
             return
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            # the only other threads are OpenBLAS's pool, which OpenBLAS joins
+            # before a fork (pthread_atfork): no thread runs while memory is copied
+            pid = os.fork()
+        except (AttributeError, OSError):  # no os.fork, or no descriptor or process to spare: run inline
+            for fd in fds:
+                os.close(fd)
+            return
+        read_fd, write_fd, feed_read, feed_write = fds
         if pid == 0:  # the worker: send ("ok", value) or ("err", exception), never return
             status = 1
             try:
@@ -301,7 +305,16 @@ class _Worker:
                 os._exit(status)
         os.close(write_fd)
         os.close(feed_read)
-        self._pid, self._result, self._feed = pid, read_fd, feed_write
+        self._pid, self._result, self._feed, self._kept = pid, read_fd, feed_write, None
+        # one chunk of rows (72 KB at n = 65) overfills the default 64 KiB
+        # pipe, and a send() that waits for the worker to drain it made runs
+        # about 5 % slower; on Linux the pipe is widened to 1 MiB
+        try:
+            import fcntl
+
+            fcntl.fcntl(feed_write, fcntl.F_SETPIPE_SZ, 1 << 20)
+        except (ImportError, AttributeError, OSError):  # not Linux, or above the user's pipe limits
+            pass
 
     def _timed(self, messages):
         start = time.perf_counter()
@@ -383,6 +396,8 @@ def run(config, subcommand, out_dir=None, seed=0):
     validated here).  Returns the summary payload.  Raises the package
     error types; exit-code mapping is the caller's concern.
     """
+    if subcommand not in SUBCOMMANDS:
+        raise ConfigError("unknown subcommand %r" % subcommand)
     cfg = load_config(config)
     scen = Scenario(cfg)
     base = {
@@ -395,85 +410,64 @@ def run(config, subcommand, out_dir=None, seed=0):
         "classification": scen.params.stability_classification(),
     }
 
-    def emit(name, payload):
+    def emit(name, **fields):
+        payload = {**base, **fields}
         if out_dir is not None:
             write_json(os.path.join(out_dir, name), payload)
+        return payload
 
-    # the stages, each with its artifact; `full` chains them
     def certified():
         info, h, err = _certify(scen)
-        emit("certification.json", {**base, "certification": info})
+        written = emit("certification.json", certification=info)
         if err is not None:
             raise err
-        return info, h
+        return written, h
 
     def simulated():
         if out_dir is None:
-            return _simulate(scen)[1]
+            return _simulate(scen)
         path, t = os.path.join(out_dir, "trajectory.csv"), scen.time
         n_rows = record_count(t["T"], t["dt"], t["output_stride"])
         # a fork round trip costs about what formatting 6000 values does,
         # so a table within the budget is written inline
-        if n_rows * len(Trajectory.CSV_COLUMNS) <= _CHUNK_ELEMENTS:
-            traj, sim = _simulate(scen)
-            write_trajectory_csv(traj, path)
-            return sim
-        with _Worker(lambda blocks: write_csv_blocks(path, Trajectory.CSV_COLUMNS, blocks)) as writer:
-            _, sim = _simulate(scen, lambda chunk: writer.send(chunk.csv_rows()[1]))
+        forked = n_rows * len(Trajectory.CSV_COLUMNS) > _CHUNK_ELEMENTS
+        with _Worker(lambda blocks: write_trajectory_csv(blocks, path), fork=forked) as writer:
+            sim = _simulate(scen, lambda chunk: writer.send(chunk.csv_rows()))
             start = time.perf_counter()
             writer.collect()
-        _LOGGER.info(
-            "writer stage: %d rows, %.3f s waited for it", n_rows, time.perf_counter() - start
-        )
+        if forked:
+            _LOGGER.info("writer stage: %d rows, %.3f s waited for it", n_rows, time.perf_counter() - start)
         return sim
 
     def solve():
         return spectrum(assemble_generator(scen.bundle, form="u"))
 
-    def spectral(rep):
-        emit("spectrum.json", {**base, "spectrum": rep.to_dict()})
-        return rep
+    # each single-stage subcommand's stage, returning the artifact it wrote
+    stages = {
+        "simulate": lambda: emit("summary.json", **simulated()),
+        "spectrum": lambda: emit("spectrum.json", spectrum=solve().to_dict()),
+        "certify-geometry": lambda: certified()[0],
+        "multiplier-check": lambda: emit("multiplier.json", multiplier=_multiplier_check(scen)),
+    }
 
-    def identities():
-        mp = _multiplier_check(scen)
-        emit("multiplier.json", {**base, "multiplier": mp})
-        return mp
-
-    if subcommand == "certify-geometry":
-        return {**base, "certification": certified()[0]}
-
-    if subcommand == "simulate":
-        payload = {**base, **simulated()}
-        emit("summary.json", payload)
-        return payload
-
-    if subcommand == "spectrum":
-        return {**base, "spectrum": spectral(solve()).to_dict()}
-
-    if subcommand == "multiplier-check":
-        return {**base, "multiplier": identities()}
-
-    if subcommand == "full":
+    def full():
         # the caps depend on the config alone, so they are checked before
         # any stage; the eigensolve then overlaps certification and stepping
         check_dense_cap(3 * scen.mesh.n_nodes)
         if "multiplier" in cfg:
             _multiplier_config(scen)
         with _Worker(lambda _: solve()) as solver:
-            info, h = certified()
+            cert, h = certified()
             sim = simulated()
             rep, seconds = solver.collect()
         _LOGGER.info(
             "spectral stage: generator size %d, method %s, %.3f s",
             len(rep.eigenvalues), rep.method, seconds,
         )
-        spectral(rep)
-        adj = _adjoint_spot_check(scen, seed)
-        versus = abscissa_vs_decay(rep, sim["decay_fit"]["omega"])
-        payload = {
-            **base,
+        emit("spectrum.json", spectrum=rep.to_dict())
+        fields = {
             **sim,
-            "certification": info,
+            "certification": cert["certification"],
             "spectral": {
                 "abscissa": rep.abscissa,
                 "stable": rep.stable,
@@ -482,19 +476,20 @@ def run(config, subcommand, out_dir=None, seed=0):
                 "n_eigenvalues": len(rep.eigenvalues),
                 "method": rep.method,
             },
-            "abscissa_vs_decay": versus,
-            "adjoint_check": adj,
+            "adjoint_check": _adjoint_spot_check(scen, seed),
+            "abscissa_vs_decay": abscissa_vs_decay(rep, sim["decay_fit"]["omega"]),
         }
         if "multiplier" in cfg and h.analytic is None:
-            payload["multiplier"] = {"applicable": False, "reason": _NO_CLOSED_FORM}
+            fields["multiplier"] = {"applicable": False, "reason": _NO_CLOSED_FORM}
         elif "multiplier" in cfg:
-            mp = identities()
+            mp = stages["multiplier-check"]()["multiplier"]
             keys = ("slopes", "gamma0_term_max", "not_applicable")
-            payload["multiplier"] = {key: mp[key] for key in keys if key in mp}
-        emit("summary.json", payload)
-        return payload
+            fields["multiplier"] = {key: mp[key] for key in keys if key in mp}
+        return emit("summary.json", **fields)
 
-    raise ConfigError("unknown subcommand %r" % subcommand)
+    # `full` is not in the table: it reads the table, and a function in it
+    # that reads it would keep the scenario alive in a reference cycle
+    return full() if subcommand == "full" else stages[subcommand]()
 
 
 def _classify_error(exc):
@@ -514,13 +509,7 @@ def main(argv=None):
         "acoustic model with partitioned boundary feedback.",
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (
-        ("simulate", "time-step a scenario and record energy series"),
-        ("spectrum", "eigenvalues of the first-order generator"),
-        ("certify-geometry", "check hypotheses and certify the multiplier field"),
-        ("multiplier-check", "verify the multiplier identities under refinement"),
-        ("full", "run every applicable stage"),
-    ):
+    for name, help_text in SUBCOMMANDS.items():
         sp = subparsers.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to a JSON configuration")
         sp.add_argument("--out", required=True, help="output directory for artifacts")

@@ -380,8 +380,7 @@ class Trajectory:
     CSV_COLUMNS = ("t", "E0", "E1", "E", "D_boundary", "D_interior", "u_L2", "z_L2", "zt_L2")
 
     def csv_rows(self):
-        cols = [self.times] + [getattr(self, name) for name in self.CSV_COLUMNS[1:]]
-        return list(self.CSV_COLUMNS), np.column_stack(cols)
+        return np.column_stack([self.times] + [getattr(self, name) for name in self.CSV_COLUMNS[1:]])
 
 
 def _observables(U, V, W, times, bundle, gamma_negative):

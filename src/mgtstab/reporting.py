@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from .dynamics import _CHUNK_ELEMENTS
+from .dynamics import Trajectory
 
 
 def sanitize(obj):
@@ -62,14 +62,6 @@ def write_json(path, obj):
     _atomic_write(path, (payload, "\n"))
 
 
-def write_csv(path, columns, rows):
-    rows = np.atleast_2d(np.asarray(rows, float))
-    # blocks of at most _CHUNK_ELEMENTS values: one % over the whole table's
-    # values as Python floats would raise the peak memory
-    step = max(1, _CHUNK_ELEMENTS // max(1, rows.shape[1]))
-    write_csv_blocks(path, columns, (rows[i : i + step] for i in range(0, len(rows), step)))
-
-
 def _formatted(rows):
     # a 2D block of rows as CSV lines, by one % over its values
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
@@ -85,6 +77,6 @@ def write_csv_blocks(path, columns, blocks):
     _atomic_write(path, parts)
 
 
-def write_trajectory_csv(trajectory, path):
-    columns, rows = trajectory.csv_rows()
-    write_csv(path, columns, rows)
+def write_trajectory_csv(blocks, path):
+    """The trajectory table from the ``csv_rows()`` of consecutive chunks."""
+    write_csv_blocks(path, Trajectory.CSV_COLUMNS, blocks)

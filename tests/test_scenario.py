@@ -1,5 +1,7 @@
 """Configuration handling, artifact serialization, CLI exit behavior."""
 
+import errno
+import gc
 import inspect
 import json
 import logging
@@ -19,7 +21,7 @@ import mgtstab as M
 from mgtstab import cli, energy, reporting, spectral
 from mgtstab.config import MAX_STEPS, SCHEMA, canonical_json
 from mgtstab.dynamics import _CHUNK_ELEMENTS, record_count
-from mgtstab.reporting import sanitize, write_csv, write_csv_blocks, write_json, write_trajectory_csv
+from mgtstab.reporting import sanitize, write_csv_blocks, write_json, write_trajectory_csv
 
 from conftest import interval_config, preset_names
 
@@ -159,7 +161,7 @@ def test_write_json_is_deterministic(tmp_path):
 def test_write_csv_roundtrips_floats(tmp_path):
     path = str(tmp_path / "vals.csv")
     rows = np.array([[1.0 / 3.0, np.pi], [1e-300, 7.0]])
-    write_csv(path, ["left", "right"], rows)
+    write_csv_blocks(path, ["left", "right"], [rows])
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_array_equal(back, rows)  # %.17g is lossless for doubles
 
@@ -172,7 +174,7 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
             [np.inf, -np.inf, -0.0, -2.2250738585072014e-309],
         ]
     )
-    write_csv(path, ["a", "b", "c", "d"], rows)
+    write_csv_blocks(path, ["a", "b", "c", "d"], [rows])
     assert Path(path).read_bytes() == per_value_csv(["a", "b", "c", "d"], rows)
 
 
@@ -210,16 +212,9 @@ def test_write_csv_blocks_leave_nothing_when_the_blocks_raise(tmp_path):
 
 
 def test_each_format_call_takes_at_most_one_chunk(tmp_path, monkeypatch):
-    # a whole table is formatted in chunks of at most _CHUNK_ELEMENTS values,
-    # and a streamed one block per chunk of recorded samples
+    # a streamed table is formatted one block per chunk of recorded samples
     shapes, formatted = [], reporting._formatted
     monkeypatch.setattr(reporting, "_formatted", lambda rows: shapes.append(rows.shape) or formatted(rows))
-    step = _CHUNK_ELEMENTS // 9
-    rows = np.random.default_rng(4).standard_normal((2 * step + 5, 9))
-    write_csv(str(tmp_path / "whole.csv"), list("abcdefghi"), rows)
-    assert shapes == [(step, 9), (step, 9), (5, 9)]
-    assert (tmp_path / "whole.csv").read_bytes() == per_value_csv(list("abcdefghi"), rows)
-    shapes.clear()
     monkeypatch.delattr(os, "fork")  # the writer runs inline, in this process
     cli.run(streamed_config(7282), "simulate", out_dir=str(tmp_path / "streamed"))
     chunk = _CHUNK_ELEMENTS // 17
@@ -233,7 +228,7 @@ def test_artifacts_take_the_mode_the_umask_gives(tmp_path):
         old = os.umask(mask)
         try:
             write_json(str(tmp_path / ("%o.json" % mask)), {"a": [1.0, None]})
-            write_csv(str(tmp_path / ("%o.csv" % mask)), ["x", "y"], [[0.5, 2.0]])
+            write_csv_blocks(str(tmp_path / ("%o.csv" % mask)), ["x", "y"], [np.array([[0.5, 2.0]])])
         finally:
             os.umask(old)
         for ext in ("json", "csv"):
@@ -247,9 +242,7 @@ def test_trajectory_csv_columns(tmp_path):
     scen = M.Scenario(interval_config(initial={"kind": "robin-mode"}))
     traj = M.simulate(scen.bundle, scen.initial, T=0.2, dt=1e-2)
     path = str(tmp_path / "traj.csv")
-    from mgtstab.reporting import write_trajectory_csv
-
-    write_trajectory_csv(traj, path)
+    write_trajectory_csv([traj.csv_rows()], path)
     header = Path(path).read_text().splitlines()[0].split(",")
     assert tuple(header) == traj.CSV_COLUMNS
     data = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -651,8 +644,9 @@ def test_cli_streamed_csv_matches_the_inline_write(tmp_path, monkeypatch, n_rows
     for name in ("summary.json", "trajectory.csv"):
         assert (forked / name).read_bytes() == (inline / name).read_bytes(), name
     # and the chunks add up to the table written in one piece
-    traj, _ = cli._simulate(M.Scenario(M.load_config(streamed_config(n_rows))))
-    write_trajectory_csv(traj, str(tmp_path / "whole.csv"))
+    scen = M.Scenario(M.load_config(streamed_config(n_rows)))
+    traj = M.simulate(scen.bundle, scen.initial, scen.time["T"], scen.time["dt"])
+    write_trajectory_csv([traj.csv_rows()], str(tmp_path / "whole.csv"))
     assert (forked / "trajectory.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
@@ -679,9 +673,89 @@ def test_cli_full_runs_inline_when_fork_fails(tmp_path, monkeypatch):
         assert (forked / name).read_bytes() == (failed / name).read_bytes(), name
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers need os.fork")
+def test_cli_full_runs_inline_when_a_pipe_fails(tmp_path, monkeypatch):
+    # the eigensolve worker's second pipe cannot be made (no descriptor to
+    # spare): its first pipe is closed (the fixture checks the descriptors)
+    # and the solve runs inline, while the streamed writer still forks
+    cfg_path = write_config(tmp_path, streamed_config(7282))
+    forked, failed = tmp_path / "forked", tmp_path / "failed"
+    assert cli.main(["full", "--config", cfg_path, "--out", str(forked), "--seed", "3"]) == cli.EXIT_OK
+    pipes, pipe = [], os.pipe
+
+    def second_pipe_fails():
+        pipes.append(1)
+        if len(pipes) == 2:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", second_pipe_fails)
+    forks = counting_forks(monkeypatch)
+    assert cli.main(["full", "--config", cfg_path, "--out", str(failed), "--seed", "3"]) == cli.EXIT_OK
+    assert (len(pipes), len(forks)) == (4, 1)
+    names = sorted(os.listdir(forked))
+    assert names == sorted(os.listdir(failed)) and "trajectory.csv" in names
+    for name in names:
+        assert (forked / name).read_bytes() == (failed / name).read_bytes(), name
+
+
+def test_run_rejects_an_unknown_subcommand_before_building_anything(monkeypatch):
+    def no_scenario(cfg):
+        raise AssertionError("a scenario was built")
+
+    monkeypatch.setattr(cli, "Scenario", no_scenario)
+    with pytest.raises(M.ConfigError, match=r"^unknown subcommand 'no-such-subcommand'$"):
+        cli.run(tiny_config(), "no-such-subcommand")
+
+
+def test_main_parses_the_subcommand_table(capsys, monkeypatch):
+    # `mgt-stab --help` lists the table's subcommands, in its order, each
+    # with its help text
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert re.search(r"\{([^}]*)\}", out).group(1).split(",") == list(cli.SUBCOMMANDS)
+    for name, help_text in cli.SUBCOMMANDS.items():
+        assert re.search(r"^ +%s +%s$" % (re.escape(name), re.escape(help_text)), out, re.M), name
+
+
+@pytest.mark.parametrize(
+    "subcommand, artifact",
+    [
+        ("certify-geometry", "certification.json"),
+        ("simulate", "summary.json"),
+        ("spectrum", "spectrum.json"),
+        ("multiplier-check", "multiplier.json"),
+        ("full", "summary.json"),
+    ],
+)
+def test_run_returns_what_it_wrote(tmp_path, subcommand, artifact):
+    out = tmp_path / "out"
+    payload = cli.run(tiny_config(), subcommand, out_dir=str(out), seed=3)
+    assert sanitize(payload) == json.loads((out / artifact).read_text())
+
+
+@pytest.mark.parametrize("subcommand", list(cli.SUBCOMMANDS))
+def test_run_leaves_no_reference_cycle(subcommand):
+    # a cycle through run's closures would keep each run's scenario, with
+    # its operators and factors, alive until a full collection, so repeated
+    # runs in one process would grow its peak memory
+    cfg = tiny_config(multiplier={"levels": 2, "n_time": 21})
+    cli.run(cfg, subcommand)  # imports what the subcommand needs
+    gc.disable()
+    try:
+        gc.collect()
+        cli.run(cfg, subcommand)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer needs os.fork")
 def test_cli_writer_without_a_result_is_a_runtime_error(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "write_csv_blocks", lambda *args: os._exit(7))
+    monkeypatch.setattr(cli, "write_trajectory_csv", lambda *args: os._exit(7))
     with pytest.raises(RuntimeError, match=r"^worker exited without a result \(exit status 7\)$"):
         cli.run(streamed_config(7282), "simulate", out_dir=str(tmp_path))
     assert os.listdir(tmp_path) == []
@@ -947,17 +1021,22 @@ def test_import_and_presets_do_not_load_scipy_optimize():
 
 
 def test_cli_full_in_development_mode_warns_nothing(tmp_path):
-    # both workers run: the eigensolve, and the CSV writer for 7 501 rows; a
-    # ResourceWarning (an unclosed pipe) is raised in a finalizer, so it leaves
-    # the exit code at 0 and shows only on stderr
-    cfg = tiny_config(mesh={"resolution": 4}, time={"T": 0.75, "dt": 1e-4})
-    assert record_count(0.75, 1e-4, 1) * len(M.Trajectory.CSV_COLUMNS) > _CHUNK_ELEMENTS
-    out = str(tmp_path / "out")
-    run = fresh_python("-X", "dev", "-W", "error", "-m", "mgtstab.cli", "full",
-                       "--config", write_config(tmp_path, cfg), "--out", out)
-    assert run.returncode == 0, run.stderr[-2000:]
-    assert "Warning" not in run.stderr, run.stderr[-2000:]
-    assert "writer stage" in run.stderr and "spectral stage" in run.stderr
+    # both workers run: the eigensolve, and the CSV writer, forked for 7 501
+    # rows and inline for 7 281; a ResourceWarning (an unclosed pipe) is
+    # raised in a finalizer, so it leaves the exit code at 0 and shows only
+    # on stderr
+    for T, forked in ((0.75, True), (0.728, False)):
+        cfg = tiny_config(mesh={"resolution": 4}, time={"T": T, "dt": 1e-4})
+        n_rows = record_count(T, 1e-4, 1)
+        assert (n_rows * len(M.Trajectory.CSV_COLUMNS) > _CHUNK_ELEMENTS) == forked
+        assert n_rows == (7501 if forked else 7281)
+        out = str(tmp_path / str(n_rows))
+        run = fresh_python("-X", "dev", "-W", "error", "-m", "mgtstab.cli", "full",
+                           "--config", write_config(tmp_path, cfg), "--out", out)
+        assert run.returncode == 0, run.stderr[-2000:]
+        assert "Warning" not in run.stderr, run.stderr[-2000:]
+        assert ("writer stage" in run.stderr) == forked and "spectral stage" in run.stderr
+        assert sorted(os.listdir(out)) == ["certification.json", "spectrum.json", "summary.json", "trajectory.csv"]
 
 
 @pytest.mark.parametrize(
