@@ -464,17 +464,13 @@ def run(config, subcommand, out_dir=None, seed=0):
             "spectral stage: generator size %d, method %s, %.3f s",
             len(rep.eigenvalues), rep.method, seconds,
         )
-        emit("spectrum.json", spectrum=rep.to_dict())
+        spec = emit("spectrum.json", spectrum=rep.to_dict())["spectrum"]
         fields = {
             **sim,
             "certification": cert["certification"],
             "spectral": {
-                "abscissa": rep.abscissa,
-                "stable": rep.stable,
-                # constant, kept for byte-identical artifacts; perfbench/workloads.py reads it
-                "partial": False,
+                **{key: spec[key] for key in ("abscissa", "stable", "partial", "method")},
                 "n_eigenvalues": len(rep.eigenvalues),
-                "method": rep.method,
             },
             "adjoint_check": _adjoint_spot_check(scen, seed),
             "abscissa_vs_decay": abscissa_vs_decay(rep, sim["decay_fit"]["omega"]),

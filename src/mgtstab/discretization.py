@@ -109,14 +109,10 @@ class Mesh:
         return np.unique(self.facets[self.facet_tags == tag])
 
     def mesh_size(self):
-        """Maximum element diameter."""
-        if self.dim == 1:
-            return float(self.element_volumes.max())
+        """Maximum element diameter: the longest edge of any simplex."""
         x = self.nodes[self.elements]
-        e01 = np.linalg.norm(x[:, 1] - x[:, 0], axis=1)
-        e12 = np.linalg.norm(x[:, 2] - x[:, 1], axis=1)
-        e20 = np.linalg.norm(x[:, 0] - x[:, 2], axis=1)
-        return float(np.max([e01, e12, e20]))
+        i, j = np.triu_indices(self.dim + 1, 1)
+        return float(np.linalg.norm(x[:, i] - x[:, j], axis=-1).max())
 
     def facet_quadrature(self):
         """Two-point Gauss points per facet: (points, weights).
@@ -139,23 +135,19 @@ class Mesh:
     def element_quadrature(self, rule="vertex"):
         """Element quadrature points/weights for closed-form integrands.
 
-        1D rules: ``trapezoid`` (order 2) and ``simpson`` (order 4).
-        2D rule: ``vertex`` (order 2).
+        ``vertex`` (order 2, any dimension): ``|S| / (d + 1)`` at each
+        vertex, the trapezoid rule in 1D.  ``simpson`` (order 4): 1D only.
         """
         x = self.nodes[self.elements]
         vol = self.element_volumes
-        if self.dim == 1:
-            if rule == "trapezoid":
-                return x, np.column_stack([vol / 2, vol / 2])
-            if rule == "simpson":
-                mid = 0.5 * (x[:, 0] + x[:, 1])
-                pts = np.stack([x[:, 0], mid, x[:, 1]], axis=1)
-                w = np.column_stack([vol / 6, 4 * vol / 6, vol / 6])
-                return pts, w
-            raise ValueError("unknown 1D rule %r" % rule)
         if rule == "vertex":
-            return x, np.repeat(vol[:, None] / 3.0, 3, axis=1)
-        raise ValueError("unknown 2D rule %r" % rule)
+            return x, np.repeat(vol[:, None] / (self.dim + 1), self.dim + 1, axis=1)
+        if rule == "simpson" and self.dim == 1:
+            mid = 0.5 * (x[:, 0] + x[:, 1])
+            pts = np.stack([x[:, 0], mid, x[:, 1]], axis=1)
+            w = np.column_stack([vol / 6, 4 * vol / 6, vol / 6])
+            return pts, w
+        raise ValueError("unknown %dD rule %r" % (self.dim, rule))
 
 
 def _coarse_triangles(verts, ahead):

@@ -28,6 +28,9 @@ GAMMA1 = 1
 
 _TAG_NAMES = {"gamma0": GAMMA0, "gamma1": GAMMA1}
 
+# largest |h . nu| on gamma0 that a certified multiplier field may have
+_TRACE_TOL = 1e-10
+
 
 def _as_tag(value):
     if isinstance(value, str):
@@ -92,7 +95,8 @@ class Geometry:
             lengths = np.linalg.norm(edges, axis=1)
             if np.any(lengths < 1e-12):
                 raise GeometryError("polygon has a degenerate segment")
-            if self.signed_area() <= 0:
+            x, y = self.vertices[:, 0], self.vertices[:, 1]
+            if 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) <= 0:  # shoelace area
                 raise GeometryError("polygon must be counterclockwise (signed area > 0)")
             self._check_simple()
         else:
@@ -141,15 +145,9 @@ class Geometry:
         if np.any((o[0] != o[1]) & (o[2] != o[3]) & np.all(o, axis=0)):
             raise GeometryError("polygon is self-intersecting")
 
-    def signed_area(self):
-        if self.dimension == 1:
-            return self.vertices[1] - self.vertices[0]
-        x, y = self.vertices[:, 0], self.vertices[:, 1]
-        return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-
     @property
     def n_segments(self):
-        return 2 if self.dimension == 1 else len(self.vertices)
+        return len(self.vertices)
 
     def segments(self):
         """The boundary-segment table ``(a, b, nu)``.
@@ -171,9 +169,7 @@ class Geometry:
         return a, b, nu / np.linalg.norm(nu, axis=1)[:, None]
 
     def diameter(self):
-        if self.dimension == 1:
-            return self.vertices[1] - self.vertices[0]
-        v = self.vertices
+        v = self.vertices.reshape(len(self.vertices), -1)
         d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
         return float(np.sqrt(d2.max()))
 
@@ -406,25 +402,22 @@ class VectorFieldH:
     component removed exactly, which is what the tangentiality
     certificate is measured on.  ``analytic`` (when present) provides
     closed-form ``jacobian`` / ``divergence`` / ``grad_divergence``
-    callables for quadrature-based identity checks.
+    callables for quadrature-based identity checks.  The field is
+    ``certified`` when ``c0 > 0`` and ``max |h . nu| <= _TRACE_TOL``
+    (1e-10) on gamma0.
     """
 
     nodal_values: np.ndarray
     gamma0_facet_index: np.ndarray
     gamma0_facet_values: np.ndarray
-    collar_width: float
-    x0: np.ndarray
     analytic: object = None
     certified_c0: float = field(default=None)
     max_normal_trace_on_gamma0: float = field(default=None)
 
     @property
     def certified(self):
-        return (
-            self.certified_c0 is not None
-            and self.certified_c0 > 0
-            and self.max_normal_trace_on_gamma0 is not None
-        )
+        c0, trace = self.certified_c0, self.max_normal_trace_on_gamma0
+        return c0 is not None and trace is not None and c0 > 0 and trace <= _TRACE_TOL
 
 
 def verify_field_properties(h, mesh):
@@ -463,8 +456,8 @@ def build_vector_field_h(geometry, mesh, collar_width):
     have the exact facet-normal component removed.
 
     Raises ``GeometryError`` if the star-shape or convexity hypothesis
-    fails and ``CertificationError`` if the built field does not certify
-    (``c0 <= 0``, or a normal trace on gamma0 above 1e-10).
+    fails and ``CertificationError`` if the built field is not
+    ``certified``.
     """
     star = check_star_shaped(geometry)
     if not star["holds"]:
@@ -496,13 +489,11 @@ def build_vector_field_h(geometry, mesh, collar_width):
     facet_vals = v - (v @ nu[:, :, None]) * nu[:, None, :]
 
     analytic = fld if not isinstance(fld, _CurvedCollarField) else None
-    out = VectorFieldH(
-        nodal, g0.copy(), facet_vals, float(collar_width), geometry.x0.copy(), analytic
-    )
+    out = VectorFieldH(nodal, g0.copy(), facet_vals, analytic)
     report = verify_field_properties(out, mesh)
     out.certified_c0 = report["c0"]
     out.max_normal_trace_on_gamma0 = report["max_normal_trace"]
-    if report["c0"] <= 0 or report["max_normal_trace"] > 1e-10:
+    if not out.certified:
         raise CertificationError(
             "field certification failed: c0=%.6e, max |h.nu| on gamma0=%.3e"
             % (report["c0"], report["max_normal_trace"]),

@@ -145,7 +145,7 @@ def _source_terms(fields, x, wm, b, ti):
 
 def _element_points(mesh, rule):
     """Flat element quadrature: points ``(n, dim)`` and weights ``(n,)``."""
-    x, w = mesh.element_quadrature(rule or ("trapezoid" if mesh.dim == 1 else "vertex"))
+    x, w = mesh.element_quadrature(rule or "vertex")
     return x.reshape(-1, mesh.dim), w.ravel()
 
 

@@ -50,7 +50,7 @@ class SpectrumReport:
             "eigenvalues": [[float(v.real), float(v.imag)] for v in self.eigenvalues],
             "abscissa": self.abscissa,
             "stable": self.stable,
-            # constant, kept so that spectrum.json stays byte-identical
+            # constant, kept for byte-identical artifacts; perfbench/workloads.py reads it
             "partial": False,
             "form": self.form,
             "method": self.method,

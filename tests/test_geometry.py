@@ -5,6 +5,8 @@ tolerance after the facet trace correction) and c0 > 0 for the symmetric
 part of the discrete Jacobian.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -293,6 +295,19 @@ def test_star_shape_failure_blocks_field(damped_1d):
     geo.x0 = np.array([2.0])
     with pytest.raises(GeometryError):
         M.build_vector_field_h(geo, scen.mesh, collar_width=0.5)
+
+
+def test_certified_requires_a_tangential_gamma0_trace():
+    # c0 > 0 alone does not certify: a normal trace above 1e-10 on gamma0
+    # is refused by the property and by the identity quadrature it gates
+    geo = interval_geometry()
+    mesh = M.build_mesh(geo, 16)
+    h = M.build_vector_field_h(geo, mesh, collar_width=0.5)
+    assert h.certified and h.certified_c0 > 0
+    leaky = dataclasses.replace(h, max_normal_trace_on_gamma0=1e-3)
+    assert not leaky.certified
+    with pytest.raises(CertificationError):
+        M.residual_hgradz(M.trig_1d(), leaky, mesh, 1.0, np.linspace(0.0, 1.0, 11))
 
 
 # ------------------------------------------------- analytic backends

@@ -300,7 +300,7 @@ def test_certified_gamma0_trace_annihilates_the_gamma0_term():
     g0 = mesh.gamma0_facets
     n_points = mesh.facet_quadrature()[1].shape[1]
     zeros = VectorFieldH(
-        np.zeros((mesh.n_nodes, 2)), g0, np.zeros((len(g0), n_points, 2)), 0.0, geo.x0,
+        np.zeros((mesh.n_nodes, 2)), g0, np.zeros((len(g0), n_points, 2)),
         analytic=radial, certified_c0=1.0, max_normal_trace_on_gamma0=0.0,
     )
     assert zeros.certified

@@ -441,6 +441,107 @@ def test_cli_geometry_error_exit(tmp_path):
     assert cert["certified"] is False
 
 
+def test_cli_field_certification_failure_writes_both_artifacts(tmp_path):
+    # x0 far out makes x - x0 constant to rounding: the field passes both
+    # hypotheses, then fails certification with c0 = 0
+    cfg_path = write_config(tmp_path, {"preset": "interval-1d-damped", "geometry": {"x0": -1e300}})
+    out = tmp_path / "out"
+    code = cli.main(["certify-geometry", "--config", cfg_path, "--out", str(out)])
+    assert code == cli.EXIT_GEOMETRY
+    assert sorted(p.name for p in out.iterdir()) == ["certification.json", "error.json"]
+    err = json.loads((out / "error.json").read_text())
+    assert (err["error"], err["exit_code"]) == ("CertificationError", cli.EXIT_GEOMETRY)
+    cert = json.loads((out / "certification.json").read_text())["certification"]
+    assert cert["certified"] is False
+    assert (cert["c0"], cert["max_normal_trace_on_gamma0"]) == (0.0, 0.0)
+    assert cert["reason"].startswith("field certification failed")
+    assert err["message"] == cert["reason"]
+
+
+_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+_SQUARE_TAGS = ["gamma0", "gamma1", "gamma1", "gamma1"]
+
+
+def _polygon(vertices=_SQUARE, tags=_SQUARE_TAGS, x0=(0.5, -0.7)):
+    return {"kind": "polygon", "vertices": vertices, "segment_tags": tags, "x0": list(x0)}
+
+
+@pytest.mark.parametrize(
+    "preset, geometry, expected, message",
+    [
+        ("interval-1d-damped", {"x0": [0, 0]}, 3, "x0 must be a single coordinate in 1D"),
+        ("interval-1d-damped", {"x_left": 1, "x_right": 0}, 3,
+         "interval endpoints must be increasing"),
+        ("half-disk-2d", _polygon(vertices=_SQUARE[::-1]), 3,
+         "polygon must be counterclockwise (signed area > 0)"),
+        ("half-disk-2d", _polygon(tags=_SQUARE_TAGS[:3]), 3, "need one tag per polygon segment"),
+        ("half-disk-2d", {**_polygon(), "x0": 0.5}, 3, "x0 must be a point in the plane"),
+        ("half-disk-2d", _polygon(tags=["gamma0"] * 4), 3, "gamma1 must be nonempty"),
+        ("half-disk-2d", _polygon(vertices=_SQUARE[:2] + _SQUARE[1:], tags=_SQUARE_TAGS + ["gamma1"]),
+         3, "polygon has a degenerate segment"),
+        ("half-disk-2d",
+         _polygon(vertices=[[0, 0], [0.5, 0.3], [1, 0], [1, 1], [0, 1]],
+                  tags=["gamma0", "gamma0", "gamma1", "gamma1", "gamma1"], x0=(0.5, -2)), 3,
+         "gamma0 chain is not convex"),
+        ("half-disk-2d", {"kind": "polygon"}, 2,
+         "polygon geometry needs 'vertices', 'segment_tags' and 'x0'"),
+    ],
+    ids=[
+        "interval-x0-in-the-plane",
+        "interval-reversed",
+        "clockwise",
+        "tag-per-segment",
+        "polygon-scalar-x0",
+        "no-gamma1",
+        "repeated-vertex",
+        "reflex-gamma0",
+        "polygon-without-vertices",
+    ],
+)
+def test_cli_malformed_geometry_exits_with_its_message(
+    tmp_path, preset, geometry, expected, message
+):
+    cfg_path = write_config(tmp_path, {"preset": preset, "geometry": geometry})
+    out = tmp_path / "out"
+    code = cli.main(["certify-geometry", "--config", cfg_path, "--out", str(out)])
+    assert code == expected
+    err = json.loads((out / "error.json").read_text())
+    assert err["exit_code"] == expected
+    assert err["message"].startswith(message)
+
+
+def test_polygon_kind_runs_as_the_named_unit_square():
+    # the same square given by its vertices and by its name: every field of
+    # the `full` payload but the configuration itself agrees
+    over = {"mesh": {"resolution": 4}, "time": {"T": 0.2}}
+    payloads = [
+        sanitize(cli.run({"preset": "half-disk-2d", "geometry": geometry, **over}, "full", seed=3))
+        for geometry in (_polygon(), {"kind": "named", "name": "unit-square"})
+    ]
+    assert payloads[0]["effective_config"]["geometry"]["kind"] == "polygon"
+    for payload in payloads:
+        del payload["effective_config"], payload["config_sha256"]
+    assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "configuration file is not valid JSON"),
+        ("[1, 2]", "configuration must be a JSON object"),
+    ],
+    ids=["not-json", "json-array"],
+)
+def test_cli_unreadable_config_file_is_a_config_error(tmp_path, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert (err["error"], err["exit_code"]) == ("ConfigError", cli.EXIT_CONFIG)
+    assert err["message"].startswith(message)
+
+
 def test_cli_spectrum_of_a_conservative_pencil_is_not_stable(tmp_path):
     # kappa0 = kappa1 = 0 leaves the stiffness pencil singular: zero is an
     # eigenvalue, so the dense eigensolve gives an abscissa at rounding
