@@ -154,6 +154,9 @@ def load_config(obj):
         raise ConfigError("configuration must be a JSON object")
     if "preset" in obj:
         base = presets.preset(obj["preset"])
+        kind, geometry = base["geometry"]["kind"], obj.get("geometry")
+        if isinstance(geometry, dict) and geometry.get("kind", kind) != kind:
+            del base["geometry"]  # a geometry of another kind replaces the preset's whole section
         merged = _merge(base, {k: v for k, v in obj.items() if k != "preset"})
         merged["preset"] = obj["preset"]
     else:

@@ -10,7 +10,9 @@ with closed simplex formulas, so there is no quadrature error at this
 polynomial degree.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +25,30 @@ from .geometry import GAMMA0, GAMMA1
 # nodes), checked before anything is allocated; 190 times the 5 525 of the
 # largest preset or benchmark mesh (half disk, resolution 24).
 MAX_LATTICE_POINTS = 2**20
+
+# Local vertices of the edges of a simplex with 1, 2 or 3 vertices, and of
+# the faces of an interval or a triangle.  A triangle's edges are its faces
+# and run cyclically, so a boundary edge keeps its element's ccw orientation.
+_EDGES = {
+    1: np.empty((0, 2), np.int64),
+    2: np.array([[0, 1]]),
+    3: np.array([[0, 1], [1, 2], [2, 0]]),
+}
+_FACES = {1: np.array([[0], [1]]), 2: _EDGES[3]}
+
+# The distinct sub-simplices (edges or faces) of a set of cells: their keys
+# ``min * n + max`` over their vertices, increasing; ``ids[e, j]``, the one
+# that local sub-simplex ``j`` of cell ``e`` is; how many cells use each.
+SimplexTable = namedtuple("SimplexTable", "keys ids counts")
+
+
+def _table(cells, n, local):
+    """The :class:`SimplexTable` of the sub-simplices ``cells[:, local]`` (one
+    or two vertices each) in a mesh of ``n`` nodes: one sort per table."""
+    sub = cells[:, local]
+    key = sub.min(axis=2) * n + sub.max(axis=2)
+    keys, ids, counts = np.unique(key.ravel(), return_inverse=True, return_counts=True)
+    return SimplexTable(keys, ids.reshape(key.shape), counts)
 
 
 class Mesh:
@@ -38,14 +64,24 @@ class Mesh:
         traversal order).
     facet_tags : ndarray of int
         GAMMA0 / GAMMA1 per facet.
+    faces : SimplexTable
+        The face table: the elements' faces (nodes in 1D, edges in 2D),
+        each element's faces as rows of ``faces.ids`` and each face's use
+        count; a face used once is a boundary facet.  Sorted once, in the
+        constructor or by :func:`build_mesh`, which passes it in.
+        :meth:`mesh_size`, :attr:`face_elements` and
+        :attr:`facet_elements` are read off it.
     """
 
-    def __init__(self, dim, nodes, elements, facets, facet_tags, facet_normals=None):
+    def __init__(self, dim, nodes, elements, facets, facet_tags, facet_normals=None, faces=None):
         self.dim = int(dim)
         self.nodes = np.asarray(nodes, float).reshape(-1, self.dim)
         self.elements = np.asarray(elements, dtype=np.int64).reshape(-1, self.dim + 1)
         self.facets = np.asarray(facets, dtype=np.int64).reshape(-1, self.dim)
         self.facet_tags = np.asarray(facet_tags, dtype=np.int8)
+        if faces is None:
+            faces = _table(self.elements, self.n_nodes, _FACES[self.dim])
+        self.faces = faces
         self._setup_geometry(facet_normals)
 
     def _setup_geometry(self, facet_normals):
@@ -109,10 +145,30 @@ class Mesh:
         return np.unique(self.facets[self.facet_tags == tag])
 
     def mesh_size(self):
-        """Maximum element diameter: the longest edge of any simplex."""
-        x = self.nodes[self.elements]
-        i, j = np.triu_indices(self.dim + 1, 1)
-        return float(np.linalg.norm(x[:, i] - x[:, j], axis=-1).max())
+        """Maximum element diameter: the longest edge of any simplex, each
+        edge measured once (the faces in 2D, the elements in 1D)."""
+        ends = self.elements
+        if self.dim == 2:
+            ends = np.column_stack(np.divmod(self.faces.keys, self.n_nodes))
+        return float(np.linalg.norm(self.nodes[ends[:, 0]] - self.nodes[ends[:, 1]], axis=-1).max())
+
+    @cached_property
+    def face_elements(self):
+        """The lowest- and highest-numbered element of each face of
+        :attr:`faces`, shape ``(n_faces, 2)``: the two elements that share an
+        interior face, or a boundary face's one element twice."""
+        ids = self.faces.ids
+        cell = np.repeat(np.arange(len(ids)), ids.shape[1])
+        first, last = np.full(len(self.faces.keys), len(ids)), np.full(len(self.faces.keys), -1)
+        np.minimum.at(first, ids.ravel(), cell)
+        np.maximum.at(last, ids.ravel(), cell)
+        return np.column_stack([first, last])
+
+    @cached_property
+    def facet_elements(self):
+        """The element each boundary facet belongs to."""
+        key = self.facets.min(axis=1) * self.n_nodes + self.facets.max(axis=1)
+        return self.face_elements[np.searchsorted(self.faces.keys, key), 0]
 
     def facet_quadrature(self):
         """Two-point Gauss points per facet: (points, weights).
@@ -233,24 +289,24 @@ def build_mesh(geometry, resolution):
     s, t = (i / r)[None, :, None], (j / r)[None, :, None]
     points = P[:, None] + s * (A - P)[:, None] + t * (B - P)[:, None]
     points = np.round(points.reshape(-1, 2), 12)
-    _, first, inverse = np.unique(points, axis=0, return_index=True, return_inverse=True)
+    # as x + iy, so that one sort of a flat array orders the points by (x, y)
+    key = points.view(complex)[:, 0]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
     nodes = points[first[order]]
     node_of_point = np.argsort(order)[inverse.reshape(-1)]
     offsets = len(i) * np.arange(len(P))[:, None, None]
     elements = node_of_point[(children[None] + offsets).reshape(-1, 3)]
 
-    edges = elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    key = edges.min(axis=1) * len(nodes) + edges.max(axis=1)
-    _, uses, counts = np.unique(key, return_inverse=True, return_counts=True)
-    facets = edges[counts[uses] == 1]
+    faces = _table(elements, len(nodes), _FACES[2])
+    facets = elements[:, _FACES[2]][faces.counts[faces.ids] == 1]
     # the polygon segment each facet midpoint lies on, and where along it
     rel = nodes[facets].mean(axis=1)[:, None] - verts
     along = (rel * sides).sum(axis=2) / (sides * sides).sum(axis=1)
     off = np.abs(rel[..., 0] * sides[:, 1] - rel[..., 1] * sides[:, 0])
     segment = np.where((along > 0) & (along < 1), off, np.inf).argmin(axis=1)
     walk = np.lexsort((along[np.arange(len(facets)), segment], segment))
-    return Mesh(2, nodes, elements, facets[walk], geometry.segment_tags[segment[walk]])
+    return Mesh(2, nodes, elements, facets[walk], geometry.segment_tags[segment[walk]], faces=faces)
 
 
 # -- material data ---------------------------------------------------------
@@ -327,9 +383,35 @@ def _pattern(cells, n):
     """The CSR pattern ``(slot, indices, indptr)`` that the local matrices of
     ``cells`` sum into, in an n x n matrix: ``slot`` is the position in it of
     each local entry, ordered ``(a, b, e)`` for row ``cells[e, a]`` and column
-    ``cells[e, b]``."""
-    keys, slot = np.unique((cells.T[:, None] * n + cells.T[None]).ravel(), return_inverse=True)
-    return slot, keys % n, np.searchsorted(keys, n * np.arange(n + 1))
+    ``cells[e, b]``.
+
+    Read off the cells' edge table by counting: row ``i`` holds its lower
+    neighbours, then ``i`` itself, then its upper neighbours, each in
+    increasing order.  The table's keys order the upper entries; one stable
+    sort of its edges by their higher node orders the lower ones."""
+    k = cells.shape[1]
+    edges = _table(cells, n, _EDGES[k])
+    lo, hi = np.divmod(edges.keys, n)
+    used = np.zeros(n, np.int64)
+    used[cells] = 1
+    below, above = np.bincount(hi, minlength=n), np.bincount(lo, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(below + used + above)))
+    diag = indptr[:-1] + below
+    rank = np.arange(len(lo))
+    upper = diag[lo] + 1 + rank - (np.cumsum(above) - above)[lo]
+    by_hi = np.argsort(hi, kind="stable")
+    lower = np.empty_like(upper)
+    lower[by_hi] = indptr[hi[by_hi]] + rank - (np.cumsum(below) - below)[hi[by_hi]]
+    indices = np.empty(indptr[-1], np.int64)
+    nodes = np.flatnonzero(used)
+    indices[diag[nodes]], indices[upper], indices[lower] = nodes, hi, lo
+    slot = np.empty((k, k, len(cells)), np.int64)
+    for a in range(k):
+        slot[a, a] = diag[cells[:, a]]
+    for j, (a, b) in enumerate(_EDGES[k]):
+        e, up = edges.ids[:, j], cells[:, a] < cells[:, b]
+        slot[a, b], slot[b, a] = np.where(up, upper[e], lower[e]), np.where(up, lower[e], upper[e])
+    return slot.ravel(), indices, indptr
 
 
 def _scatter(pattern, loc):

@@ -20,7 +20,6 @@ and one 3 x 4 combine a step, so a step is the linear map
 ``x -> C [x; S^{-1} Q x]``.
 """
 
-import itertools
 import logging
 from collections import namedtuple
 from dataclasses import dataclass
@@ -89,18 +88,10 @@ def _compatibility(state, bundle):
     # residual under its floor is recovery noise at twice its expected size.
     mesh = bundle.mesh
     n, dim = mesh.n_nodes, mesh.dim
-    # the element owning each boundary facet: match the sorted vertex keys
-    # of the facets against those of every element face
-    faces = mesh.elements[:, list(itertools.combinations(range(dim + 1), dim))]
-    face_keys = np.ravel_multi_index(np.sort(faces, axis=2).reshape(-1, dim).T, (n,) * dim)
-    facet_keys = np.ravel_multi_index(np.sort(mesh.facets, axis=1).T, (n,) * dim)
-    order = np.argsort(face_keys)
-    owner = order[np.searchsorted(face_keys[order], facet_keys)] // (dim + 1)
+    owner = mesh.facet_elements
     grads = np.einsum("eai,ea->ei", mesh.element_gradients, state.u[mesh.elements])
     dnu = np.einsum("fi,fi->f", grads[owner], mesh.facet_normals)
-    # an interior face is a key that two elements share, adjacent in ``order``
-    shared = np.flatnonzero(face_keys[order][1:] == face_keys[order][:-1])
-    a, b = order[shared] // (dim + 1), order[shared + 1] // (dim + 1)
+    a, b = mesh.face_elements[mesh.faces.counts == 2].T  # the two elements of each interior face
     jump = np.zeros(len(mesh.elements))
     step = np.linalg.norm(grads[a] - grads[b], axis=1)
     np.maximum.at(jump, a, step)
@@ -232,6 +223,28 @@ _COMPAT_TOL = 0.1
 _Stage = namedtuple("_Stage", "Q lu piv C S factor_nnz")
 
 
+def _on_one_pattern(blocks):
+    """``(indptr, indices, data)``: the square CSR ``blocks`` on the union of their
+    patterns, ``data[i]`` holding block i's entries there and zeros where it has
+    none.  Blocks assembled on one mesh share their pattern, which is then the
+    union; others are merged on their sorted (row, column) keys.  Each block must
+    be canonical (sorted indices, no duplicates), as scipy's sums leave them."""
+    if not all(A.has_canonical_format for A in blocks):
+        raise ValueError("generator blocks must be canonical CSR matrices")
+    first = blocks[0]
+    if all(np.array_equal(A.indptr, first.indptr) for A in blocks) and all(
+        np.array_equal(A.indices, first.indices) for A in blocks
+    ):
+        return first.indptr, first.indices, [A.data for A in blocks]
+    n = first.shape[0]
+    keys = [np.repeat(np.arange(n), np.diff(A.indptr)) * n + A.indices for A in blocks]
+    union = np.unique(np.concatenate(keys))
+    data = np.zeros((len(blocks), len(union)))
+    for d, A, key in zip(data, blocks, keys):
+        d[np.searchsorted(union, key)] = A.data
+    return np.searchsorted(union, n * np.arange(n + 1)), union % n, data
+
+
 def _views(flat):
     # the views advance takes of a flat (u, v, w, scratch) buffer: the state,
     # the scratch row, all four rows as (4, n) and the state as (3, n)
@@ -256,7 +269,12 @@ class Stepper:
     and ``k = 2 dt/3`` (BDF2), and the map ``Q`` from the step's state to
     the right-hand side of ``S`` is one precomputed n x 3n matrix, read off
     the same blocks with no 3n x 3n matrix built; BDF2's ``Q`` and the
-    ``g`` columns of its ``C`` carry the 1/3 of ``g = (4 x - prev) / 3``.  Both
+    ``g`` columns of its ``C`` carry the 1/3 of ``g = (4 x - prev) / 3``.
+    Both are array arithmetic on the blocks' entries on one pattern
+    (:func:`_on_one_pattern`), each entry summed in the order a sparse sum
+    of the blocks sums it: ``S`` keeps the pattern less its exact zeros,
+    and ``Q`` fills one n x 3n pattern that repeats each of its rows at
+    column offsets 0, n and 2n.  Both
     are dense, with a LAPACK LU of ``S`` (``"dense-lu"``), while they fit
     the working-set budget ``4 n^2 <= _CHUNK_ELEMENTS`` (n <= 128), where
     sparse calls cost more than their arithmetic; above it ``S`` has a
@@ -281,32 +299,47 @@ class Stepper:
         if generator.form != "u":
             raise ValueError("Stepper integrates the u-form pencil, not form %r" % generator.form)
         self.dt = float(dt)
-        Ew, Lu, Lv, Lw = generator.Ew, generator.Lu, generator.Lv, generator.Lw
-        n = Ew.shape[0]
+        indptr, indices, (ew, lu, lv, lw) = _on_one_pattern(
+            (generator.Ew, generator.Lu, generator.Lv, generator.Lw)
+        )
+        n, size = len(indptr) - 1, len(indices)
+        # Q's n x 3n pattern: each row of the blocks' pattern three times, at
+        # column offsets 0, n and 2n; ``slots[b]`` are block b's positions in it
+        rows = np.diff(indptr)
+        slots = np.repeat(2 * indptr[:-1], rows) + np.arange(size)
+        slots = slots + np.repeat(rows, rows) * np.arange(3)[:, None]
+        q_indices = np.empty(3 * size, indices.dtype)
+        for b in range(3):
+            q_indices[slots[b]] = indices + b * n
 
         def stage(k, Q, C):
             # the stage of length k with map blocks Q and combine C; its storage follows n alone
-            S = Ew - k * Lw - k**2 * Lv - k**3 * Lu
-            Q = sp.hstack(Q, format="csr")
+            s = ((ew - k * lw) - k**2 * lv) - k**3 * lu
+            S = sp.csr_matrix((s, indices.copy(), indptr.copy()), shape=(n, n))
+            S.eliminate_zeros()  # as a sparse sum stores it, so SuperLU orders the same structure
+            data = np.empty(3 * size)
+            for b in range(3):
+                data[slots[b]] = Q[b]
+            Q = sp.csr_matrix((data, q_indices, 3 * indptr), shape=(n, 3 * n))
             if 4 * n * n <= _CHUNK_ELEMENTS:
-                lu, piv = _lapack(dgetrf(S.toarray()))
-                return _Stage(Q.toarray(), lu, piv, np.array(C), S, n * n)
+                factor, piv = _lapack(dgetrf(S.toarray()))
+                return _Stage(Q.toarray(), factor, piv, np.array(C), S, n * n)
             # the factor of S^T (CSC, as S is CSR), solved with trans="T"
-            lu = splu(S.T, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-            return _Stage(Q, lu, None, np.array(C), S, lu.nnz)
+            factor = splu(S.T, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+            return _Stage(Q, factor, None, np.array(C), S, factor.nnz)
 
         # C: (u, v, w, w') -> (u + 2k v + k^2 (w + w'), v + k (w + w'), w'), g = x; Q is
         # [k Lu, k^2 Lu + k Lv, I] (E + k L), each entry summed as that product sums it
         k = 0.5 * self.dt
-        kLu, kLuv = k * Lu, k**2 * Lu + k * Lv
-        Q = [kLu + kLu, (kLu * k + kLuv) + k * Lv, kLuv * k + (Ew + k * Lw)]
+        klu, kluv = k * lu, k**2 * lu + k * lv
+        Q = [klu + klu, (klu * k + kluv) + k * lv, kluv * k + (ew + k * lw)]
         C = [[1, 2 * k, k**2, k**2], [0, 1, k, k], [0, 0, 0, 1]]
         self._mid, self._bdf = stage(k, Q, C), None
         if scheme == "bdf2":
             # C: (g_u, g_v, g_w, w') -> (g_u + k g_v + k^2 w', g_v + k w', w') / 3 in its
             # g columns, g = 4 x - prev; Q is [k Lu, k^2 Lu + k Lv, I] E / 3
             k, third = 2.0 / 3.0 * self.dt, 1.0 / 3.0
-            Q = [third * (k * Lu), third * (k**2 * Lu + k * Lv), third * Ew]
+            Q = [third * (k * lu), third * (k**2 * lu + k * lv), third * ew]
             C = [[third, k * third, 0, k**2], [0, third, 0, k], [0, 0, 0, 1]]
             self._bdf = stage(k, Q, C)
 

@@ -31,6 +31,10 @@ _TAG_NAMES = {"gamma0": GAMMA0, "gamma1": GAMMA1}
 # largest |h . nu| on gamma0 that a certified multiplier field may have
 _TRACE_TOL = 1e-10
 
+# Largest |coordinate| of a vertex: squared distances between vertices (the
+# diameter, the mesh size) stay below 1e301, well inside the float range.
+MAX_COORDINATE = 1e150
+
 
 def _as_tag(value):
     if isinstance(value, str):
@@ -68,6 +72,10 @@ class Geometry:
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
+        if not np.all(np.abs(self.vertices) <= MAX_COORDINATE):
+            raise GeometryError(
+                "vertex coordinates must lie within [-%g, %g]" % (MAX_COORDINATE, MAX_COORDINATE)
+            )
         self.segment_tags = np.asarray(
             [_as_tag(t) for t in np.atleast_1d(self.segment_tags)], dtype=np.int8
         )

@@ -5,6 +5,7 @@ functions exactly, so interpolants of low-order polynomials give exact
 quadratic forms; those are the sharpest cheap oracles available.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -398,3 +399,69 @@ def test_adjoint_identity_1d_and_2d():
             phi = rng.standard_normal(n)
             worst = max(worst, M.check_adjoint_identity(bundle, xi, phi))
     assert worst <= 1e-12, worst
+
+
+# ------------------------------------------------------------- face table
+
+
+def face_table_mesh(name):
+    """A preset's mesh, or a five-sided polygon's (the fan of a non-rectangle)."""
+    if name in preset_names():
+        return M.Scenario(M.load_config(M.preset(name))).mesh
+    verts = [(0, 0), (2, 0), (2.5, 1), (1, 1.8), (-0.3, 1.1)]
+    geo = M.Geometry.polygon(verts, [M.GAMMA0] + [M.GAMMA1] * 4, (1.0, -3.0))
+    return M.build_mesh(geo, 9)
+
+
+@pytest.mark.parametrize("name", preset_names() + ["polygon"])
+def test_facet_elements_match_a_per_facet_search(name):
+    mesh = face_table_mesh(name)
+    dim = mesh.dim
+    for f, facet in enumerate(mesh.facets):
+        holds = np.flatnonzero(np.isin(mesh.elements, facet).sum(axis=1) == dim)
+        assert holds.tolist() == [mesh.facet_elements[f]], f
+    # the boundary facets are the faces used once
+    faces = np.sort(mesh.elements[:, discretization._FACES[dim]], axis=2).reshape(-1, dim)
+    keys, counts = np.unique(faces, axis=0, return_counts=True)
+    assert {tuple(k) for k in keys[counts == 1]} == {tuple(f) for f in np.sort(mesh.facets, axis=1)}
+
+
+def sorted_face_pairs(mesh):
+    """The element pairs that share a face, found by sorting every element face's key."""
+    n, dim = mesh.n_nodes, mesh.dim
+    faces = mesh.elements[:, list(itertools.combinations(range(dim + 1), dim))]
+    face_keys = np.ravel_multi_index(np.sort(faces, axis=2).reshape(-1, dim).T, (n,) * dim)
+    order = np.argsort(face_keys)
+    shared = np.flatnonzero(face_keys[order][1:] == face_keys[order][:-1])
+    return order[shared] // (dim + 1), order[shared + 1] // (dim + 1)
+
+
+@pytest.mark.parametrize("name", preset_names() + ["polygon"])
+def test_interior_faces_match_the_sorted_face_keys(name):
+    mesh = face_table_mesh(name)
+    assert mesh.faces.counts.max() <= 2
+    pairs = mesh.face_elements[mesh.faces.counts == 2]
+    a, b = sorted_face_pairs(mesh)
+    ref = sorted(zip(np.minimum(a, b), np.maximum(a, b)))
+    assert sorted(map(tuple, np.sort(pairs, axis=1))) == ref
+
+
+@pytest.mark.parametrize("name", preset_names() + ["polygon"])
+def test_mesh_size_is_the_per_element_formula_bitwise(name):
+    mesh = face_table_mesh(name)
+    x = mesh.nodes[mesh.elements]
+    i, j = np.triu_indices(mesh.dim + 1, 1)
+    ref = float(np.linalg.norm(x[:, i] - x[:, j], axis=-1).max())
+    assert mesh.mesh_size().hex() == ref.hex()
+
+
+@pytest.mark.parametrize("name", preset_names() + ["polygon"])
+def test_pattern_matches_the_sorted_local_keys(name):
+    # the counted CSR pattern against one np.unique of every local (row, column) key
+    mesh = face_table_mesh(name)
+    n = mesh.n_nodes
+    for cells in (mesh.elements, mesh.facets[mesh.facet_tags == M.GAMMA0], mesh.facets):
+        keys, slot = np.unique((cells.T[:, None] * n + cells.T[None]).ravel(), return_inverse=True)
+        ref = slot, keys % n, np.searchsorted(keys, n * np.arange(n + 1))
+        for got, want in zip(discretization._pattern(cells, n), ref):
+            assert np.array_equal(got, want)

@@ -398,6 +398,34 @@ def test_stage_map_is_the_pencil_product_bitwise(name, scheme):
     assert (stage.S != stage_matrix(gen, k)).nnz == 0
 
 
+@pytest.mark.parametrize("scheme", ["implicit-midpoint", "bdf2"])
+@pytest.mark.parametrize("resolution", [6, 12])
+def test_stage_blocks_on_different_patterns_are_summed_on_their_union(resolution, scheme):
+    # on the unit square the diagonal edges' stiffness is exactly zero, so Lu and
+    # Lv leave them out, and with alpha = 0 Lw holds only B1's entries; n = 49
+    # gives a dense stage, n = 169 a sparse one
+    scen = named_scenario("unit-square", resolution, kappa0=1.0, kappa1=1.0)
+    params = dataclasses.replace(scen.params, alpha_field=np.zeros(scen.mesh.n_nodes))
+    gen = M.assemble_generator(M.assemble_operators(scen.mesh, params), form="u")
+    assert len({A.nnz for A in (gen.Ew, gen.Lu, gen.Lv, gen.Lw)}) == 3
+    dt = 1e-2
+    stepper = M.Stepper(gen, dt, scheme)
+    stage = stepper._bdf or stepper._mid
+    k, Q = stage_map(gen, dt, scheme)
+    assert np.array_equal(stage.Q.toarray() if sp.issparse(stage.Q) else stage.Q, Q)
+    S = stage_matrix(gen, k)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(stage.S, attr), getattr(S, attr)), attr
+
+
+def test_stepper_rejects_blocks_with_duplicate_entries():
+    gen = M.assemble_generator(make_scenario(mesh={"resolution": 8}).bundle, form="u")
+    Lu = sp.csr_matrix((gen.Lu.data, gen.Lu.indices.copy(), gen.Lu.indptr), shape=gen.Lu.shape)
+    Lu.indices[1] = Lu.indices[0]  # row 0 names one column twice
+    with pytest.raises(ValueError, match="canonical"):
+        M.Stepper(dataclasses.replace(gen, Lu=Lu), 1e-2)
+
+
 def test_bdf2_health_measures_the_bdf2_stage():
     # n = 17: a dense stage, so the test's LAPACK LU repeats the stepper's bit for bit
     scen = make_scenario(mesh={"resolution": 16}, initial={"kind": "robin-mode"})

@@ -525,6 +525,45 @@ def test_polygon_kind_runs_as_the_named_unit_square():
 
 
 @pytest.mark.parametrize(
+    "preset, geometry",
+    [("half-disk-2d", _polygon()), ("interval-1d-damped", {"kind": "named", "name": "unit-square"})],
+    ids=["half-disk-as-polygon", "interval-as-named"],
+)
+def test_a_geometry_of_another_kind_replaces_the_presets(preset, geometry):
+    # the preset's keys of its own kind would be written and hashed, but never read
+    assert M.load_config({"preset": preset, "geometry": geometry})["geometry"] == geometry
+
+
+@pytest.mark.parametrize("geometry", [{"kind": "interval", "x_right": 2.0}, {"x_right": 2.0}])
+def test_a_geometry_of_the_same_kind_merges_into_the_presets(geometry):
+    cfg = M.load_config({"preset": "interval-1d-damped", "geometry": geometry})
+    assert cfg["geometry"] == {**M.preset("interval-1d-damped")["geometry"], "x_right": 2.0}
+
+
+@pytest.mark.parametrize("subcommand", ["certify-geometry", "full"])
+@pytest.mark.parametrize(
+    "preset, geometry",
+    [
+        ("interval-1d-damped", {"kind": "interval", "x_left": -1e200, "x_right": 1e200}),
+        ("half-disk-2d", _polygon(vertices=[[0, 0], [2e150, 0], [1, 1], [0, 1]])),
+    ],
+    ids=["interval", "polygon"],
+)
+def test_cli_coordinates_beyond_the_bound_are_a_geometry_error(tmp_path, preset, geometry, subcommand):
+    # squared distances of such coordinates overflow; the suite turns the
+    # RuntimeWarning that would follow into an error, so exit 3 also says none came
+    cfg_path = write_config(tmp_path, {"preset": preset, "geometry": geometry})
+    out = tmp_path / "out"
+    assert cli.main([subcommand, "--config", cfg_path, "--out", str(out)]) == cli.EXIT_GEOMETRY
+    assert os.listdir(out) == ["error.json"]
+    assert json.loads((out / "error.json").read_text()) == {
+        "error": "GeometryError",
+        "exit_code": cli.EXIT_GEOMETRY,
+        "message": "vertex coordinates must lie within [-1e+150, 1e+150]",
+    }
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("{not json", "configuration file is not valid JSON"),
