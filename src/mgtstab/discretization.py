@@ -68,9 +68,9 @@ class Mesh:
         The face table: the elements' faces (nodes in 1D, edges in 2D),
         each element's faces as rows of ``faces.ids`` and each face's use
         count; a face used once is a boundary facet.  Sorted once, in the
-        constructor or by :func:`build_mesh`, which passes it in.
-        :meth:`mesh_size`, :attr:`face_elements` and
-        :attr:`facet_elements` are read off it.
+        constructor or by :func:`build_mesh`, which passes it in.  Read
+        off it: :meth:`mesh_size`, :attr:`face_elements`, :attr:`facet_elements`
+        and, in 2D, the operators' CSR pattern (:func:`assemble_operators`).
     """
 
     def __init__(self, dim, nodes, elements, facets, facet_tags, facet_normals=None, faces=None):
@@ -379,18 +379,20 @@ class MaterialParams:
 # -- assembly --------------------------------------------------------------
 
 
-def _pattern(cells, n):
+def _pattern(cells, n, edges=None):
     """The CSR pattern ``(slot, indices, indptr)`` that the local matrices of
     ``cells`` sum into, in an n x n matrix: ``slot`` is the position in it of
     each local entry, ordered ``(a, b, e)`` for row ``cells[e, a]`` and column
     ``cells[e, b]``.
 
-    Read off the cells' edge table by counting: row ``i`` holds its lower
-    neighbours, then ``i`` itself, then its upper neighbours, each in
-    increasing order.  The table's keys order the upper entries; one stable
-    sort of its edges by their higher node orders the lower ones."""
+    Read off the cells' edge table ``edges`` (sorted here unless given) by
+    counting: row ``i`` holds its lower neighbours, ``i`` and its upper
+    neighbours, each in increasing order; the table's keys order the upper
+    ones, one stable sort of its edges by their higher node the lower ones.
+    The index arrays are int32, which scipy keeps: matrices share them."""
     k = cells.shape[1]
-    edges = _table(cells, n, _EDGES[k])
+    if edges is None:
+        edges = _table(cells, n, _EDGES[k])
     lo, hi = np.divmod(edges.keys, n)
     used = np.zeros(n, np.int64)
     used[cells] = 1
@@ -411,7 +413,19 @@ def _pattern(cells, n):
     for j, (a, b) in enumerate(_EDGES[k]):
         e, up = edges.ids[:, j], cells[:, a] < cells[:, b]
         slot[a, b], slot[b, a] = np.where(up, upper[e], lower[e]), np.where(up, lower[e], upper[e])
-    return slot.ravel(), indices, indptr
+    return slot.ravel(), indices.astype(np.int32), indptr.astype(np.int32)
+
+
+def _facet_slots(pattern, facets, n):
+    """The element ``pattern`` with the slots of ``facets``' local entries, as
+    :func:`_pattern` orders them, found by their keys ``row * n + column``."""
+    _, indices, indptr = pattern
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+    local = (facets.T[:, None] * n + facets.T[None]).ravel()
+    slot = np.searchsorted(keys, local)
+    if not np.array_equal(keys[np.minimum(slot, len(keys) - 1)], local):
+        raise MeshError("boundary facets must be faces of elements")
+    return slot, indices, indptr
 
 
 def _scatter(pattern, loc):
@@ -446,7 +460,9 @@ class OperatorBundle:
     ``Ktilde = Kmat + B0`` realizes the Robin-Neumann elliptic operator;
     ``T0`` and ``T1`` are the unweighted gamma0 and gamma1 facet masses,
     used by the harmonic-extension load, boundary traces and the
-    compatibility residuals.
+    compatibility residuals.  All share the element CSR pattern's index
+    arrays (never written in place), with explicit zeros where an operator
+    vanishes: a facet mass off its boundary part, ``Malpha`` where alpha = 0.
     """
 
     mesh: Mesh
@@ -469,8 +485,10 @@ class OperatorBundle:
                     "Ktilde is singular: no Robin mass on gamma0 (gamma0 empty "
                     "or kappa0 identically zero there)"
                 )
+            K = self.Ktilde.tocsc()
+            K.eliminate_zeros()  # so SuperLU factors Ktilde's nonzero structure only
             try:
-                self._ktilde_lu = splu(self.Ktilde.tocsc())
+                self._ktilde_lu = splu(K)
             except RuntimeError as exc:
                 raise IllPosedMapError("Ktilde factorization failed: %s" % exc)
         return self._ktilde_lu.solve(rhs)
@@ -479,24 +497,25 @@ class OperatorBundle:
 def assemble_operators(mesh, params):
     """Assemble the full operator bundle (exact local quadrature).
 
-    Each operator is one ``np.bincount`` of its local matrices onto a CSR
-    pattern built once for the elements and once per boundary part.
-    Raises ``ValueError`` when an assembled matrix holds a non-finite
-    entry, as coefficients near the float range make them overflow.
+    Each operator is one ``np.bincount`` of its local matrices onto the
+    element CSR pattern (from the mesh's face table in 2D, whose faces are
+    the element edges), facets at their entries' places in it.  Raises
+    ``ValueError`` when an assembled matrix holds a non-finite entry, as
+    coefficients near the float range make them overflow.
     """
     n = mesh.n_nodes
     ones = np.ones(n)
     cells = mesh.elements
-    pattern = _pattern(cells, n)  # one pattern for the four element operators
+    pattern = _pattern(cells, n, mesh.faces if mesh.dim == 2 else None)
 
     def element_mass(weights):
         return _mass(pattern, cells, mesh.element_volumes, weights)
 
     def boundary_masses(tag, weights):
-        # the part's weighted and unweighted facet masses, on one pattern
+        # the part's weighted and unweighted facet masses
         on = mesh.facet_tags == tag
         facets, measures = mesh.facets[on], mesh.facet_measures[on]
-        part = _pattern(facets, n)
+        part = _facet_slots(pattern, facets, n)
         return (_mass(part, facets, measures, w) for w in (weights, ones))
 
     stiffness = np.einsum(
@@ -508,7 +527,7 @@ def assemble_operators(mesh, params):
     B1, T1 = boundary_masses(GAMMA1, params.kappa1_field)
     Malpha = element_mass(params.alpha_field)
     Mgamma = element_mass(params.gamma_field)
-    Ktilde = (Kmat + B0).tocsr()
+    Ktilde = sp.csr_matrix((Kmat.data + B0.data, Kmat.indices, Kmat.indptr), shape=Kmat.shape)
     bundle = OperatorBundle(mesh, params, Mmat, Kmat, B0, B1, Malpha, Mgamma, T0, T1, Ktilde)
     bad = [k for k, A in vars(bundle).items() if sp.issparse(A) and not np.isfinite(A.data).all()]
     if bad:

@@ -188,23 +188,26 @@ class Generator:
 def assemble_generator(bundle, form="u"):
     """Assemble the first-order pencil in u- or z-variables.
 
-    The two pencils are exactly conjugate under the nodal transform
-    matrix; that identity is validated numerically in the tests rather
-    than assumed here.
+    Each block is arithmetic on the operators' ``.data`` on their shared
+    pattern, entry for entry the sparse expression's value (``Mgamma / tau``
+    is ``Mgamma * (1 / tau)``) with its exact zeros kept.  The two pencils
+    are exactly conjugate under the nodal transform matrix; that identity
+    is validated numerically in the tests rather than assumed here.
     """
     params = bundle.params
     tau, b, c2 = params.tau, params.b, params.c**2
+    M, K, B1 = bundle.Mmat, bundle.Ktilde.data, bundle.B1.data
     if form == "u":
-        shift, Ew = 0.0, tau * bundle.Mmat
-        Lu, Lv = -c2 * bundle.Ktilde, -(b * bundle.Ktilde + c2 * bundle.B1)
-        Lw = -(bundle.Malpha + b * bundle.B1)
+        shift, Ew = 0.0, tau * M.data
+        Lu, Lv, Lw = -c2 * K, -(b * K + c2 * B1), -(bundle.Malpha.data + b * B1)
     elif form == "z":
-        q, b_bar, Mgam = params.q, b / tau, bundle.Mgamma / tau
-        shift, Ew = -q, bundle.Mmat
-        Lu, Lv, Lw = -(q**2) * Mgam, q * Mgam - b_bar * bundle.Ktilde, -(b_bar * bundle.B1 + Mgam)
+        q, b_bar, Mgam = params.q, b / tau, bundle.Mgamma.data * (1.0 / tau)
+        shift, Ew = -q, M.data
+        Lu, Lv, Lw = -(q**2) * Mgam, q * Mgam - b_bar * K, -(b_bar * B1 + Mgam)
     else:
         raise ValueError("form must be 'u' or 'z'")
-    return Generator(form, shift, Ew, Lu, Lv, Lw, bundle)
+    blocks = (sp.csr_matrix((d, M.indices, M.indptr), shape=M.shape) for d in (Ew, Lu, Lv, Lw))
+    return Generator(form, shift, *blocks, bundle)
 
 
 # -- time stepping -----------------------------------------------------------
@@ -221,28 +224,6 @@ _COMPAT_TOL = 0.1
 
 # S w = Q x; a dense stage holds the LAPACK LU of S and its pivots, a sparse one piv = None
 _Stage = namedtuple("_Stage", "Q lu piv C S factor_nnz")
-
-
-def _on_one_pattern(blocks):
-    """``(indptr, indices, data)``: the square CSR ``blocks`` on the union of their
-    patterns, ``data[i]`` holding block i's entries there and zeros where it has
-    none.  Blocks assembled on one mesh share their pattern, which is then the
-    union; others are merged on their sorted (row, column) keys.  Each block must
-    be canonical (sorted indices, no duplicates), as scipy's sums leave them."""
-    if not all(A.has_canonical_format for A in blocks):
-        raise ValueError("generator blocks must be canonical CSR matrices")
-    first = blocks[0]
-    if all(np.array_equal(A.indptr, first.indptr) for A in blocks) and all(
-        np.array_equal(A.indices, first.indices) for A in blocks
-    ):
-        return first.indptr, first.indices, [A.data for A in blocks]
-    n = first.shape[0]
-    keys = [np.repeat(np.arange(n), np.diff(A.indptr)) * n + A.indices for A in blocks]
-    union = np.unique(np.concatenate(keys))
-    data = np.zeros((len(blocks), len(union)))
-    for d, A, key in zip(data, blocks, keys):
-        d[np.searchsorted(union, key)] = A.data
-    return np.searchsorted(union, n * np.arange(n + 1)), union % n, data
 
 
 def _views(flat):
@@ -270,21 +251,18 @@ class Stepper:
     the right-hand side of ``S`` is one precomputed n x 3n matrix, read off
     the same blocks with no 3n x 3n matrix built; BDF2's ``Q`` and the
     ``g`` columns of its ``C`` carry the 1/3 of ``g = (4 x - prev) / 3``.
-    Both are array arithmetic on the blocks' entries on one pattern
-    (:func:`_on_one_pattern`), each entry summed in the order a sparse sum
-    of the blocks sums it: ``S`` keeps the pattern less its exact zeros,
-    and ``Q`` fills one n x 3n pattern that repeats each of its rows at
-    column offsets 0, n and 2n.  Both
-    are dense, with a LAPACK LU of ``S`` (``"dense-lu"``), while they fit
-    the working-set budget ``4 n^2 <= _CHUNK_ELEMENTS`` (n <= 128), where
-    sparse calls cost more than their arithmetic; above it ``S`` has a
-    SuperLU factor and ``Q`` is CSR (``"sparse-lu"``).  As ``S`` is symmetric
-    positive definite, SuperLU runs in symmetric mode on a minimum-degree
-    ordering of ``S + S^T`` (250 862 factor entries at n = 5101 on the half
-    disk, 329 526 with its default COLAMD).  It factors ``S^T`` and solves
-    with its transposed sweep (``trans="T"``), which is ``S w = rhs`` for
-    any ``S`` and a fifth to a quarter faster per solve than the plain
-    sweep on the same factor (363 -> 271-295 us at n = 5101).
+    Both are array arithmetic on the ``.data`` of the blocks, which must
+    share one CSR pattern (else ``ValueError``), each entry summed in the
+    order a sparse sum of the blocks sums it: ``S`` keeps the pattern less
+    its exact zeros, and ``Q`` fills one n x 3n pattern that repeats each
+    of its rows at column offsets 0, n and 2n.  Both are dense, with a
+    LAPACK LU of ``S`` (``"dense-lu"``), while they fit the working-set
+    budget ``4 n^2 <= _CHUNK_ELEMENTS`` (n <= 128); above it ``S`` has a
+    SuperLU factor and ``Q`` is CSR (``"sparse-lu"``).  SuperLU runs in
+    symmetric mode on a minimum-degree ordering of ``S + S^T`` (``S`` is
+    symmetric positive definite), factors ``S^T`` and solves with its
+    transposed sweep (``trans="T"``), which is ``S w = rhs`` for any ``S``
+    and faster than the plain sweep on the same factor (see the README).
     :meth:`advance` steps flat ``4n`` buffers ``(u, v, w, scratch)``, given
     as their :func:`_views`, in three kernel calls: ``Q`` into the scratch
     row, the solve in place there, and one 3 x 4 matrix ``C`` from the four
@@ -299,9 +277,11 @@ class Stepper:
         if generator.form != "u":
             raise ValueError("Stepper integrates the u-form pencil, not form %r" % generator.form)
         self.dt = float(dt)
-        indptr, indices, (ew, lu, lv, lw) = _on_one_pattern(
-            (generator.Ew, generator.Lu, generator.Lv, generator.Lw)
-        )
+        blocks = generator.Ew, generator.Lu, generator.Lv, generator.Lw
+        indptr, indices = generator.Ew.indptr, generator.Ew.indices
+        if not all(np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices) for A in blocks):
+            raise ValueError("the generator blocks Ew, Lu, Lv and Lw must share one CSR pattern")
+        ew, lu, lv, lw = (A.data for A in blocks)
         n, size = len(indptr) - 1, len(indices)
         # Q's n x 3n pattern: each row of the blocks' pattern three times, at
         # column offsets 0, n and 2n; ``slots[b]`` are block b's positions in it

@@ -62,6 +62,6 @@ def test_a_file_only_one_side_wrote_is_unequal(tmp_path):
     assert artifact_diff.compare_dirs(a, b)["trajectory.csv"] == {"equal": False, "only_in": "a"}
 
 
-def test_the_matrix_is_31_runs():
+def test_the_matrix_is_33_runs():
     runs = artifact_diff.matrix()
-    assert len(runs) == 31 and len({(name, sub) for name, sub, _ in runs}) == 31
+    assert len(runs) == 33 and len({(name, sub) for name, sub, _ in runs}) == 33

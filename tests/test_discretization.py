@@ -5,6 +5,7 @@ functions exactly, so interpolants of low-order polynomials give exact
 quadratic forms; those are the sharpest cheap oracles available.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -299,40 +300,96 @@ def assembly_case(name):
 @pytest.mark.parametrize("name", preset_names() + ["half-disk-varying"])
 def test_assembly_matches_a_coo_reference(monkeypatch, name):
     # each scattered operator against the COO sum of the very local matrices
-    # it was given; the reference sums duplicates in another order, so 2D
+    # it was given, read on the element pattern (zero where the reference
+    # has no entry); the reference sums duplicates in another order, so 2D
     # entries may differ in the last bits (bound fixed before the run), 1D
     # entries (at most two terms) not at all
     mesh, params = assembly_case(name)
+    n = mesh.n_nodes
     cells_of, made = [], []
-    pattern, scatter = discretization._pattern, discretization._scatter
+    pattern, facet_slots, scatter = (
+        discretization._pattern, discretization._facet_slots, discretization._scatter
+    )
 
-    def spy_pattern(cells, n):
-        cells_of.append((pattern(cells, n), cells, n))
+    def spy_pattern(cells, *args):
+        cells_of.append((pattern(cells, *args), cells))
+        return cells_of[-1][0]
+
+    def spy_facet_slots(pat, facets, n):
+        cells_of.append((facet_slots(pat, facets, n), facets))
         return cells_of[-1][0]
 
     def spy_scatter(pat, loc):
-        cells, n = next((c, n) for p, c, n in cells_of if p is pat)
+        cells = next(c for p, c in cells_of if p is pat)
         made.append((scatter(pat, loc), coo_reference(cells, loc, n)))
         return made[-1][0]
 
     monkeypatch.setattr(discretization, "_pattern", spy_pattern)
+    monkeypatch.setattr(discretization, "_facet_slots", spy_facet_slots)
     monkeypatch.setattr(discretization, "_scatter", spy_scatter)
     bundle = discretization.assemble_operators(mesh, params)
     ref = {}
     for op in ("Mmat", "Kmat", "B0", "B1", "Malpha", "Mgamma", "T0", "T1"):
         ref[op] = next(r for A, r in made if A is getattr(bundle, op))
     ref["Ktilde"] = ref["Kmat"] + ref["B0"]
-    assert len(made) == 8 and len(cells_of) == 3  # one pattern for the elements, one per part
+    assert len(made) == 8
+    # the element pattern: every local (row, column) key of the elements, increasing
+    cells = mesh.elements
+    keys = np.unique((cells.T[:, None] * n + cells.T[None]).ravel())
+    rows, cols = np.divmod(keys, n)
     for op, R in ref.items():
         A = getattr(bundle, op)
-        assert np.array_equal(A.indptr, R.indptr) and np.array_equal(A.indices, R.indices), op
-        # canonical: entries strictly increasing in (row, column)
-        rows = np.repeat(np.arange(mesh.n_nodes), np.diff(A.indptr))
-        assert (np.diff(rows * mesh.n_nodes + A.indices) > 0).all(), op
+        assert np.array_equal(A.indptr, np.searchsorted(keys, n * np.arange(n + 1))), op
+        assert np.array_equal(A.indices, cols), op
+        want = np.asarray(R[rows, cols]).ravel()
         if mesh.dim == 1:
-            assert np.array_equal(A.data, R.data), op
+            assert np.array_equal(A.data, want), op
         else:
-            assert np.abs(A.data - R.data).max() <= 1e-15 * np.abs(R.data).max(), op
+            assert np.abs(A.data - want).max() <= 1e-15 * np.abs(want).max(), op
+
+
+def pattern_case(name):
+    """:func:`assembly_case`, the unit square at alpha = 0 or a five-sided polygon."""
+    if name == "unit-square-alpha-0":
+        mesh = M.build_mesh(M.named_geometry("unit-square"), 8)
+        return mesh, MaterialParams.constant(mesh, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+    if name == "polygon":
+        mesh = face_table_mesh(name)
+        return mesh, MaterialParams.constant(mesh, 1.0, 1.2, 1.5, 2.0, 1.0, 0.5)
+    return assembly_case(name)
+
+
+def scipy_blocks(bundle, form):
+    """The generator blocks ``(Ew, Lu, Lv, Lw)`` as sparse expressions in the operators."""
+    params = bundle.params
+    tau, b, c2, q = params.tau, params.b, params.c**2, params.q
+    K, B1 = bundle.Ktilde, bundle.B1
+    if form == "u":
+        return tau * bundle.Mmat, -c2 * K, -(b * K + c2 * B1), -(bundle.Malpha + b * B1)
+    Mgam = bundle.Mgamma / tau
+    return bundle.Mmat, -(q**2) * Mgam, q * Mgam - (b / tau) * K, -((b / tau) * B1 + Mgam)
+
+
+@pytest.mark.parametrize(
+    "name", preset_names() + ["half-disk-varying", "unit-square-alpha-0", "polygon"]
+)
+def test_every_operator_and_block_shares_the_element_pattern(name):
+    mesh, params = pattern_case(name)
+    for tau in (params.tau, 0.8):
+        bundle = M.assemble_operators(mesh, dataclasses.replace(params, tau=tau))
+        ops = [A for A in vars(bundle).values() if sp.issparse(A)]
+        assert len(ops) == 9
+        for form in ("u", "z"):
+            gen = M.assemble_generator(bundle, form)
+            blocks = (gen.Ew, gen.Lu, gen.Lv, gen.Lw)
+            ops += blocks
+            # entry for entry the sparse expression, bit for bit (its dropped zeros read as 0)
+            for A, R in zip(blocks, scipy_blocks(bundle, form)):
+                assert A.toarray().tobytes() == R.toarray().tobytes(), (form, tau)
+        first = bundle.Mmat
+        for A in ops:
+            assert np.shares_memory(A.indices, first.indices) and np.shares_memory(A.indptr, first.indptr)
+            assert A.indices.size == first.indices.size and A.indptr.size == first.indptr.size
 
 
 # ------------------------------------------------------------ neumann map

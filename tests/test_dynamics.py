@@ -398,16 +398,25 @@ def test_stage_map_is_the_pencil_product_bitwise(name, scheme):
     assert (stage.S != stage_matrix(gen, k)).nnz == 0
 
 
-@pytest.mark.parametrize("scheme", ["implicit-midpoint", "bdf2"])
-@pytest.mark.parametrize("resolution", [6, 12])
-def test_stage_blocks_on_different_patterns_are_summed_on_their_union(resolution, scheme):
-    # on the unit square the diagonal edges' stiffness is exactly zero, so Lu and
-    # Lv leave them out, and with alpha = 0 Lw holds only B1's entries; n = 49
-    # gives a dense stage, n = 169 a sparse one
+def unit_square_alpha_0_generator(resolution):
+    """The u-form generator of the unit square at alpha = 0: the stiffness is exactly
+    zero on the cells' diagonal edges and ``Malpha`` is zero everywhere."""
     scen = named_scenario("unit-square", resolution, kappa0=1.0, kappa1=1.0)
     params = dataclasses.replace(scen.params, alpha_field=np.zeros(scen.mesh.n_nodes))
-    gen = M.assemble_generator(M.assemble_operators(scen.mesh, params), form="u")
-    assert len({A.nnz for A in (gen.Ew, gen.Lu, gen.Lv, gen.Lw)}) == 3
+    return M.assemble_generator(M.assemble_operators(scen.mesh, params), form="u")
+
+
+@pytest.mark.parametrize("scheme", ["implicit-midpoint", "bdf2"])
+@pytest.mark.parametrize("resolution", [6, 12])
+def test_stage_blocks_keep_their_zeros_on_one_pattern(resolution, scheme):
+    # the blocks' nonzeros lie on three different patterns, but each block keeps
+    # its exact zeros on the one element pattern; n = 49 gives a dense stage,
+    # n = 169 a sparse one
+    gen = unit_square_alpha_0_generator(resolution)
+    blocks = (gen.Ew, gen.Lu, gen.Lv, gen.Lw)
+    assert len({A.count_nonzero() for A in blocks}) == 3
+    for A in blocks:
+        assert np.array_equal(A.indptr, gen.Ew.indptr) and np.array_equal(A.indices, gen.Ew.indices)
     dt = 1e-2
     stepper = M.Stepper(gen, dt, scheme)
     stage = stepper._bdf or stepper._mid
@@ -419,11 +428,17 @@ def test_stage_blocks_on_different_patterns_are_summed_on_their_union(resolution
 
 
 def test_stepper_rejects_blocks_with_duplicate_entries():
+    # blocks whose patterns differ are a ValueError: one with a duplicate entry,
+    # and one built by a sparse sum, which drops the exact zeros
     gen = M.assemble_generator(make_scenario(mesh={"resolution": 8}).bundle, form="u")
     Lu = sp.csr_matrix((gen.Lu.data, gen.Lu.indices.copy(), gen.Lu.indptr), shape=gen.Lu.shape)
     Lu.indices[1] = Lu.indices[0]  # row 0 names one column twice
-    with pytest.raises(ValueError, match="canonical"):
-        M.Stepper(dataclasses.replace(gen, Lu=Lu), 1e-2)
+    square = unit_square_alpha_0_generator(6)
+    bundle = square.bundle
+    summed = dataclasses.replace(square, Lw=-(bundle.Malpha + bundle.params.b * bundle.B1))
+    for hand_built in (dataclasses.replace(gen, Lu=Lu), summed):
+        with pytest.raises(ValueError, match="must share one CSR pattern"):
+            M.Stepper(hand_built, 1e-2)
 
 
 def test_bdf2_health_measures_the_bdf2_stage():

@@ -6,6 +6,8 @@ of modal-cubic root triples -- an exact structural oracle, no PDE
 asymptotics involved.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -143,6 +145,23 @@ def test_noncritical_spectrum_assembles_no_z_form(monkeypatch):
     rep = M.spectrum(assemble(scen.bundle, form="u"))
     assert rep.method == "dense"
     assert calls == []
+
+
+def test_method_rests_on_the_nonzero_entries_of_mgamma():
+    # Mgamma keeps its exact zeros on the element pattern: gamma vanishing on part
+    # of the domain leaves it nonzero elsewhere (dense), gamma == 0 leaves it
+    # stored entries that are all zero (the wave block, which a count of stored
+    # entries would miss)
+    scen = make_scenario(mesh={"resolution": 16})
+    p = scen.params
+    critical = p.tau * p.c**2 / p.b
+    x = scen.mesh.nodes[:, 0]
+    part = np.where(x < 0.5, critical, critical + 1.0)
+    for alpha, method in ((part, "dense"), (np.full_like(x, critical), "dense-wave-block")):
+        bundle = M.assemble_operators(scen.mesh, dataclasses.replace(p, alpha_field=alpha))
+        Mg = bundle.Mgamma
+        assert Mg.nnz == bundle.Mmat.nnz and Mg.count_nonzero() < Mg.nnz
+        assert M.spectrum(M.assemble_generator(bundle, "u")).method == method
 
 
 def test_report_dict_carries_the_eigensolver_method():

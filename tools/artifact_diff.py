@@ -38,18 +38,39 @@ PRESETS = (
 )
 SUBCOMMANDS = ("simulate", "spectrum", "certify-geometry", "multiplier-check", "full")
 WORKLOADS = ("interval-record", "transducer-spectrum", "halfdisk-bdf2")
+# two domains whose operators vanish on part of the element pattern: the unit
+# square (zero stiffness on its cells' diagonals) at alpha = 0, and a pentagon
+PATTERN_CASES = (
+    ("unit-square-alpha-0", {"kind": "named", "name": "unit-square"}, {"alpha": 0.0}, [0.5, 0.5]),
+    (
+        "pentagon",
+        {
+            "kind": "polygon",
+            "vertices": [[0, 0], [2, 0], [2.5, 1], [1, 1.8], [-0.3, 1.1]],
+            "segment_tags": ["gamma0", "gamma1", "gamma1", "gamma1", "gamma1"],
+            "x0": [1.0, -3.0],
+        },
+        {},
+        [1.0, 0.8],
+    ),
+)
 
 
 def matrix():
-    """The 31 runs ``(name, subcommand, config)``: every subcommand on every
+    """The 33 runs ``(name, subcommand, config)``: every subcommand on every
     preset, then ``full`` and ``simulate`` on each benchmark workload's
-    configuration at seed 1."""
+    configuration at seed 1, then ``full`` on each of :data:`PATTERN_CASES`
+    (the half-disk-2d preset on another domain)."""
     if os.path.join(ROOT, "perfbench") not in sys.path:
         sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import make_inputs
 
     runs = [(p, sub, {"preset": p}) for p in PRESETS for sub in SUBCOMMANDS]
     runs += [(w, sub, make_inputs(w, 1)[0]) for w in WORKLOADS for sub in ("full", "simulate")]
+    for name, geometry, params, center in PATTERN_CASES:
+        bump = {"kind": "gaussian-bump", "center": center, "width": 0.15}
+        config = {"preset": "half-disk-2d", "geometry": geometry, "params": params, "initial": bump}
+        runs.append((name, "full", config))
     return runs
 
 
