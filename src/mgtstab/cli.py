@@ -461,8 +461,8 @@ def run(config, subcommand, out_dir=None, seed=0):
             sim = simulated()
             rep, seconds = solver.collect()
         _LOGGER.info(
-            "spectral stage: generator size %d, method %s, %.3f s",
-            len(rep.eigenvalues), rep.method, seconds,
+            "spectral stage: generator size %d, method %s, blocks %s, %.3f s",
+            len(rep.eigenvalues), rep.method, "+".join(map(str, rep.blocks)), seconds,
         )
         spec = emit("spectrum.json", spectrum=rep.to_dict())["spectrum"]
         fields = {

@@ -9,6 +9,7 @@ that the umask gives a new file.
 """
 
 import json
+import math
 import os
 import tempfile
 
@@ -19,22 +20,25 @@ from .dynamics import Trajectory
 
 def sanitize(obj):
     """Recursively convert to JSON-safe plain Python (non-finite -> None)."""
-    if isinstance(obj, dict):
-        return {str(k): sanitize(v) for k, v in obj.items()}
+    # most payload values are plain floats: test them first, without numpy
+    if type(obj) is float:
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
         return [sanitize(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return v if np.isfinite(v) else None
+        return v if math.isfinite(v) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
         re, im = float(obj.real), float(obj.imag)
-        return [re if np.isfinite(re) else None, im if np.isfinite(im) else None]
+        return [re if math.isfinite(re) else None, im if math.isfinite(im) else None]
     return obj
 
 

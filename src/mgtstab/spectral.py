@@ -16,9 +16,15 @@ The same factorization holds for the assembled generator: with
 so the generator is block triangular, with ``-c^2/b`` n times on its
 diagonal next to the 2n damped-wave block in ``(z, z_t)``.
 ``spectrum`` then solves only that block.
+
+A mesh mirror-symmetric in one coordinate (the transducer section, the
+half disk) whose blocks are mirror-invariant splits the eigensolve once
+more: the generator maps even and odd node vectors to even and odd ones,
+so its spectrum is the union of two folded generators of about half the
+size.  Without such a mirror the whole generator is solved as it is.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -27,6 +33,7 @@ from .dynamics import assemble_generator
 from .errors import ConfigError, NumericalError
 
 DENSE_EIG_CAP = 6000
+_BLOCKS = ("Ew", "Lu", "Lv", "Lw")
 
 
 @dataclass
@@ -36,7 +43,8 @@ class SpectrumReport:
     ``stable`` holds when the abscissa lies below ``-len(eigenvalues) eps
     max|lambda|``, so an abscissa within rounding of zero (a conservative
     generator) is not stable whatever its sign.  ``method`` names the
-    dense eigensolve that produced the eigenvalues.
+    dense eigensolve that produced the eigenvalues, and ``blocks`` (not
+    in ``to_dict``) the sizes of the dense matrices it solved.
     """
 
     eigenvalues: np.ndarray
@@ -44,6 +52,7 @@ class SpectrumReport:
     stable: bool
     method: str
     form: str = "u"
+    blocks: tuple = ()
 
     def to_dict(self):
         return {
@@ -81,10 +90,50 @@ def check_dense_cap(size):
         )
 
 
+def _mirror(gen):
+    """The node permutation ``P`` of the mesh's mirror in one coordinate when
+    it maps nodes and tagged facets onto themselves and leaves each block
+    invariant, ``A[P][:, P] == A`` within ``64 eps max|A|``; else None."""
+    mesh = gen.bundle.mesh
+    x, n, i = mesh.nodes, mesh.n_nodes, np.arange(mesh.n_nodes)
+    order, weights = np.lexsort(x.T), n ** np.arange(mesh.dim)
+    for k in range(mesh.dim):
+        y = x.copy()
+        y[:, k] = x[:, k].min() + x[:, k].max() - x[:, k]
+        mirrored = np.lexsort(y.T)
+        if not np.array_equal(x[order], y[mirrored]):
+            continue
+        P = np.empty(n, np.int64)
+        P[mirrored] = order
+        # each facet as one key: its sorted nodes in base n, then its tag (0 or 1)
+        facets = (np.sort(f, axis=1) @ weights * 2 + mesh.facet_tags
+                  for f in (mesh.facets, P[mesh.facets]))
+        blocks = (getattr(gen, b) for b in _BLOCKS)
+        if np.array_equal(P[P], i) and np.array_equal(*map(np.sort, facets)) and all(
+            abs(A[P][:, P] - A).max() <= 64 * np.finfo(float).eps * abs(A).max() for A in blocks
+        ):
+            return P
+    return None
+
+
+def _split(gen):
+    # the generator itself, or its folds on the even subspace of its mirror P
+    # (one row per orbit, columns A[:, r] + A[:, P r]) and on the odd one (the
+    # off-axis orbits, columns A[:, r] - A[:, P r])
+    P = _mirror(gen)
+    if P is None:
+        return [gen]
+    i, folds = np.arange(len(P)), []
+    for r, sign in ((i[i <= P], 1.0), (i[i < P], -1.0)):
+        rows = {b: getattr(gen, b)[r] for b in _BLOCKS}
+        folds.append(replace(gen, **{b: A[:, r] + sign * A[:, P[r]] for b, A in rows.items()}))
+    return folds
+
+
 def spectrum(generator):
     """All eigenvalues of the generator pencil ``L x = lambda E x``.
 
-    The full spectrum comes from one standard dense eigensolve; ``E``
+    The full spectrum comes from standard dense eigensolves; ``E``
     (``diag(I, I, tau M)`` in u-form) is block-diagonal SPD, so the
     generator matrix ``E^{-1} L`` costs one sparse factorization of its
     third block (method ``dense``).  When the bundle's ``Mgamma`` holds
@@ -92,7 +141,9 @@ def spectrum(generator):
     damped-wave block of the z-form generator (``Generator.dense_vw``)
     and ``-c^2/b`` is added n times (method ``dense-wave-block``); the
     z-form is assembled from the bundle's parameters unless
-    ``generator`` already is one.  u- and z-form are exactly conjugate,
+    ``generator`` already is one.  Either way a mesh mirror that leaves
+    the solved blocks invariant splits the eigensolve into its even and
+    odd folds (``_split``).  u- and z-form are exactly conjugate,
     so either way the report keeps the ``form`` and size of the
     generator it was given.  A generator of first-order size 3n above
     ``DENSE_EIG_CAP`` raises ``ConfigError`` before any dense matrix is
@@ -100,16 +151,14 @@ def spectrum(generator):
     """
     n = generator.size
     check_dense_cap(n)
-    bundle = generator.bundle
-    if bundle.Mgamma.count_nonzero() == 0:
-        gen = generator
-        if gen.form != "z":
-            gen = assemble_generator(bundle, "z")
-        wave = _eigvals(gen.dense_vw())
-        vals = _sorted_eigvals(np.concatenate((np.full(n // 3, gen.shift), wave)))
+    if generator.bundle.Mgamma.count_nonzero() == 0:
+        gen = generator if generator.form == "z" else assemble_generator(generator.bundle, "z")
+        parts = [_eigvals(g.dense_vw()) for g in _split(gen)]
+        vals = _sorted_eigvals(np.concatenate([np.full(n // 3, gen.shift)] + parts))
         method = "dense-wave-block"
     else:
-        vals = _sorted_eigvals(_eigvals(generator.dense()))
+        parts = [_eigvals(g.dense()) for g in _split(generator)]
+        vals = _sorted_eigvals(np.concatenate(parts))
         method = "dense"
     abscissa = float(vals.real.max())
     tol = float(len(vals) * np.finfo(float).eps * np.abs(vals).max())
@@ -119,6 +168,7 @@ def spectrum(generator):
         stable=abscissa < -tol,
         method=method,
         form=generator.form,
+        blocks=tuple(len(p) for p in parts),
     )
 
 

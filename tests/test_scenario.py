@@ -147,6 +147,48 @@ def test_sanitize_scalars():
     assert out["nested"][0]["t"] is False
 
 
+def _isinstance_sanitize(obj):
+    # the rules sanitize kept before it dispatched on the exact type first
+    if isinstance(obj, dict):
+        return {str(k): _isinstance_sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_isinstance_sanitize(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_isinstance_sanitize(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if np.isfinite(v) else None
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
+        re_, im = float(obj.real), float(obj.imag)
+        return [re_ if np.isfinite(re_) else None, im if np.isfinite(im) else None]
+    return obj
+
+
+def test_write_json_of_a_mixed_payload_keeps_the_isinstance_bytes(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    payload = {
+        "floats": [0.1, -0.0, 1e-310, 2.5e300, nan, inf, -inf, np.float64(0.3), np.float32(0.1)],
+        "numpy non-finite": [np.float64("nan"), np.float64("-inf"), np.float16("inf")],
+        "flags": [True, False, np.bool_(True), np.bool_(False)],
+        "ints": [0, -7, 2**70, np.int64(-3), np.int32(5), np.uint8(255)],
+        "complex": [1.5 - 2j, complex(nan, inf), np.complex128(3 + 0.25j), np.complex64(1j)],
+        "tuples": (1.0, (nan, (2.0, "x")), [np.float64(inf), None]),
+        "nested": [[[0.5, [np.int64(1), [True, [1e-5, -inf]]]]], {"k": (np.bool_(False),)}],
+        "array": np.array([[1.0, nan], [inf, -2.0]]),
+        "eigenvalues": [[float(v.real), float(v.imag)] for v in np.exp(1j * np.arange(40.0)) * 1e3],
+        7: "a non-string key",
+    }
+    path = tmp_path / "mixed.json"
+    write_json(str(path), payload)
+    expected = json.dumps(_isinstance_sanitize(payload), sort_keys=True, indent=2, allow_nan=False)
+    assert path.read_bytes() == (expected + "\n").encode()
+    assert sanitize(payload) == _isinstance_sanitize(payload)
+
+
 def test_write_json_is_deterministic(tmp_path):
     payload = {"b": [1.0, 2.0], "a": {"y": True, "x": None}}
     p1, p2 = str(tmp_path / "one.json"), str(tmp_path / "two.json")
@@ -960,11 +1002,18 @@ def test_cli_interrupted_while_stepping_kills_the_writer(tmp_path, monkeypatch):
 
 
 def test_cli_full_logs_the_spectral_stage(caplog):
+    # the line names the dense blocks solved: the whole generator on the
+    # interval, the even and odd folds of the wave block on the mirrored
+    # transducer section (n = 85, 7 nodes on its axis)
+    transducer = {"preset": "transducer-2d", "mesh": {"resolution": 3}, "time": {"T": 0.1, "dt": 2e-2}}
     with caplog.at_level(logging.INFO, logger="mgtstab.cli"):
         cli.run(tiny_config(), "full")
+        cli.run(transducer, "full")
     lines = [r.getMessage() for r in caplog.records if "spectral stage" in r.getMessage()]
-    assert len(lines) == 1
-    assert re.fullmatch(r"spectral stage: generator size 51, method dense, \d+\.\d{3} s", lines[0])
+    assert len(lines) == 2
+    assert re.fullmatch(r"spectral stage: generator size 51, method dense, blocks 51, \d+\.\d{3} s", lines[0])
+    pattern = r"spectral stage: generator size 255, method dense-wave-block, blocks 92\+78, \d+\.\d{3} s"
+    assert re.fullmatch(pattern, lines[1])
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer needs os.fork")

@@ -7,6 +7,8 @@ asymptotics involved.
 """
 
 import dataclasses
+import importlib.util
+import os
 
 import numpy as np
 import pytest
@@ -90,7 +92,7 @@ def test_spectrum_is_union_of_modal_triples():
 
 
 def _reference_eigs(gen):
-    # the 3n dense eigensolve every gamma takes outside the critical case
+    # the whole 3n dense eigensolve, with neither the wave-block nor the mirror reduction
     return spectral._sorted_eigvals(scipy.linalg.eigvals(gen.dense()))
 
 
@@ -162,6 +164,111 @@ def test_method_rests_on_the_nonzero_entries_of_mgamma():
         Mg = bundle.Mgamma
         assert Mg.nnz == bundle.Mmat.nnz and Mg.count_nonzero() < Mg.nnz
         assert M.spectrum(M.assemble_generator(bundle, "u")).method == method
+
+
+# ------------------------------------------------------------ mirror split
+
+
+def _x_mirror(mesh):
+    """The node map of the reflection of x about the bounding-box mid-plane,
+    or None when it does not map the nodes onto nodes."""
+    x = mesh.nodes
+    y = x.copy()
+    y[:, 0] = x[:, 0].min() + x[:, 0].max() - x[:, 0]
+    order, mirrored = np.lexsort(x.T), np.lexsort(y.T)
+    if not np.array_equal(x[order], y[mirrored]):
+        return None
+    P = np.empty(len(x), int)
+    P[mirrored] = order
+    return P
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"preset": "transducer-2d", "mesh": {"resolution": 3}},
+        {"preset": "transducer-2d", "mesh": {"resolution": 5}},
+        {"preset": "half-disk-2d", "mesh": {"resolution": 4}},
+    ],
+    ids=["transducer-3", "transducer-5", "half-disk-4"],
+)
+def test_mirror_split_matches_the_full_eigensolve(cfg, monkeypatch):
+    # both domains mirror in x about x = 0: the even fold keeps one node per
+    # orbit, (n + a) / 2 of them with a on the axis, the odd fold (n - a) / 2
+    scen = M.Scenario(M.load_config(cfg))
+    n, a = scen.mesh.n_nodes, np.count_nonzero(scen.mesh.nodes[:, 0] == 0.0)
+    assert _x_mirror(scen.mesh) is not None and (n - a) % 2 == 0
+    gen = M.assemble_generator(scen.bundle, form="u")
+    rep = M.spectrum(gen)
+    ref = _reference_eigs(gen)
+    monkeypatch.setattr(spectral, "_mirror", lambda gen: None)
+    whole = M.spectrum(gen)
+    fields = 2 if rep.method == "dense-wave-block" else 3
+    assert rep.blocks == (fields * (n + a) // 2, fields * (n - a) // 2)
+    assert whole.blocks == (fields * n,)
+    assert (rep.method, rep.stable, len(rep.eigenvalues)) == (whole.method, whole.stable, 3 * n)
+    assert match_spectra(rep.eigenvalues, ref) <= 1e-8
+    assert abs(rep.abscissa - ref.real.max()) <= 1e-10
+    if rep.method == "dense-wave-block":
+        assert np.count_nonzero(rep.eigenvalues == -scen.params.q) == n
+    else:
+        assert cfg["preset"] == "half-disk-2d" and scen.params.gamma_field.min() == 0.5
+
+
+def _pentagon():
+    tool = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "artifact_diff.py")
+    spec = importlib.util.spec_from_file_location("artifact_diff", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: geometry for name, geometry, _, _ in module.PATTERN_CASES}["pentagon"]
+
+
+@pytest.mark.parametrize("case", ["interval", "interval-critical", "unit-square", "pentagon"])
+def test_without_a_mirror_the_whole_generator_is_solved_bit_for_bit(case):
+    # the interval's nodes mirror but its tagged end points do not; the unit
+    # square's nodes and tags mirror about x = 1/2 but its one-diagonal
+    # triangulation's mass matrix does not; the pentagon's nodes do not
+    cfg = {"preset": "interval-1d-damped"}
+    if case == "interval-critical":
+        cfg["params"] = {"alpha": 1.0}
+    elif case == "unit-square":
+        cfg = {"preset": "half-disk-2d", "geometry": {"kind": "named", "name": "unit-square"}}
+    elif case == "pentagon":
+        cfg = {"preset": "half-disk-2d", "geometry": _pentagon(), "initial": {"kind": "zero"}}
+    scen = M.Scenario(M.load_config(cfg))
+    mesh, n = scen.mesh, scen.mesh.n_nodes
+    P = _x_mirror(mesh)
+    assert (P is None) == (case == "pentagon")
+    if case == "unit-square":
+        Mm = scen.bundle.Mmat
+        assert abs(Mm[P][:, P] - Mm).max() > 0.1 * abs(Mm).max()
+    gen = M.assemble_generator(scen.bundle, form="u")
+    if case.startswith("interval"):
+        # the tagged end points reject the mirror before any block is read
+        assert spectral._mirror(dataclasses.replace(gen, Ew=None, Lu=None, Lv=None, Lw=None)) is None
+    rep = M.spectrum(gen)
+    if rep.method == "dense-wave-block":
+        gz = M.assemble_generator(scen.bundle, form="z")
+        wave = scipy.linalg.eigvals(gz.dense_vw())
+        expected = spectral._sorted_eigvals(np.concatenate((np.full(n, gz.shift), wave)))
+        assert (case, rep.blocks) == ("interval-critical", (2 * n,))
+    else:
+        expected = _reference_eigs(gen)
+        assert rep.blocks == (3 * n,)
+    np.testing.assert_array_equal(rep.eigenvalues, expected)
+
+
+def test_a_block_off_mirror_by_1e_10_takes_the_whole_eigensolve():
+    scen = M.Scenario(M.load_config({"preset": "half-disk-2d", "mesh": {"resolution": 4}}))
+    gen = M.assemble_generator(scen.bundle, form="u")
+    assert len(M.spectrum(gen).blocks) == 2
+    i = int(np.flatnonzero(_x_mirror(scen.mesh) != np.arange(scen.mesh.n_nodes))[0])
+    Lv = gen.Lv.copy()
+    Lv[i, i] *= 1.0 + 1e-10  # its mirrored entry keeps its value
+    bent = dataclasses.replace(gen, Lv=Lv)
+    rep = M.spectrum(bent)
+    assert rep.blocks == (bent.size,)
+    np.testing.assert_array_equal(rep.eigenvalues, _reference_eigs(bent))
 
 
 def test_report_dict_carries_the_eigensolver_method():
