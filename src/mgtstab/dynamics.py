@@ -15,19 +15,25 @@ gamma`` by ``1/tau`` and leaves the ratio ``q = c^2/b`` unchanged.  Each
 implicit step is one condensed n x n solve: a dense LAPACK LU for n <= 128
 and above it SuperLU in symmetric mode on a minimum-degree ordering of
 ``S + S^T``.  ``simulate`` steps flat buffers with ``Stepper.advance``, on
-views built once per run: the stage's right-hand side, its solve in place
-and one 3 x 4 combine a step, so a step is the linear map
-``x -> C [x; S^{-1} Q x]``.
+views built once per run: the stage's right-hand side, written into a
+scratch row (by scipy's CSR kernel itself on the sparse stage), its solve
+there and one 3 x 4 combine a step, so a step is the linear map
+``x -> C [x; S^{-1} Q x]``.  The recorded energy series are quadratic
+forms on copies of the operators without their stored zeros.
 """
 
 import logging
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse.linalg import splu
+
+# the private kernel ``Q @ y`` calls on a zeroed array it allocates; the sparse step
+# calls it on its scratch row instead (a test pins it to ``Q @ y``)
+from scipy.sparse._sparsetools import csr_matvec
 
 from . import energy as _energy
 from .errors import NumericalError
@@ -265,7 +271,9 @@ class Stepper:
     and faster than the plain sweep on the same factor (see the README).
     :meth:`advance` steps flat ``4n`` buffers ``(u, v, w, scratch)``, given
     as their :func:`_views`, in three kernel calls: ``Q`` into the scratch
-    row, the solve in place there, and one 3 x 4 matrix ``C`` from the four
+    row (a CSR ``Q`` by ``csr_matvec`` on the zeroed row, the kernel and
+    bits of ``Q @ y`` without its dispatch and allocation), the solve there
+    (SuperLU's result copied back), and one 3 x 4 matrix ``C`` from the four
     rows to the next state; :meth:`step` wraps it for a ``State``.
     """
 
@@ -336,7 +344,12 @@ class Stepper:
             np.subtract(np.multiply(x[0], 4.0, out=out[0]), y, out=y)
         # S's right-hand side Q y in g's scratch row, solved there
         if stage.piv is None:
-            np.copyto(r, stage.lu.solve(stage.Q @ y, "T"))
+            Q = stage.Q
+            if (len(r), len(y)) != Q.shape:  # the kernel checks no length
+                raise ValueError("buffers of %d nodes for a stage of %d" % (len(r), Q.shape[0]))
+            r.fill(0.0)
+            csr_matvec(len(r), len(y), Q.indptr, Q.indices, Q.data, y, r)
+            np.copyto(r, stage.lu.solve(r, "T"))
         else:
             np.dot(stage.Q, y, out=r)
             dgetrs(stage.lu, stage.piv, r, 0, 1)  # trans=0, overwrite_b=1; info flags bad arguments only
@@ -396,18 +409,21 @@ class Trajectory:
         return np.column_stack([self.times] + [getattr(self, name) for name in self.CSV_COLUMNS[1:]])
 
 
-def _observables(U, V, W, times, bundle, gamma_negative):
+def _observables(U, V, W, times, bundle):
     """The eight trajectory columns (after ``t``) of a chunk of recorded
-    states, one row per sample in ``U, V, W = u, u_t, u_tt``.
+    states, one row per sample in ``U, V, W = u, u_t, u_tt``; ``E1`` and
+    ``zt_L2`` share one ``z_t`` form, and ``E1`` may be indefinite.
 
     Raises :class:`NumericalError` at the first sample whose ``z_t`` or
     energy is not finite; a blow-up overflows silently up to that check.
     """
     params = bundle.params
     q, tau = params.q, params.tau
+    quad, M = _energy._quad, bundle.Mmat
     with np.errstate(over="ignore", invalid="ignore"):
         Z, Zt = V + q * U, W + q * V
-        E1 = _energy.energy_E1(State(U, Z, Zt), bundle, allow_indefinite=gamma_negative)
+        zt_mass = quad(M, Zt)
+        E1 = _energy._energy_E1(State(U, Z, Zt), bundle, zt_mass)
         E0 = _energy.energy_E0(State(U, V, W), bundle)
     bad_state = ~np.isfinite(Zt).all(axis=1)
     bad = bad_state | ~np.isfinite(E0 + E1)
@@ -415,7 +431,6 @@ def _observables(U, V, W, times, bundle, gamma_negative):
         first = int(np.argmax(bad))
         what = "state" if bad_state[first] else "energy"
         raise NumericalError("non-finite %s at t=%.6g" % (what, times[first]))
-    quad, M = _energy._quad, bundle.Mmat
     return (
         E0,
         E1,
@@ -424,8 +439,21 @@ def _observables(U, V, W, times, bundle, gamma_negative):
         quad(bundle.Mgamma, W) / tau,
         np.sqrt(quad(M, U)),
         np.sqrt(quad(M, Z)),
-        np.sqrt(quad(M, Zt)),
+        np.sqrt(zt_mass),
     )
+
+
+def _zero_free(bundle):
+    """The bundle with copies, free of stored zeros, of the operators that
+    :func:`_observables` reads and that hold one (``B1`` off gamma1, ``Mgamma``
+    at gamma == 0): an exact zero never changes a finite row sum's bits."""
+    ops = {}
+    for name in ("Mmat", "Ktilde", "Malpha", "Mgamma", "B1"):
+        A = getattr(bundle, name)
+        if not A.data.all():
+            ops[name] = A = A.copy()
+            A.eliminate_zeros()
+    return replace(bundle, **ops)
 
 
 def record_count(T, dt, output_stride):
@@ -484,7 +512,7 @@ def simulate(
     n_rec = record_count(T, dt, stride)
     chunk = max(1, _CHUNK_ELEMENTS // n)
     classification = bundle.params.stability_classification()
-    gamma_negative = classification == "unstable"
+    forms = _zero_free(bundle)
 
     # (u, u_t, u_tt) of one chunk of recorded states, node-major: each chunk
     # is sized to its samples, so every component is a contiguous (n, samples)
@@ -512,7 +540,7 @@ def simulate(
         i += 1
         if j == m - 1:
             states = X.transpose(0, 2, 1)
-            cols[:, lo:i] = _observables(*states, times[lo:i], bundle, gamma_negative)
+            cols[:, lo:i] = _observables(*states, times[lo:i], forms)
             if on_chunk is not None:
                 on_chunk(Trajectory(times[lo:i], *cols[:, lo:i], states))
 
@@ -525,7 +553,7 @@ def simulate(
             "T": float(n_steps * dt),
             "scheme": scheme,
             "output_stride": int(output_stride),
-            "gamma_negative": gamma_negative,
+            "gamma_negative": classification == "unstable",
             "stability_classification": classification,
             **stepper.health(initial),
         },

@@ -42,11 +42,17 @@ def energy_E1(state, bundle, allow_indefinite=False):
             "gamma is negative somewhere; E1's gamma term is undefined "
             "(pass allow_indefinite=True to evaluate the indefinite form)"
         )
+    return _energy_E1(state, bundle, _quad(bundle.Mmat, state.w))
+
+
+def _energy_E1(state, bundle, zt_mass):
+    # energy_E1 with its z_t term z_t^T M z_t given and no check of gamma's sign
+    params = bundle.params
     tau, b = params.tau, params.b
     q = params.q
     ut = state.v - q * state.u
     val = 0.5 * (b / tau) * _quad(bundle.Ktilde, state.v)
-    val += 0.5 * _quad(bundle.Mmat, state.w)
+    val += 0.5 * zt_mass
     val += 0.5 * q * _quad(bundle.Mgamma, ut) / tau
     return val
 

@@ -93,7 +93,8 @@ def check_dense_cap(size):
 def _mirror(gen):
     """The node permutation ``P`` of the mesh's mirror in one coordinate when
     it maps nodes and tagged facets onto themselves and leaves each block
-    invariant, ``A[P][:, P] == A`` within ``64 eps max|A|``; else None."""
+    that is not None invariant, ``A[P][:, P] == A`` within ``64 eps max|A|``;
+    else None."""
     mesh = gen.bundle.mesh
     x, n, i = mesh.nodes, mesh.n_nodes, np.arange(mesh.n_nodes)
     order, weights = np.lexsort(x.T), n ** np.arange(mesh.dim)
@@ -110,7 +111,8 @@ def _mirror(gen):
                   for f in (mesh.facets, P[mesh.facets]))
         blocks = (getattr(gen, b) for b in _BLOCKS)
         if np.array_equal(P[P], i) and np.array_equal(*map(np.sort, facets)) and all(
-            abs(A[P][:, P] - A).max() <= 64 * np.finfo(float).eps * abs(A).max() for A in blocks
+            abs(A[P][:, P] - A).max() <= 64 * np.finfo(float).eps * abs(A).max()
+            for A in blocks if A is not None
         ):
             return P
     return None
@@ -119,13 +121,13 @@ def _mirror(gen):
 def _split(gen):
     # the generator itself, or its folds on the even subspace of its mirror P
     # (one row per orbit, columns A[:, r] + A[:, P r]) and on the odd one (the
-    # off-axis orbits, columns A[:, r] - A[:, P r])
+    # off-axis orbits, columns A[:, r] - A[:, P r]); a block set to None stays None
     P = _mirror(gen)
     if P is None:
         return [gen]
     i, folds = np.arange(len(P)), []
     for r, sign in ((i[i <= P], 1.0), (i[i < P], -1.0)):
-        rows = {b: getattr(gen, b)[r] for b in _BLOCKS}
+        rows = {b: getattr(gen, b)[r] for b in _BLOCKS if getattr(gen, b) is not None}
         folds.append(replace(gen, **{b: A[:, r] + sign * A[:, P[r]] for b, A in rows.items()}))
     return folds
 
@@ -153,7 +155,8 @@ def spectrum(generator):
     check_dense_cap(n)
     if generator.bundle.Mgamma.count_nonzero() == 0:
         gen = generator if generator.form == "z" else assemble_generator(generator.bundle, "z")
-        parts = [_eigvals(g.dense_vw()) for g in _split(gen)]
+        # dense_vw reads no Lu (all zeros here), so it is neither checked nor folded
+        parts = [_eigvals(g.dense_vw()) for g in _split(replace(gen, Lu=None))]
         vals = _sorted_eigvals(np.concatenate([np.full(n // 3, gen.shift)] + parts))
         method = "dense-wave-block"
     else:

@@ -22,6 +22,7 @@ from scipy.sparse.linalg import splu
 import mgtstab as M
 from mgtstab import dynamics, energy
 from mgtstab.dynamics import State
+from mgtstab.geometry import GAMMA1
 
 from conftest import interval_config, pencil, preset_names, reconstruct_u_from_z, simulate_with_states
 
@@ -550,6 +551,54 @@ def test_sparse_stage_solves_s_and_not_its_transpose(monkeypatch, scheme):
     assert health["stage_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("scheme", ["implicit-midpoint", "bdf2"])
+def test_sparse_advance_is_the_operator_product_solved_and_combined(monkeypatch, scheme):
+    # the sparse step's CSR kernel call gives the bits of the stage written with
+    # the sparse operator: out = C [g; S^{-1} (Q @ y)], g the four rows it reads
+    scen = make_scenario(mesh={"resolution": 16}, params={"tau": 0.8})
+    n = scen.mesh.n_nodes
+    _force_stage_solver(monkeypatch, n, "sparse-lu")
+    stepper = M.Stepper(M.assemble_generator(scen.bundle, form="u"), 2e-2, scheme)
+    x, prev = np.random.default_rng(31).standard_normal((2, 4 * n))
+    x0, prev0, out = x.copy(), prev.copy(), np.empty(4 * n)
+    views = dynamics._views
+    stepper.advance(views(x), views(prev), views(out))
+    if scheme == "implicit-midpoint":
+        stage, y = stepper._mid, x0[: 3 * n]
+    else:
+        stage, y = stepper._bdf, 4.0 * x0[: 3 * n] - prev0[: 3 * n]
+    assert stage.piv is None and sp.issparse(stage.Q)
+    g = np.vstack([y.reshape(3, n), stage.lu.solve(stage.Q @ y, "T")])
+    assert np.array_equal(out[: 3 * n], np.dot(stage.C, g).ravel())
+
+
+def test_csr_matvec_into_a_zeroed_buffer_is_the_operator_product():
+    # the sparse step calls scipy's private CSR kernel, the one ``Q @ y`` runs;
+    # a scipy that renames it or changes what it writes fails here
+    scen = M.Scenario(M.load_config({"preset": "transducer-2d", "mesh": {"resolution": 5}}))
+    stage = M.Stepper(M.assemble_generator(scen.bundle, form="u"), 4e-3)._mid
+    Q = stage.Q
+    assert stage.piv is None and Q.shape == (211, 633)
+    assert Q.indptr.dtype == Q.indices.dtype == np.int32
+    y = np.random.default_rng(5).standard_normal(633)
+    r = np.zeros(211)
+    assert dynamics.csr_matvec(211, 633, Q.indptr, Q.indices, Q.data, y, r) is None
+    assert np.array_equal(r, Q @ y)
+
+
+@pytest.mark.parametrize("solver", ["dense-lu", "sparse-lu"])
+def test_a_state_of_another_size_is_a_value_error(monkeypatch, solver):
+    # the CSR kernel reads and writes by the stage's size alone, so the
+    # sparse step checks the buffers' lengths itself
+    scen = make_scenario(mesh={"resolution": 16})
+    n = scen.mesh.n_nodes
+    _force_stage_solver(monkeypatch, n, solver)
+    stepper = M.Stepper(M.assemble_generator(scen.bundle, form="u"), 1e-2)
+    for m in (n - 1, n + 1):
+        with pytest.raises(ValueError):
+            stepper.step(State(*np.ones((3, m))))
+
+
 @pytest.mark.parametrize("scheme, T", [("implicit-midpoint", 20.0), ("bdf2", 4.0)])
 def test_dense_and_sparse_stages_give_the_same_trajectory(monkeypatch, scheme, T):
     # 10 000 midpoint or 2 000 BDF2 steps at n = 65
@@ -671,7 +720,7 @@ def test_simulate_matches_chained_steps_bit_for_bit(monkeypatch, scheme, stride,
     times = np.array([s.t for s in ref])
     # the columns of the same states, evaluated chunk by chunk as simulate does
     chunks = [slice(lo, lo + chunk) for lo in range(0, len(ref), chunk)]
-    cols = np.hstack([dynamics._observables(U[c], V[c], W[c], times[c], scen.bundle, False) for c in chunks])
+    cols = np.hstack([dynamics._observables(U[c], V[c], W[c], times[c], scen.bundle) for c in chunks])
     run = dict(T=n_steps * dt, dt=dt, scheme=scheme, output_stride=stride)
     got = []
     traj, states = simulate_with_states(scen.bundle, scen.initial, on_chunk=got.append, **run)
@@ -745,6 +794,65 @@ def test_recorded_chunks_reach_the_quadratic_forms_contiguous(monkeypatch, prese
     assert traj.meta["stage_solver"] == solver
     assert {m for m, _ in seen} == {chunk, len(traj.times) - chunk}
     assert all(contiguous for _, contiguous in seen)
+
+
+def full_pattern_columns(U, V, W, bundle):
+    """The trajectory columns on the bundle's operators as stored, each form
+    evaluated on its own and E1 by the public energy_E1."""
+    params, quad = bundle.params, energy._quad
+    q, tau = params.q, params.tau
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z, Zt = V + q * U, W + q * V
+        E1 = M.energy_E1(State(U, Z, Zt), bundle, allow_indefinite=True)
+        E0 = M.energy_E0(State(U, V, W), bundle)
+    Mm = bundle.Mmat
+    return (E0, E1, E0 + E1, quad(bundle.B1, Zt) * params.b / tau, quad(bundle.Mgamma, W) / tau,
+            np.sqrt(quad(Mm, U)), np.sqrt(quad(Mm, Z)), np.sqrt(quad(Mm, Zt)))
+
+
+@pytest.mark.parametrize(
+    "cfg, pruned",
+    [
+        # B1 nonzero at one end node of 65; Ktilde, Mgamma and Malpha hold no zero
+        ({"preset": "interval-1d-damped"}, {"B1"}),
+        # kappa1 = 0: B1 holds no nonzero at all
+        ({"preset": "interval-1d-conserved"}, {"B1", "Mgamma"}),
+        # gamma == 0: Mgamma holds no nonzero; B1 only on the gamma1 cap
+        ({"preset": "transducer-2d", "mesh": {"resolution": 5}}, {"B1", "Mgamma"}),
+        ({"preset": "half-disk-2d", "mesh": {"resolution": 24}}, {"B1"}),
+    ],
+    ids=["interval-damped", "interval-conserved", "transducer-5", "half-disk-24"],
+)
+def test_observables_on_zero_free_operators_are_the_full_pattern_bits(cfg, pruned):
+    scen = M.Scenario(M.load_config(cfg))
+    bundle, n = scen.bundle, scen.mesh.n_nodes
+    stored = {name: getattr(bundle, name).nnz for name in ("Mmat", "Ktilde", "Malpha", "Mgamma", "B1")}
+    forms = dynamics._zero_free(bundle)
+    for name in stored:
+        A, B = getattr(bundle, name), getattr(forms, name)
+        assert (B is not A) == (name in pruned), name
+        assert B.nnz == A.count_nonzero() and A.nnz == stored[name] == bundle.Mmat.nnz, name
+    # one chunk of recorded states as simulate lays it out: node-major, read transposed
+    m = dynamics._CHUNK_ELEMENTS // n
+    X = np.random.default_rng(41).standard_normal((3, n, m))
+    U, V, W = X.transpose(0, 2, 1)
+    times = 0.01 * np.arange(m)
+    got = dynamics._observables(U, V, W, times, forms)
+    for name, a, b in zip(COLUMNS, got, full_pattern_columns(U, V, W, bundle)):
+        assert np.array_equal(a, b), name
+    # a non-finite sample at a node off gamma1, where B1's stored zeros give
+    # 0 * inf = nan: both evaluations name the same first sample and cause
+    off = int(np.setdiff1d(np.arange(n), scen.mesh.nodes_on(GAMMA1))[0])
+    for field, j, what in ((0, m // 2, "energy"), (2, m // 3, "state")):
+        Y = X.copy()
+        Y[field, off, j] = np.inf
+        Y[1, off, j + 1] = np.nan
+        messages = set()
+        for ops in (forms, bundle):
+            with pytest.raises(M.NumericalError) as err:
+                dynamics._observables(*Y.transpose(0, 2, 1), times, ops)
+            messages.add(str(err.value))
+        assert messages == {"non-finite %s at t=%.6g" % (what, times[j])}
 
 
 def test_record_count_is_the_number_of_recorded_samples():

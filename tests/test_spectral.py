@@ -215,6 +215,16 @@ def test_mirror_split_matches_the_full_eigensolve(cfg, monkeypatch):
         assert cfg["preset"] == "half-disk-2d" and scen.params.gamma_field.min() == 0.5
 
 
+def test_the_wave_block_path_neither_checks_nor_folds_lu(monkeypatch):
+    # dense_vw reads Ew, Lv and Lw only; the z-form Lu is all zeros there
+    scen = M.Scenario(M.load_config({"preset": "transducer-2d", "mesh": {"resolution": 3}}))
+    seen, mirror = [], spectral._mirror
+    monkeypatch.setattr(spectral, "_mirror", lambda gen: seen.append(gen) or mirror(gen))
+    rep = M.spectrum(M.assemble_generator(scen.bundle, form="u"))
+    assert rep.method == "dense-wave-block" and len(rep.blocks) == 2
+    assert len(seen) == 1 and seen[0].Lu is None and seen[0].Lv is not None
+
+
 def _pentagon():
     tool = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "artifact_diff.py")
     spec = importlib.util.spec_from_file_location("artifact_diff", tool)
